@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 from .arith import (
     LaurentElement,
@@ -164,49 +164,62 @@ class OCModelElement:
 
     # -- division ---------------------------------------------------------------
 
-    def inverse_rational(self) -> list[Fraction] | None:
-        """Inverse in Q[u]/Phi as a dense Fraction list, or None if zero."""
+    def inverse_rational(self) -> tuple[list[int], int] | None:
+        """Inverse in Q[u]/Phi as integer numerators over one common
+        denominator, or None if zero.
+
+        Returns ``(nums, den)`` with ``den > 0``, ``gcd(den, *nums) == 1``
+        and ``len(nums) == phi(p^n)``; the inverse is ``nums[i]/den``.  The
+        extended Euclid against the sparse modulus keeps every remainder
+        and cofactor as a list with no trailing zeros, so a degree is a
+        length.  A quotient step by a remainder whose leading coefficient
+        is +-1 stays in Z[u]; the first other leading coefficient switches
+        the remaining steps to exact Fraction arithmetic.  The last
+        remainder is a constant, which becomes the common denominator.
+        """
         if self.is_zero():
             return None
         m = self.model
-        # extended Euclid in Q[u] between the lift and the modulus
-        mod = [Fraction(0)] * (m.degree + 1)
+        r0 = [0] * (m.degree + 1)
         for e, c in m.modulus.items():
-            mod[e] = Fraction(c)
-        a = [Fraction(c) for c in self.coeffs]
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(f):
-            for i in range(len(f) - 1, -1, -1):
-                if f[i]:
-                    return i
-            return -1
-
-        def sub_scaled(f, g, c, shift):
-            out = list(f) + [Fraction(0)] * max(0, deg(g) + shift + 1 - len(f))
-            for i in range(deg(g) + 1):
-                if g[i]:
-                    out[i + shift] -= c * g[i]
-            return out
-
-        while deg(r1) > 0:
-            while deg(r0) >= deg(r1):
-                c = r0[deg(r0)] / r1[deg(r1)]
-                shift = deg(r0) - deg(r1)
-                r0 = sub_scaled(r0, r1, c, shift)
-                s0 = sub_scaled(s0, s1, c, shift)
+            r0[e] = c
+        r1 = _trimmed(list(self.coeffs))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                top = r0.pop()
+                c = top * lead if lead in (1, -1) else Fraction(top) / lead
+                shift = len(r0) + 1 - len(r1)
+                # r0 -= c * u^shift * r1; c is chosen so the popped top cancels
+                r0[shift:] = [a - c * b for a, b in zip(r0[shift:], r1)]
+                _trimmed(r0)
+                _sub_scaled(s0, s1, c, shift)
             r0, r1 = r1, r0
             s0, s1 = s1, s0
-        if deg(r1) < 0:
+        if not r1:
             return None  # common factor with the modulus: not invertible
+        # s1 / r1[0]; ints carry .numerator and .denominator like Fractions
         lead = r1[0]
-        inv = [c / lead for c in s1]
-        inv += [Fraction(0)] * (m.degree - len(inv))
-        return inv[: m.degree]
+        scale = lcm(*(c.denominator for c in s1))
+        den = scale * lead.numerator
+        nums = [c.numerator * (scale // c.denominator) * lead.denominator for c in s1]
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        nums = [c // g for c in nums]
+        return nums + [0] * (m.degree - len(nums)), den // g
 
     def exact_div(self, divisor: "OCModelElement") -> "OCModelElement | None":
-        """self / divisor when the quotient lies in Z[zeta], else None."""
+        """self / divisor when the quotient lies in Z[zeta], else None.
+
+        With ``nums/den`` the inverse of the divisor, the quotient is
+        ``self * nums`` reduced modulo Phi, over the integers, then divided
+        by ``den``; the quotient in Q(zeta) is unique, so it lies in
+        Z[zeta] exactly when ``den`` divides every coefficient.  Fractions
+        appear only inside ``inverse_rational``, and only after a non-unit
+        leading coefficient.
+        """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero residue")
@@ -215,30 +228,30 @@ class OCModelElement:
         inv = divisor.inverse_rational()
         if inv is None:
             return None
-        m = self.model
-        prod = [Fraction(0)] * (2 * m.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(inv):
-                    if b:
-                        prod[i + j] += a * b
-        # reduce the rational product mod Phi, then check integrality
-        mod_sparse = sorted(m.modulus.items())
-        for degree in range(len(prod) - 1, m.degree - 1, -1):
-            c = prod[degree]
-            if c:
-                base = degree - mod_sparse[-1][0]
-                for e, mc in mod_sparse:
-                    prod[base + e] -= c * mc
-        out = []
-        for c in prod[: m.degree]:
-            if c.denominator != 1:
-                return None
-            out.append(int(c))
-        return OCModelElement(m, tuple(out))
+        nums, den = inv
+        prod = self * OCModelElement(self.model, tuple(nums))
+        if any(c % den for c in prod.coeffs):
+            return None
+        return OCModelElement(self.model, tuple(c // den for c in prod.coeffs))
 
     def is_unit(self) -> bool:
-        return not self.is_zero() and self.model.one().exact_div(self) is not None
+        """True iff self is invertible in Z[zeta]: its inverse is integral."""
+        inv = self.inverse_rational()
+        return inv is not None and inv[1] == 1
+
+
+def _trimmed(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub_scaled(f: list, g: list, c, shift: int) -> None:
+    """f -= c * u^shift * g in place, leaving no trailing zeros in f."""
+    end = shift + len(g)
+    f.extend([0] * (end - len(f)))
+    f[shift:end] = [a - c * b for a, b in zip(f[shift:end], g)]
+    _trimmed(f)
 
 
 # ---------------------------------------------------------------------------

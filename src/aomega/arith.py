@@ -219,10 +219,13 @@ def laurent_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
 def laurent_exact_div(a: LaurentElement, b: LaurentElement) -> LaurentElement | None:
     """c with b*c == a if one exists in Z[u^(+-1)], else None (NotDivisible).
 
-    Division runs in Q[u] after shifting both arguments to polynomials;
-    the result is kept only if the remainder vanishes and every quotient
-    coefficient is an integer.  Uniqueness holds because the ring is a
-    domain.
+    Both arguments are shifted to polynomials with nonzero constant term
+    and divided by integer long division, which stops with None at the
+    first leading coefficient that the divisor's leading coefficient does
+    not divide, or at a nonzero remainder.  The early stop is exact: the
+    quotient in Q[u] is unique (the ring is a domain), so when b divides a
+    in Z[u^(+-1)] every coefficient long division produces is already an
+    integer.  No Fraction is constructed.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero Laurent element")
@@ -231,30 +234,27 @@ def laurent_exact_div(a: LaurentElement, b: LaurentElement) -> LaurentElement | 
         return LaurentElement.zero(a.depth)
     shift_a = a.min_exponent()
     shift_b = b.min_exponent()
-    num = {e - shift_a: Fraction(c) for e, c in a._terms}
-    den = {e - shift_b: Fraction(c) for e, c in b._terms}
-    den_deg = max(den)
-    den_lead = den[den_deg]
-    quo: dict[int, Fraction] = {}
+    num = {e - shift_a: c for e, c in a._terms}
+    den = [(e - shift_b, c) for e, c in b._terms]
+    den_deg, den_lead = den[-1]
+    quo: dict[int, int] = {}
     while num:
         deg = max(num)
         if deg < den_deg:
             return NOT_DIVISIBLE
-        q = num[deg] / den_lead
-        quo[deg - den_deg] = q
-        for e, c in den.items():
-            e2 = e + deg - den_deg
-            v = num.get(e2, Fraction(0)) - q * c
+        q, r = divmod(num[deg], den_lead)
+        if r:
+            return NOT_DIVISIBLE
+        offset = deg - den_deg
+        quo[offset + shift_a - shift_b] = q
+        for e, c in den:
+            e2 = e + offset
+            v = num.get(e2, 0) - q * c
             if v:
                 num[e2] = v
             else:
                 num.pop(e2, None)
-    out = {}
-    for e, c in quo.items():
-        if c.denominator != 1:
-            return NOT_DIVISIBLE
-        out[e + shift_a - shift_b] = c.numerator
-    return LaurentElement(out, a.depth)
+    return LaurentElement(quo, a.depth)
 
 
 def laurent_divides(b: LaurentElement, a: LaurentElement) -> bool:

@@ -1,13 +1,17 @@
 """Cyclotomic model: distinguished elements, Frobenius, residue maps."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.abc import x
 
-from aomega.ainf import AinfModel, OCModel, check_notation_identities
-from aomega.arith import LaurentElement, laurent_exact_div
+from aomega import ainf
+from aomega.ainf import AinfModel, OCModel, OCModelElement, check_notation_identities
+from aomega.arith import LaurentElement, laurent_exact_div, normalize_associate
+from aomega.complexes import LaurentRing
+from aomega.decalage import leta_two_term
 
 
 def test_xi_is_the_cyclotomic_polynomial():
@@ -132,3 +136,158 @@ def test_q_power_divisibility_via_model_elements():
         if b == 0:
             continue
         assert laurent_exact_div(model.q_power_minus_one(b), model.mu) is not None
+
+
+# -- residue division against a rational extended-Euclid oracle ---------------
+
+def oracle_inverse(x):
+    """Inverse in Q[u]/Phi as a dense Fraction list, or None if zero: an
+    extended Euclid over Q[u] that never leaves Fraction arithmetic."""
+    if x.is_zero():
+        return None
+    m = x.model
+    mod = [Fraction(0)] * (m.degree + 1)
+    for e, c in m.modulus.items():
+        mod[e] = Fraction(c)
+    a = [Fraction(c) for c in x.coeffs]
+    r0, r1 = mod, a
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+
+    def deg(f):
+        for i in range(len(f) - 1, -1, -1):
+            if f[i]:
+                return i
+        return -1
+
+    def sub_scaled(f, g, c, shift):
+        out = list(f) + [Fraction(0)] * max(0, deg(g) + shift + 1 - len(f))
+        for i in range(deg(g) + 1):
+            if g[i]:
+                out[i + shift] -= c * g[i]
+        return out
+
+    while deg(r1) > 0:
+        while deg(r0) >= deg(r1):
+            c = r0[deg(r0)] / r1[deg(r1)]
+            shift = deg(r0) - deg(r1)
+            r0 = sub_scaled(r0, r1, c, shift)
+            s0 = sub_scaled(s0, s1, c, shift)
+        r0, r1 = r1, r0
+        s0, s1 = s1, s0
+    if deg(r1) < 0:
+        return None
+    lead = r1[0]
+    inv = [c / lead for c in s1]
+    inv += [Fraction(0)] * (m.degree - len(inv))
+    return inv[: m.degree]
+
+
+def oracle_exact_div(a, inv):
+    """a times the oracle inverse `inv` of a divisor, reduced modulo Phi
+    in Fraction arithmetic; None unless every coefficient is integral."""
+    if inv is None:
+        return None
+    m = a.model
+    prod = [Fraction(0)] * (2 * m.degree - 1)
+    for i, c in enumerate(a.coeffs):
+        if c:
+            for j, d in enumerate(inv):
+                if d:
+                    prod[i + j] += c * d
+    top = max(m.modulus)
+    for degree in range(len(prod) - 1, m.degree - 1, -1):
+        c = prod[degree]
+        if c:
+            for e, mc in m.modulus.items():
+                prod[degree - top + e] -= c * mc
+    if any(c.denominator != 1 for c in prod[: m.degree]):
+        return None
+    return OCModelElement(m, tuple(int(c) for c in prod[: m.degree]))
+
+
+class CountingFraction(Fraction):
+    """Fraction that counts its constructions, to see which route ran."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def check_against_oracle(x, dividends=()):
+    """inverse_rational, is_unit and exact_div by x agree with the oracle."""
+    inv = x.inverse_rational()
+    expected = oracle_inverse(x)
+    if expected is None:
+        assert inv is None
+    else:
+        nums, den = inv
+        assert den > 0 and len(nums) == x.model.degree
+        assert sympy.gcd_list([den, *nums]) == 1
+        assert [Fraction(c, den) for c in nums] == expected
+    oracle_unit = not x.is_zero() and oracle_exact_div(x.model.one(), expected) is not None
+    assert x.is_unit() == oracle_unit
+    for a in dividends:
+        if not x.is_zero():
+            assert a.exact_div(x) == oracle_exact_div(a, expected)
+
+
+def random_residue(oc, rng, width=3, spread=3):
+    coeffs = [0] * oc.degree
+    for _ in range(rng.randint(1, width)):
+        coeffs[rng.randrange(oc.degree)] = rng.randint(-spread, spread)
+    return OCModelElement(oc, tuple(coeffs))
+
+
+@pytest.mark.parametrize("p,n,samples", [(2, 1, 12), (3, 2, 12), (5, 2, 12), (13, 2, 4)])
+def test_residue_division_matches_oracle_on_random_elements(p, n, samples):
+    oc = OCModel(p, n)
+    rng = random.Random(100 * p + n)
+    for _ in range(samples):
+        b = random_residue(oc, rng)
+        c = random_residue(oc, rng)
+        # b * c is divisible by b; a random element mostly is not
+        check_against_oracle(b, dividends=(b * c, random_residue(oc, rng), oc.one()))
+    # zeta^s - 1 is a unit times a prime above p unless p^n divides s
+    for s in range(1, oc.period, 1 + oc.period // 24):
+        check_against_oracle(oc.zeta_power_minus_one(s), dividends=(oc.constant(p),))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_residue_division_matches_oracle_on_pipeline_residuals(p, monkeypatch):
+    # the two-term residuals u + 1 and u^p + 1 of torus cells at depth 2,
+    # reduced one level deeper as theta_tilde does (degree 1210 or 2028);
+    # every Euclid step divides by a +-1 lead
+    monkeypatch.setattr(ainf, "Fraction", CountingFraction)
+    model = AinfModel(p, 2)
+    oc = OCModel(p, 3)
+    for s in (2, 2 * p):
+        g = LaurentElement({s: 1, 0: -1}, 2)
+        residual = normalize_associate(leta_two_term(g, model.mu, LaurentRing(p, 2)))
+        x = oc.reduce(residual.with_depth(3))
+        CountingFraction.made = 0
+        check_against_oracle(x, dividends=(oc.zeta_power_minus_one(1), oc.constant(p)))
+        assert x.is_unit()
+        assert CountingFraction.made == 0
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (13, 2)])
+def test_residue_division_fraction_route_only_after_non_unit_lead(p, n, monkeypatch):
+    monkeypatch.setattr(ainf, "Fraction", CountingFraction)
+    oc = OCModel(p, n)
+
+    def element(terms):
+        return oc.reduce(LaurentElement(terms, n))
+
+    # integer route: the only non-unit coefficient is the final constant
+    for x in (oc.constant(3), element({0: 2, 1: 1}), element({0: -2, 1: 1})):
+        CountingFraction.made = 0
+        check_against_oracle(x, dividends=(x * element({1: 1, 0: 1}), oc.one()))
+        assert CountingFraction.made == 0
+    # Fraction route: a remainder with a non-unit leading coefficient
+    for x in (element({0: 1, 1: 2}), element({0: 1, 2: 2}), element({0: 1, 3: 2}), element({0: -2, 2: 1})):
+        CountingFraction.made = 0
+        check_against_oracle(x, dividends=(x * element({2: 1, 0: -1}), oc.constant(5)))
+        assert CountingFraction.made > 0
+        assert x.inverse_rational()[1] > 1

@@ -114,6 +114,79 @@ def test_exact_div_negative_exponents():
     assert got * den == num
 
 
+def test_exact_div_zero_remainder_non_integral_quotient():
+    # (u + 1) / (2u + 2) = 1/2 in Q[u]: no remainder, yet no integral quotient
+    num = LaurentElement({1: 1, 0: 1})
+    den = LaurentElement({1: 2, 0: 2})
+    assert laurent_exact_div(num, den) is None
+    assert laurent_exact_div(num.scalar_mul(2), den) == LaurentElement.one()
+
+
+def test_exact_div_non_unit_lead_divisors():
+    # (3u^2 - 3) / (3u - 3) = u + 1 and (2u + 2) / 2 = u + 1
+    u_plus_1 = LaurentElement({1: 1, 0: 1})
+    assert laurent_exact_div(LaurentElement({2: 3, 0: -3}), LaurentElement({1: 3, 0: -3})) == u_plus_1
+    assert laurent_exact_div(LaurentElement({1: 2, 0: 2}), LaurentElement.constant(2)) == u_plus_1
+    assert laurent_exact_div(LaurentElement({1: 3, 0: 2}), LaurentElement.constant(2)) is None
+    # negative leading coefficient
+    assert laurent_exact_div(LaurentElement({2: 4, 0: -4}), LaurentElement({1: -2, 0: 2})) == u_plus_1.scalar_mul(-2)
+
+
+def test_exact_div_non_monic_negative_exponents():
+    # (6u^-2 - 6u^-4) / (3u^-2 - 3u^-3) = 2u^-1 + 2 at depth 2
+    num = LaurentElement({-2: 6, -4: -6}, 2)
+    den = LaurentElement({-2: 3, -3: -3}, 2)
+    got = laurent_exact_div(num, den)
+    assert got == LaurentElement({-1: 2, 0: 2}, 2)
+    assert got * den == num
+    assert laurent_exact_div(num, den.scalar_mul(4)) is None
+
+
+def sympy_exact_div(a: dict, b: dict):
+    """Quotient terms of a / b in Z[u^(+-1)] by sympy's division in Q[u], or None."""
+    fa, sa = to_sympy(a)
+    fb, sb = to_sympy(b)
+    quo, rem = sympy.div(fa, fb, x, domain=sympy.QQ)
+    if not rem.is_zero:
+        return None
+    coeffs = sympy.Poly(quo, x).all_coeffs()[::-1]
+    if any(not c.is_integer for c in coeffs):
+        return None
+    return {e + sa - sb: int(c) for e, c in enumerate(coeffs) if c}
+
+
+def test_exact_div_random_against_sympy_oracle():
+    rng = random.Random(2)
+
+    def random_terms(size, spread):
+        t = {rng.randint(-4, 4): rng.randint(-spread, spread) for _ in range(size)}
+        return {e: c for e, c in t.items() if c} or {0: rng.choice((2, 3, -4))}
+
+    outcomes = set()
+    for _ in range(150):
+        b = random_terms(rng.randint(1, 3), 4)
+        c = random_terms(rng.randint(1, 3), 4)
+        product = naive_convolution(b, c)
+        # products divide; perturbed products and scaled divisors mostly do not
+        dividends = [product, random_terms(rng.randint(1, 4), 6)]
+        if product:
+            e = rng.choice(sorted(product))
+            dividends.append({**product, e: product[e] + 1})
+        divisors = [b, {e: 2 * v for e, v in b.items()}]
+        for a in dividends:
+            if not a:
+                continue
+            for d in divisors:
+                got = laurent_exact_div(LaurentElement(a), LaurentElement(d))
+                expected = sympy_exact_div(a, d)
+                assert (got is None) == (expected is None), (a, d)
+                if got is not None:
+                    assert got.terms == expected
+                outcomes.add((got is None, abs(max(d.items())[1]) == 1))
+    # both verdicts, with unit and non-unit leading coefficients
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_q_analog_examples():
     assert q_analog(3, 3, 0).terms == {0: 1, 1: 1, 2: 1}
     assert q_analog(1, 5, 0).terms == {0: 1}
