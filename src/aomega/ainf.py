@@ -341,10 +341,6 @@ class AinfModel:
             raise ValueError("cannot lower depth")
         return x.substitute_power(self.p ** (depth - x.depth)).with_depth(depth)
 
-    def eq_at_common_depth(self, x: LaurentElement, y: LaurentElement) -> bool:
-        d = max(x.depth, y.depth)
-        return self.raise_depth(x, d) == self.raise_depth(y, d)
-
     def oc_model(self) -> OCModel:
         return OCModel(self.p, self.depth)
 

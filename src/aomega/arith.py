@@ -257,13 +257,6 @@ def laurent_exact_div(a: LaurentElement, b: LaurentElement) -> LaurentElement | 
     return LaurentElement(quo, a.depth)
 
 
-def laurent_divides(b: LaurentElement, a: LaurentElement) -> bool:
-    """True iff b divides a exactly (b nonzero), or a == 0."""
-    if a.is_zero():
-        return True
-    return laurent_exact_div(a, b) is not NOT_DIVISIBLE
-
-
 def laurent_gcd(a: LaurentElement, b: LaurentElement) -> LaurentElement:
     """A gcd in Z[u^(+-1)], normalized to min exponent 0 and positive leading coefficient.
 

@@ -23,7 +23,7 @@ from .ainf import AinfModel, check_notation_identities
 from .complexes import ChainComplex
 from .decalage import eta_subcomplex
 from .qderham import compare_with_torus_pipeline, q_de_rham_complex, q_to_one
-from .suites import SUITE_ALIASES, SUITES, SessionConfig, run_suite
+from .suites import SUITE_ALIASES, SUITES, SessionConfig, _jsonable, run_suite
 from .torus import (
     GradingBox,
     ainf_omega_torus,
@@ -156,8 +156,7 @@ def cmd_torus_run(args) -> int:
             "verified_by_elimination": payload["verified_by_elimination"],
         }
     elif stage == "semicont":
-        payload = torus_semicontinuity(model, box)
-        payload = _stringify_keys(payload)
+        payload = _jsonable(torus_semicontinuity(ainf_omega_torus(model, box)))
         passed = payload["inequality_holds"]
     else:
         raise SystemExit(f"unknown stage {stage!r}")
@@ -174,7 +173,7 @@ def cmd_torus_all(args) -> int:
     ht = specialize_hodge_tate(ares, tilde)
     dr = specialize_de_rham(ares)
     et = etale_rank_torus(ares)
-    sc = torus_semicontinuity(model, box)
+    sc = torus_semicontinuity(ares)
     qc = compare_with_torus_pipeline(model, config.dim, config.bound, ares)
     passed = ht["passed"] and dr["passed"] and sc["inequality_holds"] and sc["equality_with_binomials"] and qc["passed"]
     payload = {
@@ -184,20 +183,12 @@ def cmd_torus_all(args) -> int:
         "hodge_tate_passed": ht["passed"],
         "de_rham_passed": dr["passed"],
         "etale_rank_table": {str(i): r for i, r in et["rank_table"].items()},
-        "semicontinuity": _stringify_keys(sc),
+        "semicontinuity": _jsonable(sc),
         "q_de_rham_passed": qc["passed"],
         "passed": passed,
     }
     _emit(payload, args.out)
     return 0 if passed else 1
-
-
-def _stringify_keys(obj):
-    if isinstance(obj, dict):
-        return {str(k): _stringify_keys(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_stringify_keys(v) for v in obj]
-    return obj
 
 
 def cmd_qderham_table(args) -> int:

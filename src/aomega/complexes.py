@@ -17,9 +17,10 @@ with subset bases enumerated in (size, lexicographic) order.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 from typing import Any, Sequence
 
 from . import intlinalg as la
@@ -27,21 +28,23 @@ from .arith import LaurentElement, laurent_exact_div, normalize_associate
 from .ainf import AinfModel, OCModel, OCModelElement
 
 
-class NotStructuredType:
-    """Marker: a complex without the divisibility structure the symbolic path needs."""
+class Marker(enum.Enum):
+    """Values the symbolic paths return in place of a complex or a map."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    # a complex without the divisibility structure the symbolic path needs
+    NOT_STRUCTURED = "NotStructured"
+    # the symbolic rules recognized the result as acyclic
+    ZERO_COMPLEX = "ZeroComplex"
+    # the homological image condition failed; no factorization exists
+    NO_FACTORIZATION = "NoFactorization"
 
     def __repr__(self):
-        return "NotStructured"
+        return self.value
 
 
-NOT_STRUCTURED = NotStructuredType()
+NOT_STRUCTURED = Marker.NOT_STRUCTURED
+ZERO_COMPLEX = Marker.ZERO_COMPLEX
+NO_FACTORIZATION = Marker.NO_FACTORIZATION
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +409,6 @@ class ChainComplex:
     def shift(self, s: int) -> "ChainComplex":
         return ChainComplex(self.ring, self.lo + s, self.ranks, self.diffs)
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     def map_entries(self, ring, fn) -> "ChainComplex":
         return ChainComplex(
             ring, self.lo, self.ranks,
@@ -452,10 +452,6 @@ class ChainComplex:
             entries = [ring.entry_from_json(x) for x in flat]
             diffs.append([entries[i * cols : (i + 1) * cols] for i in range(rows)])
         return cls(ring, int(obj["lo"]), ranks, diffs)
-
-
-def zero_complex(ring) -> ChainComplex:
-    return ChainComplex(ring, 0, [0], [])
 
 
 def koszul_sign(j: int, subset: tuple[int, ...]) -> int:
@@ -636,8 +632,7 @@ def homology_snf(K: ChainComplex) -> HomologyPresentation:
             if K.rank(i - 1)
             else []
         )
-        free, tors = la.quotient_presentation(cycles, boundary_gens, n)
-        data[i] = (free, chain_normalize(tors))
+        data[i] = la.quotient_presentation(cycles, boundary_gens, n)
     return HomologyPresentation(K.ring, data)
 
 
@@ -706,7 +701,7 @@ def koszul_to_diagonal(K: KoszulSummand):
         summands = [
             DiagonalSummand(k, RANK1_FREE)
             for k in range(d + 1)
-            for _ in range(_binom(d, k))
+            for _ in range(comb(d, k))
         ]
         return DiagonalComplex(R, summands)
     g_min = None
@@ -719,18 +714,9 @@ def koszul_to_diagonal(K: KoszulSummand):
     summands = [
         DiagonalSummand(k, TWO_TERM, g_min)
         for k in range(d)
-        for _ in range(_binom(d - 1, k))
+        for _ in range(comb(d - 1, k))
     ]
     return DiagonalComplex(R, summands)
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from math import gcd
 from . import intlinalg as la
 from .arith import laurent_gcd
 from .complexes import (
+    NO_FACTORIZATION,
     NOT_STRUCTURED,
+    ZERO_COMPLEX,
     ChainComplex,
     HomologyPresentation,
     KoszulSummand,
@@ -38,40 +40,6 @@ from .complexes import (
 )
 
 _Z = ZRing()
-
-
-class ZeroComplexType:
-    """Marker: the symbolic rules recognized the result as acyclic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZeroComplex"
-
-
-ZERO_COMPLEX = ZeroComplexType()
-
-
-class NoFactorizationType:
-    """Marker: the homological image condition failed; no factorization exists."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoFactorization"
-
-
-NO_FACTORIZATION = NoFactorizationType()
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +151,6 @@ class TrianglePair:
                 mat[off + r][r] = 1
             mats[i] = mat
         return ChainMap(L, M, mats)
-
-
-def triangle_from_matrix(K: ChainComplex, L: ChainComplex, matrices: dict[int, list[list[int]]]) -> TrianglePair:
-    return TrianglePair.from_map(ChainMap(K, L, matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +324,6 @@ def mod_f_homology(K: ChainComplex, f: int) -> HomologyPresentation:
     data = {}
     for i, (z, b) in _mod_f_lattices(K, abs(f)).items():
         free, tors = la.quotient_presentation(z, b, K.rank(i))
-        tors = chain_normalize(tors)
         if free or tors:
             data[i] = (free, tors)
     return HomologyPresentation(_Z, data)
@@ -380,8 +343,7 @@ class BocksteinComplex:
         if i not in self.lattices:
             return (0, [])
         z, b = self.lattices[i]
-        free, tors = la.quotient_presentation(z, b, self.ambient.rank(i))
-        return free, chain_normalize(tors)
+        return la.quotient_presentation(z, b, self.ambient.rank(i))
 
     def beta_is_zero(self, i: int) -> bool:
         """Whether beta^i vanishes on homology classes."""
@@ -432,7 +394,6 @@ class BocksteinComplex:
                 for col in range(len(self.lattices[i - 1][0])):
                     den.append([bm[r][col] for r in range(k_i)])
             free, tors = la.quotient_presentation(num_rows, den, k_i)
-            tors = chain_normalize(tors)
             if free or tors:
                 data[i] = (free, tors)
         return HomologyPresentation(_Z, data)

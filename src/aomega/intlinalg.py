@@ -1,14 +1,15 @@
-"""Exact linear algebra over the integers on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
-Matrices are lists of rows of Python ints.  Dimensions are passed
-explicitly so zero-row / zero-column matrices are unambiguous.  The
+The lattice routines (Hermite and Smith forms, kernels, solving) work over
+the integers: matrices are lists of rows of Python ints, and dimensions
+are passed explicitly so zero-row / zero-column matrices are unambiguous.
+`rank` works over any integral domain given as a ring of the
+`aomega.complexes` protocol, entries being that ring's elements.  The
 complexes met by this package have ranks in the tens, so everything here
 favours clarity over asymptotics; all arithmetic is exact.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def zeros(m: int, n: int) -> list[list[int]]:
@@ -186,7 +187,11 @@ def preimage_lattice(A, m: int, n: int, target_basis: list[list[int]]) -> list[l
 
 
 def snf_divisors(A, m: int, n: int) -> list[int]:
-    """Nonzero elementary divisors d1 | d2 | ... of the integer matrix A."""
+    """Nonzero elementary divisors d1 | d2 | ... of the integer matrix A.
+
+    Each pivot divides the whole block left below it, so the divisors come
+    out in divisibility-chain order.
+    """
     M = [row[:] for row in A]
     divisors = []
     top = 0
@@ -248,13 +253,42 @@ def snf_divisors(A, m: int, n: int) -> list[int]:
         divisors.append(abs(M[top][left]))
         top += 1
         left += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = gcd(a, b)
-            divisors[i], divisors[j] = g, a * b // g
     return divisors
+
+
+def rank(mat, ring) -> int:
+    """Rank over the fraction field of an integral domain, by fraction-free
+    Gaussian elimination (Bareiss 1968).
+
+    `mat` is a list of rows of `ring` elements; `ring` supplies `zero`,
+    `one`, `is_zero`, `add`, `neg`, `mul` and `exact_div`.  Every division
+    is by the previous pivot and exact in a domain, so a failed one means
+    the ring is not a domain.
+    """
+    M = [row[:] for row in mat]
+    rows, cols = len(M), len(M[0]) if M else 0
+    rank = 0
+    prev = ring.one()
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not ring.is_zero(M[i][c])), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = ring.add(ring.mul(M[r][c], M[i][j]), ring.neg(ring.mul(M[i][c], M[r][j])))
+                q = ring.exact_div(num, prev)
+                if q is None:
+                    raise AssertionError("fraction-free elimination lost exactness")
+                M[i][j] = q
+            M[i][c] = ring.zero()
+        prev = M[r][c]
+        rank += 1
+        r += 1
+        if r == rows:
+            break
+    return rank
 
 
 def quotient_presentation(z_basis: list[list[int]], b_gens: list[list[int]], n: int):

@@ -532,7 +532,7 @@ def suite_semicontinuity(config: SessionConfig, instances: int = 100) -> Verific
     )
 
     for dim in (1, 2):
-        sc = torus_semicontinuity(AinfModel(p, 1), GradingBox(dim, 1, 2))
+        sc = torus_semicontinuity(ainf_omega_torus(AinfModel(p, 1), GradingBox(dim, 1, 2)))
         report.add(
             f"torus-equality:d={dim}",
             sc["inequality_holds"] and sc["equality_with_binomials"],

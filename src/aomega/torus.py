@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .ainf import AinfModel, OCModel
 from .arith import (
@@ -43,10 +43,12 @@ from .complexes import (
     KoszulSummand,
     LaurentRing,
     OCRing,
+    ZModRing,
     koszul,
     koszul_basis,
 )
 from .decalage import ZERO_COMPLEX, leta_koszul, leta_two_term
+from .intlinalg import rank
 
 EXPLICIT_CELL_LIMIT = 20000
 HONEST_DIVISION_DEGREE_LIMIT = 48
@@ -93,26 +95,10 @@ class GradingBox:
         return True
 
 
-def component_class(a: Fraction, p: int, depth: int):
-    """Per-component valuation pattern used for cell aggregation.
-
-    'Z0': zero; 'I1': +-1; 'I+': other integers; ('F', k, True/False):
-    denominator exactly p^k with numerator +-1 or not.
-    """
-    a = Fraction(a)
-    if a == 0:
-        return "Z0"
-    if a.denominator == 1:
-        return "I1" if abs(a) == 1 else "I+"
-    k = 0
-    den = a.denominator
-    while den > 1:
-        den //= p
-        k += 1
-    return ("F", k, abs(a.numerator) == 1)
-
-
-def _axis_class_count(cls, p: int, depth: int, bound: int) -> int:
+def _axis_class_count(cls, p: int, bound: int) -> int:
+    """Gradings on one axis in the valuation class `cls`: 'Z0' zero, 'I1'
+    +-1, 'I+' other integers, ('F', k, unit) denominator exactly p^k with
+    numerator +-1 (unit) or not."""
     if cls == "Z0":
         return 1
     if cls == "I1":
@@ -159,9 +145,6 @@ class TorusCell:
     free_ranks: dict[int, int] = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
     twist: dict[int, int] = field(default_factory=dict)
-
-    def rank_vector(self, top: int) -> list[int]:
-        return [self.free_ranks.get(i, 0) for i in range(top + 1)]
 
     def presentation(self):
         """Homology presentation where the symbolic path provides one.
@@ -336,8 +319,8 @@ def _root_power_divides(p: int, depth: int, s_div: int, s_num: int) -> bool:
         num = oc.zeta_power_minus_one(s_num)
         den = oc.zeta_power_minus_one(s_div)
         return num.exact_div(den) is not None
-    order_div = period // _gcd(s_div, period)
-    order_num = period // _gcd(s_num, period)
+    order_div = period // gcd(s_div, period)
+    order_num = period // gcd(s_num, period)
     return order_div >= order_num
 
 
@@ -410,7 +393,7 @@ def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResul
 
 def _pattern_count(pattern, p: int, box: GradingBox) -> int:
     """Number of gradings whose sorted component-class tuple equals `pattern`."""
-    counts = [_axis_class_count(c, p, box.depth, box.bound) for c in pattern]
+    counts = [_axis_class_count(c, p, box.bound) for c in pattern]
     if any(c <= 0 for c in counts):
         return 0
     total = 1
@@ -553,7 +536,7 @@ def _deeper_collapse_certificate(model: AinfModel, exps: tuple[int, ...]) -> dic
     deeper reduction, and (b) computes the result."""
     p, n = model.p, model.depth
     # (a) the folded exponents gcd(s, p^n) form a divisibility chain
-    folded = sorted({_gcd(s, p**n) for s in exps if s})
+    folded = sorted({gcd(s, p**n) for s in exps if s})
     for i in range(len(folded) - 1):
         if folded[i + 1] % folded[i]:
             return {"mod_mu_free": "failed"}  # unreachable: p-powers always chain
@@ -574,12 +557,6 @@ def _deeper_collapse_certificate(model: AinfModel, exps: tuple[int, ...]) -> dic
             return {"mod_mu_free": "p-power ideal chain", "deeper_kill": "failed"}
         cert["deeper_kill"] = "division"
     return cert
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult:
@@ -736,7 +713,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         classical = classical_de_rham_matrices(exps)
         matrices_ok = True
         for k in range(d):
-            got = [[_oc_as_int(x, ocring) for x in row] for row in realized.diffs[k]]
+            got = [[_oc_as_int(x) for x in row] for row in realized.diffs[k]]
             if got != classical[k]:
                 matrices_ok = False
         key = ",".join(str(a) for a in grading)
@@ -764,7 +741,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     return report
 
 
-def _oc_as_int(x, ocring: OCRing) -> int:
+def _oc_as_int(x) -> int:
     c0 = x.coeffs[0]
     if any(x.coeffs[1:]):
         raise AssertionError("expected an integer residue")
@@ -808,34 +785,6 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
 # fraction-field and fibre ranks
 # ---------------------------------------------------------------------------
 
-def _bareiss_rank(mat, ring) -> int:
-    """Fraction-free Gaussian elimination over an integral domain."""
-    M = [row[:] for row in mat]
-    rows, cols = len(M), len(M[0]) if M else 0
-    rank = 0
-    prev = ring.one()
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not ring.is_zero(M[i][c])), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = ring.add(ring.mul(M[r][c], M[i][j]), ring.neg(ring.mul(M[i][c], M[r][j])))
-                q = ring.exact_div(num, prev)
-                if q is None:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                M[i][j] = q
-            M[i][c] = ring.zero()
-        prev = M[r][c]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
 def generic_fibre_ranks(K: ChainComplex) -> dict[int, int]:
     """dim over the fraction field of each homology group of K."""
     ranks = {}
@@ -843,8 +792,8 @@ def generic_fibre_ranks(K: ChainComplex) -> dict[int, int]:
         n = K.rank(i)
         if n == 0:
             continue
-        r_out = _bareiss_rank(K.diff(i), K.ring) if K.rank(i + 1) else 0
-        r_in = _bareiss_rank(K.diff(i - 1), K.ring) if K.rank(i - 1) else 0
+        r_out = rank(K.diff(i), K.ring) if K.rank(i + 1) else 0
+        r_in = rank(K.diff(i - 1), K.ring) if K.rank(i - 1) else 0
         val = n - r_out - r_in
         if val:
             ranks[i] = val
@@ -861,48 +810,13 @@ def semicontinuity_demo(K: ChainComplex):
     ring = K.ring
     if not isinstance(ring, FpPolyRing):
         raise ValueError("semicontinuity works over a polynomial ring mod p")
-    p = ring.p
     generic = generic_fibre_ranks(K)
-    special = {}
-    for i in K.degrees():
-        n = K.rank(i)
-        if n == 0:
-            continue
-        out = [[ring.evaluate(x, 0) for x in row] for row in K.diff(i)] if K.rank(i + 1) else []
-        inn = [[ring.evaluate(x, 0) for x in row] for row in K.diff(i - 1)] if K.rank(i - 1) else []
-        r_out = _fp_rank(out, p) if out else 0
-        r_in = _fp_rank(inn, p) if inn else 0
-        val = n - r_out - r_in
-        if val:
-            special[i] = val
+    special = generic_fibre_ranks(K.map_entries(ZModRing(ring.p), lambda x: ring.evaluate(x, 0)))
     degrees = sorted(set(generic) | set(special) | set(K.degrees()))
     ok = all(generic.get(i, 0) <= special.get(i, 0) for i in degrees)
     strict = any(generic.get(i, 0) < special.get(i, 0) for i in degrees)
     verdict = {"holds": ok, "strict_somewhere": strict, "equal": ok and not strict}
     return generic, special, verdict
-
-
-def _fp_rank(mat, p: int) -> int:
-    M = [[x % p for x in row] for row in mat]
-    rows, cols = len(M), len(M[0]) if M else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [x * inv % p for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
 
 
 def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
@@ -916,17 +830,18 @@ def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
     return ring._trim(out)
 
 
-def torus_semicontinuity(model: AinfModel, box: GradingBox) -> dict:
-    """Feed the mod-p summand complexes to the fibre comparison.
+def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
+    """Feed the mod-p summand complexes of the ainf result to the fibre
+    comparison.
 
     Every nonzero grading dies on both fibres (its normalized weight is a
     unit at the origin and nonzero generically); the zero grading carries
     the exterior algebra on both, so the totals agree with the binomial
     pattern on the nose.
     """
+    model = result.model
     ring = FpPolyRing(model.p)
-    result = ainf_omega_torus(model, box)
-    d = box.dim
+    d = result.box.dim
     totals_generic = {i: 0 for i in range(d + 1)}
     totals_special = {i: 0 for i in range(d + 1)}
     all_hold = True

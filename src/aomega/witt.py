@@ -19,20 +19,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
+from . import intlinalg as la
 from .arith import validate_exponent
+from .complexes import FpPolyRing
 
 
 # ---------------------------------------------------------------------------
 # perfection and Witt elements
 # ---------------------------------------------------------------------------
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
 
 def _intkey_mul(a: dict[int, int], b: dict[int, int], mod: int) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -183,36 +180,9 @@ class TruncatedWittElement:
                 t[e] = t.get(e, 0) + c1 * c2
         return TruncatedWittElement(self.p, self.precision, t)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        if k == 0:
-            return TruncatedWittElement.constant(self.p, self.precision, 1)
-        # integer exponent keys during the power loop: the repeated
-        # convolutions dominate the Teichmuller lift and Fraction keys
-        # make them an order of magnitude slower
-        den = 1
-        for e, _ in self.terms:
-            den = den * e.denominator // _gcd(den, e.denominator)
-        mod = self.p**self.precision
-        base = {int(e * den): c for e, c in self.terms}
-        out = None
-        while k:
-            if k & 1:
-                out = base if out is None else _intkey_mul(out, base, mod)
-            k >>= 1
-            if k:
-                base = _intkey_mul(base, base, mod)
-        return TruncatedWittElement(
-            self.p, self.precision, {Fraction(e, den): c for e, c in out.items()}
-        )
-
     def frobenius(self) -> "TruncatedWittElement":
         """The canonical Frobenius lift: exponent scaling by p."""
         return TruncatedWittElement(self.p, self.precision, {e * self.p: c for e, c in self.terms})
-
-    def reduce_precision(self, m: int) -> "TruncatedWittElement":
-        return TruncatedWittElement(self.p, m, dict(self.terms))
 
     def reduce_mod_p(self) -> PerfectionElement:
         return PerfectionElement(self.p, dict(self.terms))
@@ -271,7 +241,7 @@ def teichmuller_lift(a: PerfectionElement, precision: int) -> TruncatedWittEleme
         root = root.frobenius_inverse()
     den = 1
     for e, _ in root.terms:
-        den = den * e.denominator // _gcd(den, e.denominator)
+        den = den * e.denominator // gcd(den, e.denominator)
     mod = p**precision
     cur = {int(e * den): c for e, c in root.terms}
     for _ in range(k):
@@ -325,7 +295,8 @@ class GF:
 
     Elements are coefficient tuples of length m over F_p.  Sizes here stay
     tiny (the fixed-point solver is exercised up to F_9), so irreducibility
-    is tested by trial division.
+    is tested by trial division.  `zero`, `one`, `is_zero`, `add`, `neg`,
+    `mul` and `exact_div` are the ring protocol `intlinalg.rank` needs.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
@@ -338,20 +309,7 @@ class GF:
     def _find_irreducible(p: int, m: int) -> tuple[int, ...]:
         if m == 1:
             return (0, 1)
-        def poly_mod(f, g):
-            f = list(f)
-            while len(f) >= len(g) and any(f):
-                while f and f[-1] % p == 0:
-                    f.pop()
-                if len(f) < len(g):
-                    break
-                c = f[-1] * pow(g[-1], -1, p) % p
-                off = len(f) - len(g)
-                for i, gc in enumerate(g):
-                    f[off + i] = (f[off + i] - c * gc) % p
-                while f and f[-1] % p == 0:
-                    f.pop()
-            return f
+        polys = FpPolyRing(p)
         low_degree_monics = [
             tail + (1,)
             for d in range(1, m // 2 + 1)
@@ -359,7 +317,7 @@ class GF:
         ]
         for tail in itertools.product(range(p), repeat=m):
             cand = tail + (1,)
-            if all(any(poly_mod(cand, g)) for g in low_degree_monics):
+            if all(polys.exact_div(cand, g) is None for g in low_degree_monics):
                 return cand
         raise RuntimeError("no irreducible polynomial found")
 
@@ -374,11 +332,14 @@ class GF:
             return (1,)
         return (0, 1) + (0,) * (self.m - 2)
 
+    def is_zero(self, a) -> bool:
+        return not any(a)
+
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
 
     def mul(self, a, b):
         p, m = self.p, self.m
@@ -410,15 +371,15 @@ class GF:
             raise ZeroDivisionError
         return self.pow(a, self.q - 2)
 
+    def exact_div(self, a, b):
+        return self.mul(a, self.inv(b))
+
     def frobenius(self, a):
         return self.pow(a, self.p)
 
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.m):
             yield tup
-
-    def to_fp_vector(self, a) -> list[int]:
-        return list(a)
 
 
 @dataclass
@@ -440,21 +401,7 @@ class SemilinearModule:
         return len(self.matrix)
 
     def _invertible(self) -> bool:
-        F = self.field
-        M = [row[:] for row in self.matrix]
-        r = len(M)
-        for col in range(r):
-            piv = next((i for i in range(col, r) if any(M[i][col])), None)
-            if piv is None:
-                return False
-            M[col], M[piv] = M[piv], M[col]
-            inv = F.inv(M[col][col])
-            M[col] = [F.mul(inv, x) for x in M[col]]
-            for i in range(r):
-                if i != col and any(M[i][col]):
-                    c = M[i][col]
-                    M[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(M[i], M[col])]
-        return True
+        return la.rank(self.matrix, self.field) == len(self.matrix)
 
     def apply(self, v: list[tuple]) -> list[tuple]:
         F = self.field
@@ -524,28 +471,8 @@ def frobenius_fixed_points(module: SemilinearModule) -> tuple[int, list[list[tup
     basis = [unpack(v) for v in basis_vectors]
     fp_dim = len(basis)
 
-    # does L span the module over F_{p^m}?  Row-reduce the basis over the field.
-    span_rank = 0
-    rows = [v[:] for v in basis]
-    work = [row[:] for row in rows]
-    used = [False] * len(work)
-    for col in range(r):
-        piv = None
-        for i, row in enumerate(work):
-            if not used[i] and any(row[col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        span_rank += 1
-        inv = F.inv(work[piv][col])
-        work[piv] = [F.mul(inv, x) for x in work[piv]]
-        for i in range(len(work)):
-            if i != piv and any(work[i][col]):
-                c = work[i][col]
-                work[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(work[i], work[piv])]
-
+    # does L span the module over F_{p^m}?
+    span_rank = la.rank(basis, F)
     spans = span_rank == r
     status = "ok" if (fp_dim == r and spans) else "RequiresExtension"
     check = {

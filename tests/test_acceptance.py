@@ -197,7 +197,7 @@ def test_criterion_8_semicontinuity():
         _, _, verdict = semicontinuity_demo(K)
         ok = ok and verdict["holds"]
     for p, d in ((2, 1), (2, 2), (3, 2)):
-        rep = torus_semicontinuity(AinfModel(p, 1), GradingBox(d, 1, 2))
+        rep = torus_semicontinuity(ainf_omega_torus(AinfModel(p, 1), GradingBox(d, 1, 2)))
         ok = ok and rep["inequality_holds"] and rep["equality_with_binomials"]
     ring = FpPolyRing(3)
     K = ChainComplex(ring, 0, [1, 1], [[[(0, 1)]]])

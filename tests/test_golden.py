@@ -37,3 +37,17 @@ def cli_stdout(argv: list[str]) -> bytes:
 def test_residue_deep_reports_match_golden_digest(command):
     digest = hashlib.sha256(cli_stdout(command.split())).hexdigest()
     assert digest == GOLDEN["residue-deep"]["0"][command]
+
+
+# the cheap seed-0 commands of the other two workloads
+CHEAP = [
+    ("torus-cells", "torus all --p 3 --depth 2 --dim 2 --bound 4 --seed 0"),
+    ("lattice-suites", "suite run --suite witt --seed 0"),
+    ("lattice-suites", "suite run --suite s4-torus-decomp --seed 0"),
+]
+
+
+@pytest.mark.parametrize("workload,command", CHEAP)
+def test_cheap_reports_match_golden_digest(workload, command):
+    digest = hashlib.sha256(cli_stdout(command.split())).hexdigest()
+    assert digest == GOLDEN[workload]["0"][command]

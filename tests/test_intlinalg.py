@@ -1,12 +1,17 @@
-"""Exact integer linear algebra against symbolic normal forms."""
+"""Exact linear algebra against symbolic normal forms, sympy ranks and exhaustive search."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from aomega import intlinalg as la
+from aomega.complexes import ZModRing, ZRing
+from aomega.witt import GF
 
 
 def random_matrix(rng, m, n, bound=6):
@@ -110,3 +115,55 @@ def test_lattice_membership_and_sum():
     summed = la.lattice_sum(basis, [[1, 1]], 2)
     assert la.in_lattice(summed, [1, 1], 2) is not None
     assert la.lattice_contains(summed, basis, 2)
+
+
+def test_rank_against_domain_matrix_over_zz_and_gf_p():
+    rng = random.Random(55)
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = random_matrix(rng, m, n, bound=4)
+        # a planted dependent row makes rank drops common
+        if m > 1 and rng.random() < 0.5:
+            c = rng.randint(-2, 2)
+            A[-1] = [x + c * y for x, y in zip(A[-1], A[0])]
+        oracle = DomainMatrix.from_list(A, sympy.ZZ)
+        assert la.rank(A, ZRing()) == oracle.rank(), A
+        for p in (2, 3, 5, 7):
+            got = la.rank([[x % p for x in row] for row in A], ZModRing(p))
+            assert got == oracle.convert_to(sympy.GF(p)).rank(), (A, p)
+
+
+def test_rank_over_gf4_and_gf9_against_exhaustive_search():
+    rng = random.Random(56)
+    for p, m in ((2, 2), (3, 2)):
+        F = GF(p, m)
+        elements = list(F.elements())
+        times = {(a, x): F.mul(a, x) for a in elements for x in elements}
+
+        def kills(row, v):
+            return F.is_zero(functools.reduce(F.add, (times[a, x] for a, x in zip(row, v))))
+
+        # every 2x2 matrix: a nonzero one has rank 1 exactly when it kills a
+        # nonzero vector
+        rows = list(itertools.product(elements, repeat=2))
+        nonzero = [v for v in rows if any(map(any, v))]
+        kernels = {row: {v for v in nonzero if kills(row, v)} for row in rows}
+        for top, bottom in itertools.product(rows, repeat=2):
+            if not any(map(any, top + bottom)):
+                expected = 0
+            elif kernels[top] & kernels[bottom]:
+                expected = 1
+            else:
+                expected = 2
+            assert la.rank([list(top), list(bottom)], F) == expected, (F.q, top, bottom)
+
+        # 3x3 matrices, where elimination divides by pivots other than one:
+        # the kernel has q^(3 - rank) vectors
+        vectors = list(itertools.product(elements, repeat=3))
+        for _ in range(40):
+            mat = [[rng.choice(elements) for _ in range(3)] for _ in range(3)]
+            if rng.random() < 0.5:
+                s, t = rng.choice(elements), rng.choice(elements)
+                mat[2] = [F.add(times[s, x], times[t, y]) for x, y in zip(mat[0], mat[1])]
+            kernel = sum(all(kills(row, v) for row in mat) for v in vectors)
+            assert F.q ** (3 - la.rank(mat, F)) == kernel, (F.q, mat)

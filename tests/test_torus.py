@@ -288,7 +288,7 @@ def test_semicontinuity_random():
 
 def test_torus_semicontinuity_equality():
     for p, d in ((2, 1), (2, 2), (3, 2)):
-        rep = torus_semicontinuity(AinfModel(p, 1), GradingBox(d, 1, 2))
+        rep = torus_semicontinuity(ainf_omega_torus(AinfModel(p, 1), GradingBox(d, 1, 2)))
         assert rep["inequality_holds"] and rep["equality_with_binomials"], rep
 
 

@@ -179,6 +179,20 @@ def test_fixed_points_vs_exhaustive_sweep():
             assert all(module.apply(v) == v for v in basis)
 
 
+def test_gf_ring_operations():
+    # the exact division and negation that elimination over GF relies on;
+    # a rank computation cannot see a division that is off by a unit
+    for p, m in ((2, 2), (3, 2), (2, 3)):
+        F = GF(p, m)
+        elements = list(F.elements())
+        for a in elements:
+            assert F.is_zero(F.add(a, F.neg(a)))
+            assert F.is_zero(a) == (a == F.zero())
+            for b in elements:
+                if not F.is_zero(b):
+                    assert F.mul(F.exact_div(a, b), b) == a
+
+
 def test_singular_matrix_rejected():
     F4 = GF(2, 2)
     with pytest.raises(ValueError):
