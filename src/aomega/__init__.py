@@ -7,9 +7,7 @@ from .arith import (
     IntegerValue,
     LaurentElement,
     RationalExponent,
-    eps_power_minus_one,
     laurent_exact_div,
-    laurent_mul,
     p_valuation,
     q_analog,
     validate_exponent,

@@ -26,10 +26,10 @@ from math import gcd, inf, lcm
 
 from .arith import (
     LaurentElement,
-    eps_power_minus_one,
     laurent_exact_div,
     p_valuation,
     q_analog,
+    q_power_minus_one,
 )
 
 DEFAULT_MAX_DEPTH = 16
@@ -299,7 +299,7 @@ class AinfModel:
     # -- element builders ---------------------------------------------------------
 
     def q_power_minus_one(self, a) -> LaurentElement:
-        return eps_power_minus_one(a, self.p, self.depth)
+        return q_power_minus_one(a, self.p, self.depth)
 
     def q_analog(self, a) -> LaurentElement:
         return q_analog(a, self.p, self.depth)

@@ -51,6 +51,24 @@ def p_valuation(x: ExponentLike, p: int):
     return v
 
 
+def prime_base(n: int) -> int | None:
+    """The prime p of which n is a positive power, or None.
+
+    >>> prime_base(9), prime_base(7), prime_base(12), prime_base(1)
+    (3, 7, None, None)
+    """
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+        p += 1
+    return n
+
+
 def validate_exponent(a: ExponentLike, p: int) -> Fraction:
     """Check that a is a rational with p-power denominator; return it reduced."""
     a = Fraction(a)
@@ -211,11 +229,6 @@ class LaurentElement:
         return cls({int(e): int(c) for e, c in obj["terms"]}, int(obj["depth"]))
 
 
-def laurent_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    """Exact product in Z[u^(+-1)]; depths must agree."""
-    return a * b
-
-
 def laurent_exact_div(a: LaurentElement, b: LaurentElement) -> LaurentElement | None:
     """c with b*c == a if one exists in Z[u^(+-1)], else None (NotDivisible).
 
@@ -345,10 +358,6 @@ def q_power_minus_one(a: ExponentLike, p: int, depth: int) -> LaurentElement:
     return LaurentElement({e: 1, 0: -1}, depth)
 
 
-# q^a - 1 under its external name: the numerator map a -> [eps^a] - 1.
-eps_power_minus_one = q_power_minus_one
-
-
 def q_analog(a: ExponentLike, p: int, depth: int) -> LaurentElement:
     """[a]_q = (q**a - 1)/(q - 1) for integral a; 0, positive or Laurent sum.
 
@@ -356,13 +365,13 @@ def q_analog(a: ExponentLike, p: int, depth: int) -> LaurentElement:
     {0: 1, 1: 1, 2: 1}
 
     Nonintegral exponents are rejected: their numerator q**a - 1 exists
-    (see :func:`eps_power_minus_one`) but is not divisible by q - 1.
+    (see :func:`q_power_minus_one`) but is not divisible by q - 1.
     """
     a = Fraction(a)
     if a.denominator != 1:
         raise ValueError(
             f"[a]_q requires an integral exponent, got {a}; "
-            "use eps_power_minus_one for the unnormalized numerator"
+            "use q_power_minus_one for the unnormalized numerator"
         )
     a = int(a)
     step = p**depth

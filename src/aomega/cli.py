@@ -170,7 +170,7 @@ def cmd_torus_all(args) -> int:
     box = GradingBox(config.dim, config.depth, config.bound)
     ares = ainf_omega_torus(model, box)
     tilde = tilde_omega_torus(model, box)
-    ht = specialize_hodge_tate(ares, tilde)
+    ht = specialize_hodge_tate(ares)
     dr = specialize_de_rham(ares)
     et = etale_rank_torus(ares)
     sc = torus_semicontinuity(ares)

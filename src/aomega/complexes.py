@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd
 from typing import Any, Sequence
 
@@ -51,7 +52,35 @@ NO_FACTORIZATION = Marker.NO_FACTORIZATION
 # ring protocol
 # ---------------------------------------------------------------------------
 
-class ZRing:
+class Ring:
+    """Defaults shared by the rings below: arithmetic by the elements'
+    operators, zero and unit tests by their methods, the tag as repr.
+
+    Each ring is a frozen dataclass, so equality and hashing come from its
+    parameters.
+    """
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, x):
+        return x.is_zero()
+
+    def is_unit(self, x):
+        return x.is_unit()
+
+    def __repr__(self):
+        return self.tag
+
+
+@dataclass(frozen=True, repr=False)
+class ZRing(Ring):
     """The integers."""
 
     tag = "Z"
@@ -64,15 +93,6 @@ class ZRing:
 
     def is_zero(self, x):
         return x == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def exact_div(self, a, b):
         if b == 0:
@@ -93,22 +113,16 @@ class ZRing:
     def entry_from_json(self, s):
         return int(s)
 
-    def __eq__(self, other):
-        return isinstance(other, ZRing)
 
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
-
-
-class ZModRing:
+@dataclass(frozen=True, repr=False)
+class ZModRing(Ring):
     """Z/m with representatives in [0, m)."""
 
-    def __init__(self, modulus: int):
-        self.modulus = modulus
-        self.tag = f"Z/{modulus}"
+    modulus: int
+
+    @property
+    def tag(self):
+        return f"Z/{self.modulus}"
 
     def zero(self):
         return 0
@@ -146,23 +160,17 @@ class ZModRing:
     def entry_from_json(self, s):
         return int(s) % self.modulus
 
-    def __eq__(self, other):
-        return isinstance(other, ZModRing) and self.modulus == other.modulus
 
-    def __hash__(self):
-        return hash(("ZMod", self.modulus))
-
-    def __repr__(self):
-        return self.tag
-
-
-class LaurentRing:
+@dataclass(frozen=True, repr=False)
+class LaurentRing(Ring):
     """Z[u^(+-1)] at a fixed (p, depth); elements are LaurentElement."""
 
-    def __init__(self, p: int, depth: int):
-        self.p = p
-        self.depth = depth
-        self.tag = f"A(p={p},depth={depth})"
+    p: int
+    depth: int
+
+    @property
+    def tag(self):
+        return f"A(p={self.p},depth={self.depth})"
 
     def zero(self):
         return LaurentElement.zero(self.depth)
@@ -170,23 +178,8 @@ class LaurentRing:
     def one(self):
         return LaurentElement.one(self.depth)
 
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def exact_div(self, a, b):
         return laurent_exact_div(a, b)
-
-    def is_unit(self, x):
-        return x.is_unit()
 
     def normalize_quotient(self, g):
         return normalize_associate(g)
@@ -197,24 +190,21 @@ class LaurentRing:
     def entry_from_json(self, obj):
         return LaurentElement.from_json(obj)
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentRing) and (self.p, self.depth) == (other.p, other.depth)
 
-    def __hash__(self):
-        return hash(("Laurent", self.p, self.depth))
-
-    def __repr__(self):
-        return self.tag
-
-
-class OCRing:
+@dataclass(frozen=True, repr=False)
+class OCRing(Ring):
     """The cyclotomic residue model Z[zeta_{p^depth}]."""
 
-    def __init__(self, p: int, depth: int):
-        self.model = OCModel(p, depth)
-        self.p = p
-        self.depth = depth
-        self.tag = f"OC(p={p},depth={depth})"
+    p: int
+    depth: int
+
+    @cached_property
+    def model(self) -> OCModel:
+        return OCModel(self.p, self.depth)
+
+    @property
+    def tag(self):
+        return f"OC(p={self.p},depth={self.depth})"
 
     def zero(self):
         return self.model.zero()
@@ -222,23 +212,8 @@ class OCRing:
     def one(self):
         return self.model.one()
 
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def exact_div(self, a, b):
         return a.exact_div(b) if not isinstance(a, int) else None
-
-    def is_unit(self, x):
-        return x.is_unit()
 
     def normalize_quotient(self, g):
         return g
@@ -249,22 +224,16 @@ class OCRing:
     def entry_from_json(self, obj):
         return OCModelElement(self.model, tuple(int(c) for c in obj["coeffs"]))
 
-    def __eq__(self, other):
-        return isinstance(other, OCRing) and (self.p, self.depth) == (other.p, other.depth)
 
-    def __hash__(self):
-        return hash(("OC", self.p, self.depth))
-
-    def __repr__(self):
-        return self.tag
-
-
-class FpPolyRing:
+@dataclass(frozen=True, repr=False)
+class FpPolyRing(Ring):
     """F_p[u]; elements are coefficient tuples (low degree first)."""
 
-    def __init__(self, p: int):
-        self.p = p
-        self.tag = f"F{p}[u]"
+    p: int
+
+    @property
+    def tag(self):
+        return f"F{self.p}[u]"
 
     def _trim(self, f):
         f = [c % self.p for c in f]
@@ -341,15 +310,6 @@ class FpPolyRing:
 
     def entry_from_json(self, obj):
         return self._trim([int(c) for c in obj])
-
-    def __eq__(self, other):
-        return isinstance(other, FpPolyRing) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("FpPoly", self.p))
-
-    def __repr__(self):
-        return self.tag
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intlinalg as la
-from .arith import laurent_gcd
+from .arith import laurent_gcd, prime_base
 from .complexes import (
     NO_FACTORIZATION,
     NOT_STRUCTURED,
@@ -177,9 +177,7 @@ def _divisibility_lattice(K: ChainComplex, f: int, k: int) -> list[list[int]]:
     """Rows spanning {x in K^(lo+k) : d x in f K^(lo+k+1)}."""
     n = K.ranks[k]
     if k + 1 < len(K.ranks) and K.ranks[k + 1] > 0:
-        m = K.ranks[k + 1]
-        target = [[f if i == j else 0 for j in range(m)] for i in range(m)]
-        return la.preimage_lattice(K.diffs[k], m, n, target)
+        return la.divisibility_lattice(K.diffs[k], K.ranks[k + 1], n, f)
     return la.identity(n)
 
 
@@ -287,19 +285,6 @@ def leta_two_term(g, f, ring):
 # the Bockstein complex
 # ---------------------------------------------------------------------------
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
-
-
 def _mod_f_lattices(K: ChainComplex, f: int):
     """Per degree, (cycle lattice rows, boundary lattice rows) of K/f in K^i:
     Z_i = {x : d x in f K^(i+1)}, B_i = im d^(i-1) + f K^i."""
@@ -329,6 +314,14 @@ def mod_f_homology(K: ChainComplex, f: int) -> HomologyPresentation:
     return HomologyPresentation(_Z, data)
 
 
+def _cycle_coords(z_rows, b_rows, n: int) -> list[list[int]]:
+    """Coordinates of the boundary rows in the cycle basis; B lies in Z."""
+    coords = la.in_lattice(z_rows, b_rows, n)
+    if coords is None:
+        raise AssertionError("boundary escaped the cycle lattice")
+    return coords
+
+
 @dataclass
 class BocksteinComplex:
     """Terms H^i(K/f) as lattice pairs inside K^i, with the divided
@@ -355,13 +348,9 @@ class BocksteinComplex:
         mat = self.beta.get(i)
         if not mat or not z_rows:
             return True
-        b1_coords = [la.in_lattice(z1_rows, v, n1) for v in b1_rows]
-        basis = la.lattice_basis([c for c in b1_coords if c is not None], len(z1_rows))
-        for col in range(len(z_rows)):
-            image = [mat[r][col] for r in range(len(z1_rows))]
-            if la.in_lattice(basis, image, len(z1_rows)) is None:
-                return False
-        return True
+        k1 = len(z1_rows)
+        basis = la.lattice_basis(_cycle_coords(z1_rows, b1_rows, n1), k1)
+        return la.in_lattice(basis, la.transpose(mat, k1, len(z_rows)), k1) is not None
 
     def homology(self) -> HomologyPresentation:
         """Homology of (H^*(K/f), beta), again by lattice arithmetic."""
@@ -377,22 +366,14 @@ class BocksteinComplex:
                 z1_rows, b1_rows = self.lattices[i + 1]
                 n1 = self.ambient.rank(i + 1)
                 k_i1 = len(z1_rows)
-                b1_coords = [la.in_lattice(z1_rows, v, n1) for v in b1_rows]
-                b1_coords = [c for c in b1_coords if c is not None]
-                num_rows = la.preimage_lattice(self.beta[i], k_i1, k_i, la.lattice_basis(b1_coords, k_i1))
+                b1_basis = la.lattice_basis(_cycle_coords(z1_rows, b1_rows, n1), k_i1)
+                num_rows = la.preimage_lattice(self.beta[i], k_i1, k_i, b1_basis)
             else:
                 num_rows = la.identity(k_i)
             # denominator: B_i (in Z_i coordinates) together with the beta image
-            den = []
-            for v in b_rows:
-                c = la.in_lattice(z_rows, v, n)
-                if c is None:
-                    raise AssertionError("boundary escaped the cycle lattice")
-                den.append(c)
+            den = _cycle_coords(z_rows, b_rows, n)
             if i - 1 in self.lattices and self.beta.get(i - 1):
-                bm = self.beta[i - 1]
-                for col in range(len(self.lattices[i - 1][0])):
-                    den.append([bm[r][col] for r in range(k_i)])
+                den += la.transpose(self.beta[i - 1], k_i, len(self.lattices[i - 1][0]))
             free, tors = la.quotient_presentation(num_rows, den, k_i)
             if free or tors:
                 data[i] = (free, tors)
@@ -406,7 +387,7 @@ def bockstein(K: ChainComplex, f: int) -> BocksteinComplex:
     normal-form arithmetic.
     """
     f = abs(f)
-    if not _is_prime_power(f):
+    if prime_base(f) is None:
         raise ValueError("the Bockstein construction needs a prime power")
     lat = _mod_f_lattices(K, f)
     beta = {}
@@ -416,16 +397,13 @@ def bockstein(K: ChainComplex, f: int) -> BocksteinComplex:
         z_rows, _ = lat[i]
         z1_rows, _ = lat[i + 1]
         n, n1 = K.rank(i), K.rank(i + 1)
-        cols = []
-        for v in z_rows:
-            dv = la.mat_vec(K.diff(i), v, n1, n)
-            if any(x % f for x in dv):
-                raise AssertionError("cycle image not divisible by f")
-            coord = la.in_lattice(z1_rows, [x // f for x in dv], n1)
-            if coord is None:
-                raise AssertionError("divided image escaped the cycle lattice")
-            cols.append(coord)
-        beta[i] = [[cols[c][r] for c in range(len(cols))] for r in range(len(z1_rows))]
+        images = [la.mat_vec(K.diff(i), v, n1, n) for v in z_rows]
+        if any(x % f for dv in images for x in dv):
+            raise AssertionError("cycle image not divisible by f")
+        cols = la.in_lattice(z1_rows, [[x // f for x in dv] for dv in images], n1)
+        if cols is None:
+            raise AssertionError("divided image escaped the cycle lattice")
+        beta[i] = la.transpose(cols, len(cols), len(z1_rows))
     # beta o beta vanishes on the nose: d(dx)/f^2 = 0
     return BocksteinComplex(f, K, lat, beta)
 
@@ -509,12 +487,11 @@ def check_exactness_criterion(T: TrianglePair, f: int) -> CheckReport:
             continue
         _, bk = latK[i + 1]
         nK1 = K.rank(i + 1)
-        for v in z_rows:
-            if la.in_lattice(bk, v[:nK1], nK1) is None:
-                return CheckReport(
-                    "exactness_criterion", True,
-                    {"applicable": False, "note": f"mod-f boundary nonzero at degree {i}"},
-                )
+        if la.in_lattice(bk, [v[:nK1] for v in z_rows], nK1) is None:
+            return CheckReport(
+                "exactness_criterion", True,
+                {"applicable": False, "note": f"mod-f boundary nonzero at degree {i}"},
+            )
 
     offset = min(K.lo - 1, L.lo, M.lo)
     dK = _eta_data(K, fa, offset)
@@ -576,7 +553,7 @@ def check_exactness_criterion(T: TrianglePair, f: int) -> CheckReport:
         dm = dM.complex.diff(i - 1)
         for c in range(dM.complex.rank(i - 1)):
             gens.append([dm[r][c] for r in range(n_tgt)])
-        if not la.lattice_contains(la.lattice_basis(gens, n_tgt), z_tgt, n_tgt):
+        if la.in_lattice(la.lattice_basis(gens, n_tgt), z_tgt, n_tgt) is None:
             return CheckReport(
                 "exactness_criterion", False,
                 {"degree": i, "error": "not surjective on homology"},
@@ -591,7 +568,7 @@ def check_mod_g_commutation(K: ChainComplex, f: int, g: int) -> CheckReport:
     which has free terms, so both sides stay inside the lattice track.
     """
     f, g = abs(f), abs(g)
-    if gcd(f, g) != 1 or not _is_prime_power(f) or not _is_prime_power(g):
+    if gcd(f, g) != 1 or prime_base(f) is None or prime_base(g) is None:
         raise ValueError("f and g must be coprime prime powers")
     hyp = mod_f_homology(K, f)
     for i in hyp.degrees():
@@ -674,19 +651,14 @@ def factor_through_leta(alpha: ChainMap, f: int):
     )
     b1 = [[M.diff(0)[r][c] for r in range(nM1)] for c in range(nM0)]
     gens = [[fa * x for x in v] for v in z1] + b1
-    h = [[0] * nK1 for _ in range(nM0)]
-    fz_cols = [[0] * nK1 for _ in range(nM1)]
-    for c in range(nK1):
-        v = [alpha.matrix(1)[r][c] for r in range(nM1)]
-        sol = la.solve_int(la.transpose(gens, len(gens), nM1), v, nM1, len(gens)) if gens else ([] if not any(v) else None)
-        if sol is None:
-            return NO_FACTORIZATION
-        for j in range(len(z1)):
-            if sol[j]:
-                for r in range(nM1):
-                    fz_cols[r][c] += fa * sol[j] * z1[j][r]
-        for j in range(nM0):
-            h[j][c] = sol[len(z1) + j]
+    # alpha^1 = f z + d h, with z a cycle
+    G = la.transpose(gens, len(gens), nM1)
+    sol = la.solve_matrix(G, alpha.matrix(1), nM1, len(gens), nK1)
+    if sol is None:
+        return NO_FACTORIZATION
+    k = len(z1)
+    fz_cols = la.mat_mul([row[:k] for row in G], sol[:k], nM1, k, nK1)
+    h = sol[k:]
     # express the two legs in the subcomplex bases
     rk1, rk0 = data.complex.rank(1), data.complex.rank(0)
     beta1 = la.solve_matrix(data.inclusions[1 - M.lo], fz_cols, nM1, rk1, nK1) if nM1 else []

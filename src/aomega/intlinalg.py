@@ -119,31 +119,33 @@ def kernel_basis(A, m: int, n: int) -> list[list[int]]:
 
 def solve_int(A, b, m: int, n: int) -> list[int] | None:
     """One integer solution of A x = b, or None."""
-    H, U, rank = column_echelon(A, m, n)
-    res = list(b)
-    y = [0] * n
-    for j in range(rank):
-        row = next(r for r in range(m) if H[r][j])
-        if res[row] % H[row][j]:
-            return None
-        c = res[row] // H[row][j]
-        y[j] = c
-        if c:
-            for r in range(m):
-                res[r] -= c * H[r][j]
-    if any(res):
-        return None
-    return mat_vec(U, y, n, n)
+    X = solve_matrix(A, [[x] for x in b], m, n, 1)
+    return None if X is None else [row[0] for row in X]
 
 
 def solve_matrix(A, B, m: int, n: int, k: int) -> list[list[int]] | None:
-    """X (n x k) with A X = B (columnwise), or None."""
+    """X (n x k) with A X = B, or None if some column of B has no solution.
+
+    A is brought to Hermite form once; every column of B is then solved by
+    back-substitution against it.
+    """
+    H, U, rank = column_echelon(A, m, n)
+    pivots = [next(r for r in range(m) if H[r][j]) for j in range(rank)]
     cols = []
-    for j in range(k):
-        x = solve_int(A, [B[i][j] for i in range(m)], m, n)
-        if x is None:
+    for c in range(k):
+        res = [B[i][c] for i in range(m)]
+        y = [0] * n
+        for j, row in enumerate(pivots):
+            if res[row] % H[row][j]:
+                return None
+            q = res[row] // H[row][j]
+            y[j] = q
+            if q:
+                for r in range(m):
+                    res[r] -= q * H[r][j]
+        if any(res):
             return None
-        cols.append(x)
+        cols.append(mat_vec(U, y, n, n))
     return [[cols[j][i] for j in range(k)] for i in range(n)]
 
 
@@ -156,20 +158,13 @@ def lattice_basis(gens: list[list[int]], n: int) -> list[list[int]]:
     return [[H[r][j] for r in range(n)] for j in range(rank)]
 
 
-def in_lattice(basis: list[list[int]], v: list[int], n: int) -> list[int] | None:
-    """Coordinates of v in the given lattice basis, or None."""
-    if not basis:
-        return [] if not any(v) else None
-    A = transpose(basis, len(basis), n)
-    return solve_int(A, v, n, len(basis))
-
-
-def lattice_sum(basis_a, basis_b, n: int) -> list[list[int]]:
-    return lattice_basis(list(basis_a) + list(basis_b), n)
-
-
-def lattice_contains(outer, inner, n: int) -> bool:
-    return all(in_lattice(outer, v, n) is not None for v in inner)
+def in_lattice(basis: list[list[int]], vectors: list[list[int]], n: int) -> list[list[int]] | None:
+    """Coordinates of every vector in the lattice spanned by `basis`, or
+    None if some vector lies outside it.  With dependent generators in
+    place of a basis this is one integer combination per vector."""
+    b, k = len(basis), len(vectors)
+    X = solve_matrix(transpose(basis, b, n), transpose(vectors, k, n), n, b, k)
+    return None if X is None else transpose(X, b, k)
 
 
 def preimage_lattice(A, m: int, n: int, target_basis: list[list[int]]) -> list[list[int]]:
@@ -184,6 +179,24 @@ def preimage_lattice(A, m: int, n: int, target_basis: list[list[int]]) -> list[l
     ker = kernel_basis(B, m, n + t)
     gens = [v[:n] for v in ker]
     return lattice_basis(gens, n)
+
+
+def divisibility_lattice(A, m: int, n: int, f: int) -> list[list[int]]:
+    """Echelon basis of {x in Z^n : A x in f Z^m}."""
+    return preimage_lattice(A, m, n, scale(identity(m), f))
+
+
+def kernel_mod_p(A, m: int, n: int, p: int) -> list[list[int]]:
+    """F_p basis of {x : A x = 0 mod p}, entries in [0, p).
+
+    The divisibility lattice contains p Z^n, so each of its Hermite pivots
+    divides p; its rows with pivot 1 reduce to a basis of the kernel.
+    """
+    rows = divisibility_lattice(A, m, n, p)
+    pivots = [next(x for x in v if x) for v in rows]
+    if len(rows) != n or any(c not in (1, p) for c in pivots):
+        raise AssertionError("a Hermite pivot of the divisibility lattice does not divide p")
+    return [[x % p for x in v] for v, c in zip(rows, pivots) if c == 1]
 
 
 def snf_divisors(A, m: int, n: int) -> list[int]:
@@ -300,12 +313,9 @@ def quotient_presentation(z_basis: list[list[int]], b_gens: list[list[int]], n: 
     k = len(z_basis)
     if k == 0:
         return 0, []
-    coords = []
-    for g in b_gens:
-        c = in_lattice(z_basis, g, n)
-        if c is None:
-            raise ValueError("generator not contained in the ambient lattice")
-        coords.append(c)
+    coords = in_lattice(z_basis, b_gens, n)
+    if coords is None:
+        raise ValueError("generator not contained in the ambient lattice")
     if not coords:
         return k, []
     divisors = snf_divisors(coords, len(coords), k)

@@ -93,8 +93,9 @@ def nabla_q(f: QLaurentFunction, direction: int) -> QLaurentFunction:
     """The q-derivative in one direction, in dt-normalized form.
 
     Monomial-wise t^m -> [m_j]_q t^(m - e_j); linear over the coefficient
-    ring.  The dlog-normalized form keeps the monomial and is what the
-    complex constructor uses.
+    ring.  On the dlog basis t^m dlog(t_j) = t^(m - e_j) dt_j the same
+    coefficient [m_j]_q multiplies t^m, which is how the complex
+    constructor reads it.
     """
     out = {}
     for m, c in f.terms:
@@ -104,17 +105,6 @@ def nabla_q(f: QLaurentFunction, direction: int) -> QLaurentFunction:
         m2 = tuple(x - (1 if i == direction else 0) for i, x in enumerate(m))
         contrib = c * factor
         out[m2] = out[m2] + contrib if m2 in out else contrib
-    return QLaurentFunction.build(f.p, f.depth, f.dim, out)
-
-
-def nabla_q_dlog(f: QLaurentFunction, direction: int) -> QLaurentFunction:
-    """Same operator in the dlog normalization: the monomial is kept."""
-    out = {}
-    for m, c in f.terms:
-        factor = q_analog(m[direction], f.p, f.depth)
-        if factor.is_zero():
-            continue
-        out[m] = out[m] + c * factor if m in out else c * factor
     return QLaurentFunction.build(f.p, f.depth, f.dim, out)
 
 
@@ -128,6 +118,7 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
     ring = LaurentRing(model.p, model.depth)
     blocks = {}
     for m in itertools.product(range(-bound, bound + 1), repeat=dim):
+        shifted = [tuple(x - (1 if i == j else 0) for i, x in enumerate(m)) for j in range(dim)]
         diffs = []
         for k in range(dim):
             src = koszul_basis(dim, k)
@@ -138,11 +129,12 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
                 for j in range(dim):
                     if j in S:
                         continue
-                    image = nabla_q_dlog(base, j)
+                    # the dlog coefficient: the single term of nabla_q at m - e_j
+                    image = nabla_q(base, j)
                     coeff = ring.zero()
                     for mono, c in image.terms:
-                        if mono != m:
-                            raise AssertionError("dlog derivative moved the monomial")
+                        if mono != shifted[j]:
+                            raise AssertionError("q-derivative left the monomial m - e_j")
                         coeff = c
                     sign = koszul_sign(j, S)
                     if sign < 0:

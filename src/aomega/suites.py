@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainf import AinfModel, check_notation_identities
-from .arith import LaurentElement
+from .arith import LaurentElement, prime_base
 from .complexes import (
     NOT_STRUCTURED,
     ChainComplex,
@@ -70,17 +70,6 @@ LIMITS = {"p": 13, "depth": 3, "dim": 4, "bound": 8, "precision": 4}
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 @dataclass
 class SessionConfig:
     """Validated run parameters shared by every suite and CLI command."""
@@ -94,7 +83,7 @@ class SessionConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p > LIMITS["p"]:
+        if prime_base(self.p) != self.p or self.p > LIMITS["p"]:
             raise ValueError(f"p must be a prime <= {LIMITS['p']}")
         for name in ("depth", "dim", "bound", "precision"):
             v = getattr(self, name)

@@ -605,14 +605,14 @@ def _q_analog_mod_p_th_root(a: int, p: int):
     return oc.reduce(q_analog(a, p, 0).with_depth(1))
 
 
-def specialize_hodge_tate(result: TorusCohomologyResult, tilde: TorusCohomologyResult | None = None) -> dict:
+def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     """Reduce every surviving summand by the q-analog of p and compare with
     the Frobenius-twisted residue pipeline: the cell at grading a matches
-    the residue cell at a/p, degree by degree."""
+    the residue cell at a/p, degree by degree.  The residue cells are taken
+    in closed form (exterior ranks at integral gradings, zero elsewhere),
+    which `tilde_omega_torus` computes and its tests check."""
     model, box = result.model, result.box
     p, d = model.p, box.dim
-    if tilde is None:
-        tilde = tilde_omega_torus(model, box)
     report = {"stage": "hodge-tate", "cells": {}, "passed": True}
 
     def tilde_ranks(grading_over_p):

@@ -442,33 +442,7 @@ def frobenius_fixed_points(module: SemilinearModule) -> tuple[int, list[list[tup
         cols.append([(w[i] - e[i]) % p for i in range(dim)])
     M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
-    # kernel of M over F_p
-    A = [row[:] for row in M]
-    pivots = []
-    rowi = 0
-    for col in range(dim):
-        piv = next((i for i in range(rowi, dim) if A[i][col] % p), None)
-        if piv is None:
-            continue
-        A[rowi], A[piv] = A[piv], A[rowi]
-        inv = pow(A[rowi][col], -1, p)
-        A[rowi] = [x * inv % p for x in A[rowi]]
-        for i in range(dim):
-            if i != rowi and A[i][col] % p:
-                c = A[i][col]
-                A[i] = [(x - c * y) % p for x, y in zip(A[i], A[rowi])]
-        pivots.append(col)
-        rowi += 1
-    free_cols = [c for c in range(dim) if c not in pivots]
-    basis_vectors = []
-    for fc in free_cols:
-        v = [0] * dim
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i][fc]) % p
-        basis_vectors.append(v)
-
-    basis = [unpack(v) for v in basis_vectors]
+    basis = [unpack(v) for v in la.kernel_mod_p(M, dim, dim, p)]
     fp_dim = len(basis)
 
     # does L span the module over F_{p^m}?

@@ -13,12 +13,14 @@ from aomega.complexes import (
     ChainComplex,
     DiagonalComplex,
     DiagonalSummand,
+    FpPolyRing,
     HomologyPresentation,
     KoszulSummand,
     LaurentRing,
     OCRing,
     RANK1_FREE,
     TWO_TERM,
+    ZModRing,
     ZRing,
     homology_diagonal,
     homology_snf,
@@ -216,3 +218,18 @@ def test_presentation_equality_and_json():
     b = HomologyPresentation(Z, {0: (1, []), 1: (0, [2, 4]), 2: (0, [])})
     assert a == b
     assert a.to_json()["1"]["torsion"] == ["2", "4"]
+
+
+def test_rings_compare_hash_and_print_by_parameters():
+    assert ZRing() == ZRing() and hash(ZRing()) == hash(ZRing())
+    assert ZModRing(4) == ZModRing(4) != ZModRing(5)
+    assert LaurentRing(3, 1) == LaurentRing(3, 1) != LaurentRing(3, 2)
+    assert LaurentRing(3, 1) != OCRing(3, 1)
+    assert len({OCRing(3, 1), OCRing(3, 1), FpPolyRing(3), FpPolyRing(5), ZModRing(3)}) == 4
+    rings = [ZRing(), ZModRing(4), LaurentRing(3, 1), OCRing(3, 2), FpPolyRing(5)]
+    assert [repr(R) for R in rings] == ["Z", "Z/4", "A(p=3,depth=1)", "OC(p=3,depth=2)", "F5[u]"]
+    assert [R.tag for R in rings] == [repr(R) for R in rings]
+    R = OCRing(3, 2)
+    assert R.model is R.model and (R.model.p, R.model.depth) == (3, 2)
+    with pytest.raises(AttributeError):
+        R.p = 5

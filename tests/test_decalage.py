@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aomega import intlinalg
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
 from aomega.complexes import (
@@ -17,6 +18,7 @@ from aomega.complexes import (
 from aomega.decalage import (
     NO_FACTORIZATION,
     ZERO_COMPLEX,
+    BocksteinComplex,
     ChainMap,
     TrianglePair,
     bockstein,
@@ -160,13 +162,9 @@ def _truncate(K: ChainComplex, j: int) -> ChainComplex:
     ranks = [K.rank(i) for i in range(K.lo, j)] + [len(zbasis)]
     diffs = [K.diff(i) for i in range(K.lo, j - 1)]
     if j > K.lo:
-        cols = []
-        for c in range(K.rank(j - 1)):
-            v = [K.diff(j - 1)[r][c] for r in range(n)]
-            coords = la.in_lattice(zbasis, v, n)
-            assert coords is not None
-            cols.append(coords)
-        diffs.append([[cols[c][r] for c in range(K.rank(j - 1))] for r in range(len(zbasis))])
+        cols = la.in_lattice(zbasis, la.transpose(K.diff(j - 1), n, K.rank(j - 1)), n)
+        assert cols is not None
+        diffs.append(la.transpose(cols, K.rank(j - 1), len(zbasis)))
     return ChainComplex(Z, K.lo, ranks, diffs)
 
 
@@ -337,3 +335,17 @@ def test_mod_f_homology_matches_cone():
         direct = mod_f_homology(K, f)
         cone = mapping_cone(identity_scaled(K, f))
         assert direct == homology_snf(cone)
+
+
+def test_bockstein_boundary_outside_cycles_is_an_internal_error():
+    # B lies in Z by construction, so a boundary row outside the cycle
+    # lattice is a broken invariant, never a vector to drop
+    B = bockstein(koszul(Z, [1, 1]), 3)
+    assert B.beta_is_zero(0) and B.homology().is_zero()
+    z1, b1 = B.lattices[1]
+    assert intlinalg.in_lattice(z1, [[1, 0]], 2) is None
+    bad = BocksteinComplex(B.f, B.ambient, {**B.lattices, 1: (z1, b1 + [[1, 0]])}, B.beta)
+    with pytest.raises(AssertionError, match="boundary escaped the cycle lattice"):
+        bad.beta_is_zero(0)
+    with pytest.raises(AssertionError, match="boundary escaped the cycle lattice"):
+        bad.homology()

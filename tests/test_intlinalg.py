@@ -46,7 +46,7 @@ def test_kernel_basis_spans_and_saturates():
             coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in kernel]
             combo = [sum(c * v[j] for c, v in zip(coeffs, kernel)) for j in range(n)]
             if all(x.denominator == 1 for x in combo):
-                assert la.in_lattice(kernel, [int(x) for x in combo], n) is not None
+                assert la.in_lattice(kernel, [[int(x) for x in combo]], n) is not None
 
 
 def test_solve_int_round_trip_and_unsolvable():
@@ -61,6 +61,142 @@ def test_solve_int_round_trip_and_unsolvable():
         assert la.mat_vec(A, sol, m, n) == b
     # 2x = 1 has no integer solution
     assert la.solve_int([[2]], [1], 1, 1) is None
+
+
+def oracle_solve_int(A, b, m, n):
+    """The one-column solver as it stood before `solve_matrix` took many
+    right-hand sides: a fresh Hermite form for every call."""
+    H, U, rank = la.column_echelon(A, m, n)
+    res = list(b)
+    y = [0] * n
+    for j in range(rank):
+        row = next(r for r in range(m) if H[r][j])
+        if res[row] % H[row][j]:
+            return None
+        c = res[row] // H[row][j]
+        y[j] = c
+        if c:
+            for r in range(m):
+                res[r] -= c * H[r][j]
+    if any(res):
+        return None
+    return la.mat_vec(U, y, n, n)
+
+
+def oracle_solve_matrix(A, B, m, n, k):
+    cols = [oracle_solve_int(A, [B[i][j] for i in range(m)], m, n) for j in range(k)]
+    if any(c is None for c in cols):
+        return None
+    return [[cols[j][i] for j in range(k)] for i in range(n)]
+
+
+def test_solve_matrix_matches_per_column_oracle():
+    rng = random.Random(57)
+    seen = {"solved": 0, "unsolvable": 0}
+    for _ in range(150):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        A = random_matrix(rng, m, n)
+        X = random_matrix(rng, n, k, bound=4)
+        B = la.mat_mul(A, X, m, n, k)
+        # one random column among solvable ones: often outside the image
+        if k and rng.random() < 0.5:
+            bad = rng.randrange(k)
+            for i in range(m):
+                B[i][bad] = rng.randint(-6, 6)
+        got = la.solve_matrix(A, B, m, n, k)
+        assert got == oracle_solve_matrix(A, B, m, n, k), (A, B)
+        if got is not None:
+            assert la.mat_mul(A, got, m, n, k) == B
+        seen["solved" if got is not None else "unsolvable"] += 1
+        # solve_int is the one-column call
+        if k:
+            col = [B[i][0] for i in range(m)]
+            assert la.solve_int(A, col, m, n) == oracle_solve_int(A, col, m, n)
+    assert min(seen.values()) > 20, seen
+
+
+def test_solve_matrix_one_bad_column_among_good_ones():
+    # 2 x = b solves only for even b; the residue check sees the second row
+    A = [[2, 0], [0, 2], [2, 2]]
+    good = [[2, 4], [6, -2], [8, 2]]
+    assert la.solve_matrix(A, good, 3, 2, 2) == [[1, 2], [3, -1]]
+    for bad in ([[2, 4, 1], [6, -2, 0], [8, 2, 0]], [[2, 2, 4], [6, 0, -2], [8, 0, 2]]):
+        assert la.solve_matrix(A, bad, 3, 2, 3) is None
+        assert oracle_solve_matrix(A, bad, 3, 2, 3) is None
+    # consistent pivots, inconsistent last row: only the residue check sees it
+    assert la.solve_matrix(A, [[2, 2], [6, 6], [8, 9]], 3, 2, 2) is None
+    assert la.solve_matrix(A, [[2], [6], [8]], 3, 2, 0) == [[], []]
+
+
+def test_in_lattice_lists_against_per_vector_oracle():
+    rng = random.Random(58)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        gens = random_matrix(rng, rng.randint(0, 3), n, bound=5)
+        basis = la.lattice_basis(gens, n)
+        members = [la.mat_vec(la.transpose(basis, len(basis), n), c, n, len(basis))
+                   for c in random_matrix(rng, rng.randint(0, 3), len(basis), bound=3)]
+        vectors = members + random_matrix(rng, rng.randint(0, 1), n)
+        rng.shuffle(vectors)
+        one_by_one = [oracle_solve_int(la.transpose(basis, len(basis), n), v, n, len(basis))
+                      if basis else ([] if not any(v) else None) for v in vectors]
+        expected = None if None in one_by_one else one_by_one
+        assert la.in_lattice(basis, vectors, n) == expected, (basis, vectors)
+        assert la.in_lattice(basis, members, n) is not None
+        assert la.in_lattice(basis, [], n) == []
+    # empty basis: only zero vectors, each with no coordinates
+    assert la.in_lattice([], [[0, 0], [0, 0]], 2) == [[], []]
+    assert la.in_lattice([], [[0, 0], [0, 1]], 2) is None
+    assert la.in_lattice([], [], 2) == []
+
+
+def oracle_kernel_mod_p(A, m, n, p):
+    """Gauss-Jordan kernel over F_p: one basis vector per free column."""
+    A = [[x % p for x in row] for row in A]
+    pivots = []
+    rowi = 0
+    for col in range(n):
+        piv = next((i for i in range(rowi, m) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[rowi], A[piv] = A[piv], A[rowi]
+        inv = pow(A[rowi][col], -1, p)
+        A[rowi] = [x * inv % p for x in A[rowi]]
+        for i in range(m):
+            if i != rowi and A[i][col]:
+                c = A[i][col]
+                A[i] = [(x - c * y) % p for x, y in zip(A[i], A[rowi])]
+        pivots.append(col)
+        rowi += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -A[i][fc] % p
+        basis.append(v)
+    return basis
+
+
+def test_kernel_mod_p_has_the_span_of_gauss_jordan():
+    rng = random.Random(59)
+    for p in (2, 3, 5):
+        field = sympy.GF(p)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:
+                A[-1] = [(x + rng.randrange(p) * y) % p for x, y in zip(A[-1], A[0])]
+            got = la.kernel_mod_p(A, m, n, p)
+            oracle = oracle_kernel_mod_p(A, m, n, p)
+            assert len(got) == len(oracle), (p, A)
+            assert all(0 <= x < p for v in got for x in v)
+            for v in got:
+                assert all(x % p == 0 for x in la.mat_vec(A, v, m, n)), (p, A, v)
+            if oracle:
+                def rank(rows):
+                    return DomainMatrix.from_list(rows, sympy.ZZ).convert_to(field).rank()
+                assert rank(got) == rank(oracle) == rank(got + oracle) == len(oracle), (p, A)
 
 
 def test_snf_divisors_against_symbolic_oracle():
@@ -91,7 +227,7 @@ def test_preimage_lattice_defining_property():
             w = [rng.randint(-6, 6) for _ in range(n)]
             image = la.mat_vec(A, w, m, n)
             if all(x % f == 0 for x in image):
-                assert la.in_lattice(rows, w, n) is not None
+                assert la.in_lattice(rows, [w], n) is not None
 
 
 def test_quotient_presentation_examples():
@@ -110,11 +246,11 @@ def test_quotient_presentation_examples():
 
 def test_lattice_membership_and_sum():
     basis = [[2, 0], [0, 3]]
-    assert la.in_lattice(basis, [4, 3], 2) is not None
-    assert la.in_lattice(basis, [1, 0], 2) is None
-    summed = la.lattice_sum(basis, [[1, 1]], 2)
-    assert la.in_lattice(summed, [1, 1], 2) is not None
-    assert la.lattice_contains(summed, basis, 2)
+    assert la.in_lattice(basis, [[4, 3]], 2) == [[2, 1]]
+    assert la.in_lattice(basis, [[1, 0]], 2) is None
+    summed = la.lattice_basis(basis + [[1, 1]], 2)
+    assert la.in_lattice(summed, [[1, 1]], 2) is not None
+    assert la.in_lattice(summed, basis, 2) is not None
 
 
 def test_rank_against_domain_matrix_over_zz_and_gf_p():

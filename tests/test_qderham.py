@@ -11,7 +11,6 @@ from aomega.qderham import (
     QLaurentFunction,
     compare_with_torus_pipeline,
     nabla_q,
-    nabla_q_dlog,
     q_de_rham_complex,
     q_to_one,
 )
@@ -83,7 +82,6 @@ def test_directions_commute():
         f = _random_function(rng, p, 1, dim)
         i, j = rng.sample(range(dim), 2)
         assert nabla_q(nabla_q(f, i), j) == nabla_q(nabla_q(f, j), i)
-        assert nabla_q_dlog(nabla_q_dlog(f, i), j) == nabla_q_dlog(nabla_q_dlog(f, j), i)
 
 
 def test_block_weights():
