@@ -14,8 +14,9 @@ elements between depths and silent coercion would hide bookkeeping errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 IntegerValue = int
 
@@ -86,10 +87,8 @@ class LaurentElement:
     __slots__ = ("_terms", "depth")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]], depth: int = 0):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+        # a plain dict first: the general Mapping check is an ABC lookup
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         cleaned = {}
         for e, c in items:
             if not isinstance(e, int):

@@ -38,13 +38,20 @@ from .witt import TruncatedWittElement, teichmuller_digits
 OUTPUT_DIR_ENV = "AOMEGA_OUT"
 
 
+def _out_path(out: str | None) -> str | None:
+    """The file a report goes to, or None for stdout."""
+    if out is None or out == "-":
+        return None
+    base = os.environ.get(OUTPUT_DIR_ENV, ".")
+    return out if os.path.isabs(out) else os.path.join(base, out)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if out is None or out == "-":
+    path = _out_path(out)
+    if path is None:
         print(text)
         return
-    base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    path = out if os.path.isabs(out) else os.path.join(base, out)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -302,6 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    path = _out_path(getattr(args, "out", None))
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        # refuse before any work: the report could not be written
+        parser.exit(2, f"error: output directory of {path!r} does not exist\n")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

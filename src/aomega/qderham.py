@@ -119,20 +119,20 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
     blocks = {}
     for m in itertools.product(range(-bound, bound + 1), repeat=dim):
         shifted = [tuple(x - (1 if i == j else 0) for i, x in enumerate(m)) for j in range(dim)]
+        base = QLaurentFunction.monomial(model.p, model.depth, m)
+        images = [nabla_q(base, j) for j in range(dim)]
         diffs = []
         for k in range(dim):
             src = koszul_basis(dim, k)
             tgt = {S: i for i, S in enumerate(koszul_basis(dim, k + 1))}
             mat = [[ring.zero() for _ in src] for _ in tgt]
-            base = QLaurentFunction.monomial(model.p, model.depth, m)
             for col, S in enumerate(src):
                 for j in range(dim):
                     if j in S:
                         continue
                     # the dlog coefficient: the single term of nabla_q at m - e_j
-                    image = nabla_q(base, j)
                     coeff = ring.zero()
-                    for mono, c in image.terms:
+                    for mono, c in images[j].terms:
                         if mono != shifted[j]:
                             raise AssertionError("q-derivative left the monomial m - e_j")
                         coeff = c

@@ -110,6 +110,15 @@ def test_out_file_and_env_dir(tmp_path):
     assert data["passed"] is True
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli(["torus", "run", "--stage", "tilde", "--out", str(target)])
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
+
+
 def test_suite_exit_code_zero_on_pass():
     proc = run_cli(["suite", "run", "--suite", "s8-semicontinuity", "--p", "2", "--seed", "5"])
     assert proc.returncode == 0

@@ -6,7 +6,7 @@ import pytest
 
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement, q_analog
-from aomega.complexes import homology_snf
+from aomega.complexes import homology_snf, koszul_basis
 from aomega.qderham import (
     QLaurentFunction,
     compare_with_torus_pipeline,
@@ -92,6 +92,32 @@ def test_block_weights():
     b = q_de_rham_complex(model, 2, 2)[(1, 2)]
     assert b.diffs[0][0][0] == q_analog(1, 3, 1)
     assert b.diffs[0][1][0] == q_analog(2, 3, 1)
+
+
+def test_blocks_match_per_entry_q_derivatives():
+    # every entry recomputed on its own: a fresh monomial per (S, j), the
+    # coefficient read at m - e_j, the wedge sign counted directly
+    model = AinfModel(3, 1)
+    dim = 3
+    zero = LaurentElement.zero(1)
+    blocks = q_de_rham_complex(model, dim, 2)
+    assert len(blocks) == 5**dim
+    for m, block in blocks.items():
+        for k in range(dim):
+            src = koszul_basis(dim, k)
+            tgt = {S: i for i, S in enumerate(koszul_basis(dim, k + 1))}
+            expected = [[zero for _ in src] for _ in tgt]
+            for col, S in enumerate(src):
+                for j in range(dim):
+                    if j in S:
+                        continue
+                    image = nabla_q(QLaurentFunction.monomial(3, 1, m), j)
+                    shifted = tuple(x - (i == j) for i, x in enumerate(m))
+                    coeff = dict(image.terms).get(shifted, zero)
+                    if sum(1 for s in S if s < j) % 2:
+                        coeff = -coeff
+                    expected[tgt[tuple(sorted(S + (j,)))]][col] = coeff
+            assert block.diffs[k] == expected, (m, k)
 
 
 def test_first_homology_is_the_q_analog_quotient():

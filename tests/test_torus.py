@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from aomega.ainf import AinfModel, OCModel
 from aomega.arith import LaurentElement
 from aomega.complexes import ChainComplex, FpPolyRing, ZRing, homology_snf, koszul
 from aomega.torus import (
+    ClassRow,
     GradingBox,
+    TorusCell,
+    TorusCohomologyResult,
     _fractional_cell,
+    _laurent_to_fp_poly,
     _root_power_divides,
     ainf_omega_torus,
     build_torus_cohomology,
@@ -250,6 +256,15 @@ def test_etale_ranks():
     assert rep1["cells"]["0"] == [1, 1]
 
 
+def test_etale_ranks_weight_aggregated_classes_by_count():
+    # a synthetic class of five surviving zero-grading cells counts five times
+    model, box = AinfModel(3, 1), GradingBox(2, 1, 2)
+    explicit = TorusCell((Fraction(0), Fraction(0)), "koszul")
+    row = ClassRow(("Z0", "Z0"), 5, TorusCell((Fraction(0), Fraction(0)), "koszul"))
+    res = TorusCohomologyResult("ainf", model, box, {explicit.grading: explicit}, [row], True)
+    assert etale_rank_torus(res)["rank_table"] == {0: 6, 1: 12, 2: 6}
+
+
 def test_generic_fibre_ranks_by_elimination():
     # honest fraction-free elimination over the Laurent carrier
     model = AinfModel(3, 1)
@@ -290,6 +305,51 @@ def test_torus_semicontinuity_equality():
     for p, d in ((2, 1), (2, 2), (3, 2)):
         rep = torus_semicontinuity(ainf_omega_torus(AinfModel(p, 1), GradingBox(d, 1, 2)))
         assert rep["inequality_holds"] and rep["equality_with_binomials"], rep
+
+
+def per_cell_semicontinuity(result):
+    """The fibre comparison with one Koszul complex per cell, no sharing."""
+    model = result.model
+    ring = FpPolyRing(model.p)
+    d = result.box.dim
+    totals_generic = {i: 0 for i in range(d + 1)}
+    totals_special = {i: 0 for i in range(d + 1)}
+    all_hold = True
+    for cell in result.all_cells():
+        if cell.status == "koszul":
+            elements = [_laurent_to_fp_poly(g, ring) for g in cell.summand.elements]
+        elif cell.status == "residual":
+            elements = [_laurent_to_fp_poly(cell.residual_divisor, ring)]
+        elif cell.status == "zero":
+            continue
+        else:
+            elements = [
+                _laurent_to_fp_poly(model.q_power_minus_one(a), ring)
+                for a in cell.grading if Fraction(a) != 0
+            ]
+        generic, special, verdict = semicontinuity_demo(koszul(ring, elements))
+        all_hold = all_hold and verdict["holds"]
+        for i, r in generic.items():
+            totals_generic[i] += r
+        for i, r in special.items():
+            totals_special[i] += r
+    return (
+        {i: r for i, r in totals_generic.items() if r},
+        {i: r for i, r in totals_special.items() if r},
+        all_hold,
+    )
+
+
+@pytest.mark.parametrize("p,depth,dim,bound,aggregated", [(3, 2, 2, 2, False), (3, 2, 3, 2, True)])
+def test_torus_semicontinuity_matches_per_cell_oracle(p, depth, dim, bound, aggregated):
+    res = ainf_omega_torus(AinfModel(p, depth), GradingBox(dim, depth, bound))
+    assert res.aggregated is aggregated
+    generic, special, holds = per_cell_semicontinuity(res)
+    rep = torus_semicontinuity(res)
+    assert rep["generic_totals"] == generic
+    assert rep["special_totals"] == special
+    assert rep["inequality_holds"] is holds
+    assert rep["equality_with_binomials"]
 
 
 def test_composite_decalage_one_step_equals_two_step():
