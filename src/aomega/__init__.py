@@ -29,6 +29,7 @@ from .complexes import (
 from .decalage import (
     BocksteinComplex,
     ChainMap,
+    LetaInstance,
     TrianglePair,
     ZERO_COMPLEX,
     bockstein,

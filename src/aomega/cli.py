@@ -107,7 +107,7 @@ def cmd_witt_digits(args) -> int:
         config.p, config.precision, int(raw["value"])
     )
     if w.p != config.p or w.precision != config.precision:
-        raise SystemExit("input element does not match --p/--precision")
+        raise ValueError("input element does not match --p/--precision")
     digits = teichmuller_digits(w)
     payload = {
         "command": "witt digits",
@@ -124,7 +124,7 @@ def cmd_witt_digits(args) -> int:
 
 def cmd_leta_apply(args) -> int:
     if args.f == 0:
-        raise SystemExit("--f must be nonzero")
+        raise ValueError("--f must be nonzero")
     obj = json.load(open(args.infile) if args.infile else sys.stdin)
     K = ChainComplex.from_json(obj)
     out = eta_subcomplex(K, args.f)

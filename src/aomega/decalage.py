@@ -13,7 +13,8 @@ the two tracks with each other and with the homology-level predictions:
 the torsion-quotient formula, the Bockstein lift, composition, exactness
 for triangles whose mod-f boundary maps vanish, commutation with reduction
 modulo a coprime prime power, the f^d-inverse maps, and factorization
-through the subcomplex.
+through the subcomplex.  The first three take a `LetaInstance`, which
+builds each subcomplex of one complex and its homology once.
 
 Lattices are stored with a uniform rescale f^(-offset) (offset <= lowest
 degree), an isomorphism of complexes that keeps every basis integral even
@@ -354,24 +355,24 @@ class BocksteinComplex:
 
     def homology(self) -> HomologyPresentation:
         """Homology of (H^*(K/f), beta), again by lattice arithmetic."""
+        # B_i in Z_i coordinates, once per degree: the denominator at i and
+        # the numerator at i - 1 both read it
+        coords = {
+            i: _cycle_coords(z_rows, b_rows, self.ambient.rank(i))
+            for i, (z_rows, b_rows) in self.lattices.items() if z_rows
+        }
         data = {}
-        for i in sorted(self.lattices):
-            z_rows, b_rows = self.lattices[i]
-            k_i = len(z_rows)
-            if k_i == 0:
-                continue
-            n = self.ambient.rank(i)
+        for i in sorted(coords):
+            k_i = len(self.lattices[i][0])
             # numerator: classes with beta-image inside the next boundary lattice
             if i + 1 in self.lattices and self.beta.get(i):
-                z1_rows, b1_rows = self.lattices[i + 1]
-                n1 = self.ambient.rank(i + 1)
-                k_i1 = len(z1_rows)
-                b1_basis = la.lattice_basis(_cycle_coords(z1_rows, b1_rows, n1), k_i1)
+                k_i1 = len(self.lattices[i + 1][0])
+                b1_basis = la.lattice_basis(coords[i + 1], k_i1)
                 num_rows = la.preimage_lattice(self.beta[i], k_i1, k_i, b1_basis)
             else:
                 num_rows = la.identity(k_i)
             # denominator: B_i (in Z_i coordinates) together with the beta image
-            den = _cycle_coords(z_rows, b_rows, n)
+            den = list(coords[i])
             if i - 1 in self.lattices and self.beta.get(i - 1):
                 den += la.transpose(self.beta[i - 1], k_i, len(self.lattices[i - 1][0]))
             free, tors = la.quotient_presentation(num_rows, den, k_i)
@@ -427,10 +428,39 @@ def _divisor_transform(tors: list[int], f: int) -> list[int]:
     return chain_normalize([e // gcd(e, f) for e in tors])
 
 
-def check_homology_formula(K: ChainComplex, f: int) -> CheckReport:
+class LetaInstance:
+    """One complex K with its decalage data, each piece computed once.
+
+    `eta(f)` is eta_f(K); `eta(f, after=g)` is eta_f(eta_g(K)), built on
+    the complex `eta(g)` and keyed on the ordered pair (g, f), never on the
+    product f g, so composition still compares two different complexes.
+    `homology` is the Z-homology of K or of one of those complexes.
+    """
+
+    def __init__(self, K: ChainComplex):
+        self.complex = K
+        self._eta = {}
+        self._homology = {}
+
+    def eta(self, f: int, after: int | None = None) -> ChainComplex:
+        key = (after, f)
+        if key not in self._eta:
+            inner = self.complex if after is None else self.eta(after)
+            self._eta[key] = eta_subcomplex(inner, f)
+        return self._eta[key]
+
+    def homology(self, f: int | None = None, after: int | None = None) -> HomologyPresentation:
+        key = (after, f)
+        if key not in self._homology:
+            C = self.complex if f is None else self.eta(f, after)
+            self._homology[key] = homology_snf(C)
+        return self._homology[key]
+
+
+def check_homology_formula(inst: LetaInstance, f: int) -> CheckReport:
     """Homology of the subcomplex against the torsion-quotient prediction."""
-    actual = homology_snf(eta_subcomplex(K, f))
-    base = homology_snf(K)
+    actual = inst.homology(f)
+    base = inst.homology()
     predicted = {}
     for i in base.degrees():
         free = base.free_rank(i)
@@ -445,10 +475,12 @@ def check_homology_formula(K: ChainComplex, f: int) -> CheckReport:
     )
 
 
-def check_leta_mod_f_is_bockstein(K: ChainComplex, f: int) -> CheckReport:
-    """Homology of eta_f(K)/f against homology of the Bockstein complex."""
-    lhs = mod_f_homology(eta_subcomplex(K, f), f)
-    rhs = bockstein(K, f).homology()
+def check_leta_mod_f_is_bockstein(inst: LetaInstance, f: int) -> CheckReport:
+    """Homology of eta_f(K)/f against homology of the Bockstein complex.
+
+    The Bockstein side rebuilds the divisibility lattices of K itself."""
+    lhs = mod_f_homology(inst.eta(f), f)
+    rhs = bockstein(inst.complex, f).homology()
     ok = lhs == rhs
     return CheckReport(
         "leta_mod_f_is_bockstein", ok,
@@ -456,10 +488,10 @@ def check_leta_mod_f_is_bockstein(K: ChainComplex, f: int) -> CheckReport:
     )
 
 
-def check_composition(K: ChainComplex, f: int, g: int) -> CheckReport:
+def check_composition(inst: LetaInstance, f: int, g: int) -> CheckReport:
     """eta_f after eta_g against eta_(f g), on homology presentations."""
-    lhs = homology_snf(eta_subcomplex(eta_subcomplex(K, g), f))
-    rhs = homology_snf(eta_subcomplex(K, f * g))
+    lhs = inst.homology(f, after=g)
+    rhs = inst.homology(f * g)
     ok = lhs == rhs
     return CheckReport(
         "composition", ok,

@@ -35,6 +35,7 @@ from .complexes import (
 )
 from .decalage import (
     ZERO_COMPLEX,
+    LetaInstance,
     check_composition,
     check_homology_formula,
     check_leta_mod_f_is_bockstein,
@@ -248,14 +249,14 @@ def suite_leta(config: SessionConfig, instances: int = 200) -> VerificationRepor
 
     failures = []
     for idx in range(instances):
-        K = random_z_complex(rng)
+        inst = LetaInstance(random_z_complex(rng))
         for f in (2, 3, 4):
-            r1 = check_homology_formula(K, f)
-            r2 = check_leta_mod_f_is_bockstein(K, f)
+            r1 = check_homology_formula(inst, f)
+            r2 = check_leta_mod_f_is_bockstein(inst, f)
             if not r1 or not r2:
                 failures.append({"instance": idx, "f": f, "formula": r1.detail, "bockstein": r2.detail})
         for f, g in ((2, 2), (2, 3), (3, 4)):
-            r3 = check_composition(K, f, g)
+            r3 = check_composition(inst, f, g)
             if not r3:
                 failures.append({"instance": idx, "f": f, "g": g, "composition": r3.detail})
         report.instances += 1

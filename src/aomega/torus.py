@@ -216,18 +216,22 @@ class TorusCohomologyResult:
 
     def all_cells(self):
         """Explicit cells plus one representative per aggregated class."""
-        yield from self.cells.values()
+        for cell, _ in self.weighted_cells():
+            yield cell
+
+    def weighted_cells(self):
+        """(cell, number of gradings it stands for): 1 for an explicit
+        cell, the class count for an aggregated representative."""
+        for cell in self.cells.values():
+            yield cell, 1
         for row in self.classes:
-            yield row.cell
+            yield row.cell, row.count
 
     def rank_table(self) -> dict[int, int]:
         table: dict[int, int] = {}
-        for cell in self.cells.values():
+        for cell, count in self.weighted_cells():
             for i, r in cell.free_ranks.items():
-                table[i] = table.get(i, 0) + r
-        for row in self.classes:
-            for i, r in row.cell.free_ranks.items():
-                table[i] = table.get(i, 0) + r * row.count
+                table[i] = table.get(i, 0) + r * count
         return {i: r for i, r in sorted(table.items()) if r}
 
     def to_json(self) -> dict:
@@ -757,8 +761,7 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
     table = {i: 0 for i in range(d + 1)}
     verified = 0
     report_cells = {}
-    weighted = [(cell, 1) for cell in result.cells.values()] + [(row.cell, row.count) for row in result.classes]
-    for cell, count in weighted:
+    for cell, count in result.weighted_cells():
         if cell.status == "koszul":
             zero_grading = all(Fraction(a) == 0 for a in cell.grading)
             ranks = [comb(d, i) if zero_grading else 0 for i in range(d + 1)]
@@ -847,7 +850,7 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     all_hold = True
     # the fibre comparison depends only on the ordered reduced weights
     by_weights = {}
-    for cell in result.all_cells():
+    for cell, count in result.weighted_cells():
         if cell.status == "koszul":
             elements = [_laurent_to_fp_poly(g, ring) for g in cell.summand.elements]
         elif cell.status == "residual":
@@ -868,9 +871,9 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
         if not verdict["holds"]:
             all_hold = False
         for i, r in generic.items():
-            totals_generic[i] = totals_generic.get(i, 0) + r
+            totals_generic[i] = totals_generic.get(i, 0) + r * count
         for i, r in special.items():
-            totals_special[i] = totals_special.get(i, 0) + r
+            totals_special[i] = totals_special.get(i, 0) + r * count
     expected = {i: comb(d, i) for i in range(d + 1)}
     equal = (
         {i: r for i, r in totals_generic.items() if r} == {i: r for i, r in expected.items() if r}

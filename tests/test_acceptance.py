@@ -14,6 +14,7 @@ from aomega.ainf import AinfModel, check_notation_identities
 from aomega.arith import LaurentElement, laurent_exact_div
 from aomega.complexes import ChainComplex, FpPolyRing, ZRing, homology_snf
 from aomega.decalage import (
+    LetaInstance,
     check_composition,
     check_homology_formula,
     check_leta_mod_f_is_bockstein,
@@ -71,14 +72,14 @@ def test_criterion_2_decalage_property_suite():
     rng = random.Random(20240)
     failures = 0
     for _ in range(200):
-        K = random_z_complex(rng, max_deg=4, max_rank=4, bound=9)
+        inst = LetaInstance(random_z_complex(rng, max_deg=4, max_rank=4, bound=9))
         for f in (2, 3, 4):
-            if not check_homology_formula(K, f):
+            if not check_homology_formula(inst, f):
                 failures += 1
-            if not check_leta_mod_f_is_bockstein(K, f):
+            if not check_leta_mod_f_is_bockstein(inst, f):
                 failures += 1
         for f, g in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
-            if not check_composition(K, f, g):
+            if not check_composition(inst, f, g):
                 failures += 1
     elapsed = time.monotonic() - start
     report(2, failures == 0 and elapsed < 30.0,

@@ -64,7 +64,15 @@ def test_leta_apply_stream():
     out = json.loads(proc.stdout)
     assert out["diffs"] == [["3"]]
     proc2 = run_cli(["leta", "apply", "--f", "0"], stdin_text=json.dumps(complex_json))
-    assert proc2.returncode != 0
+    assert proc2.returncode == 2
+    assert "error:" in proc2.stderr and "Traceback" not in proc2.stderr
+
+
+def test_witt_digits_mismatch_is_usage_error():
+    element = {"p": 3, "precision": 2, "terms": [[[0, 1], "8"]]}
+    proc = run_cli(["witt", "digits", "--p", "5", "--precision", "2"], stdin_text=json.dumps(element))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_torus_run_stages():

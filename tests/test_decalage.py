@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from aomega import intlinalg
+from aomega import decalage, intlinalg
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
 from aomega.complexes import (
     ChainComplex,
+    HomologyPresentation,
     KoszulSummand,
     LaurentRing,
     ZRing,
@@ -20,7 +21,10 @@ from aomega.decalage import (
     ZERO_COMPLEX,
     BocksteinComplex,
     ChainMap,
+    CheckReport,
+    LetaInstance,
     TrianglePair,
+    _divisor_transform,
     bockstein,
     check_composition,
     check_exactness_criterion,
@@ -66,10 +70,10 @@ def test_eta_rejects_zero_divisor():
 
 def test_homology_formula_examples():
     # the two rank-one models, restated through the torsion-quotient rule
-    assert check_homology_formula(two_term(4), 2).passed
-    assert check_homology_formula(two_term(3), 3).passed
+    assert check_homology_formula(LetaInstance(two_term(4)), 2).passed
+    assert check_homology_formula(LetaInstance(two_term(3)), 3).passed
     K = koszul(Z, [2, 4])
-    assert check_homology_formula(K, 2).passed
+    assert check_homology_formula(LetaInstance(K), 2).passed
     # torsion coprime to f is untouched
     K5 = two_term(5)
     H = homology_snf(eta_subcomplex(K5, 2))
@@ -99,32 +103,164 @@ def test_bockstein_needs_prime_power():
 
 
 def test_bockstein_lift_examples():
-    assert check_leta_mod_f_is_bockstein(two_term(9), 3).passed
-    assert check_leta_mod_f_is_bockstein(koszul(Z, [2, 4]), 2).passed
+    assert check_leta_mod_f_is_bockstein(LetaInstance(two_term(9)), 3).passed
+    assert check_leta_mod_f_is_bockstein(LetaInstance(koszul(Z, [2, 4])), 2).passed
     rng = random.Random(21)
     for _ in range(20):
         K = random_z_complex(rng, max_deg=3)
-        assert check_leta_mod_f_is_bockstein(K, 3).passed
+        assert check_leta_mod_f_is_bockstein(LetaInstance(K), 3).passed
 
 
 def test_composition_examples():
-    assert check_composition(two_term(8), 2, 2).passed
-    assert check_composition(koszul(Z, [2, 4]), 1, 3).passed
+    assert check_composition(LetaInstance(two_term(8)), 2, 2).passed
+    assert check_composition(LetaInstance(koszul(Z, [2, 4])), 1, 3).passed
     rng = random.Random(22)
     for _ in range(20):
         K = random_z_complex(rng)
-        assert check_composition(K, 2, 3).passed
+        assert check_composition(LetaInstance(K), 2, 3).passed
 
 
 def test_property_sweep():
     rng = random.Random(23)
     for _ in range(60):
-        K = random_z_complex(rng)
+        inst = LetaInstance(random_z_complex(rng))
         for f in (2, 3, 4):
-            assert check_homology_formula(K, f).passed
-            assert check_leta_mod_f_is_bockstein(K, f).passed
+            assert check_homology_formula(inst, f).passed
+            assert check_leta_mod_f_is_bockstein(inst, f).passed
         for f, g in ((2, 2), (2, 3), (3, 4)):
-            assert check_composition(K, f, g).passed
+            assert check_composition(inst, f, g).passed
+
+
+# the three instance checks as they ran before the instance shared its
+# data: every complex rebuilt from K for each call
+def fresh_homology_formula(K, f):
+    actual = homology_snf(eta_subcomplex(K, f))
+    base = homology_snf(K)
+    predicted = {}
+    for i in base.degrees():
+        tors = _divisor_transform(base.torsion(i), abs(f))
+        if base.free_rank(i) or tors:
+            predicted[i] = (base.free_rank(i), tors)
+    expected = HomologyPresentation(Z, predicted)
+    ok = actual == expected
+    return CheckReport(
+        "homology_formula", ok,
+        {} if ok else {"f": f, "actual": actual.to_json(), "expected": expected.to_json()},
+    )
+
+
+def fresh_leta_mod_f_is_bockstein(K, f):
+    lhs = mod_f_homology(eta_subcomplex(K, f), f)
+    rhs = bockstein(K, f).homology()
+    ok = lhs == rhs
+    return CheckReport(
+        "leta_mod_f_is_bockstein", ok,
+        {} if ok else {"f": f, "lhs": lhs.to_json(), "rhs": rhs.to_json()},
+    )
+
+
+def fresh_composition(K, f, g):
+    lhs = homology_snf(eta_subcomplex(eta_subcomplex(K, g), f))
+    rhs = homology_snf(eta_subcomplex(K, f * g))
+    ok = lhs == rhs
+    return CheckReport(
+        "composition", ok,
+        {} if ok else {"f": f, "g": g, "lhs": lhs.to_json(), "rhs": rhs.to_json()},
+    )
+
+
+def run_property_set(inst):
+    """The three checks in the order the s5-leta suite runs them."""
+    reports = []
+    for f in (2, 3, 4):
+        reports.append(check_homology_formula(inst, f))
+        reports.append(check_leta_mod_f_is_bockstein(inst, f))
+    for f, g in ((2, 2), (2, 3), (3, 4)):
+        reports.append(check_composition(inst, f, g))
+    return reports
+
+
+def same_complex(A, B):
+    return (A.lo, A.ranks, A.diffs) == (B.lo, B.ranks, B.diffs)
+
+
+def test_shared_instance_matches_fresh_complexes():
+    rng = random.Random(24)
+    for _ in range(50):
+        K = random_z_complex(rng)
+        inst = LetaInstance(K)
+        fresh = []
+        for f in (2, 3, 4):
+            fresh.append(fresh_homology_formula(K, f))
+            fresh.append(fresh_leta_mod_f_is_bockstein(K, f))
+        for f, g in ((2, 2), (2, 3), (3, 4)):
+            fresh.append(fresh_composition(K, f, g))
+        assert run_property_set(inst) == fresh
+        # every shared complex is the one a fresh call builds
+        for f in (2, 3, 4, 6, 12):
+            assert same_complex(inst.eta(f), eta_subcomplex(K, f))
+        for f, g in ((2, 2), (2, 3), (3, 4)):
+            assert same_complex(inst.eta(f, after=g), eta_subcomplex(eta_subcomplex(K, g), f))
+
+
+def test_instance_builds_each_eta_once(monkeypatch):
+    calls = []
+    real = decalage._eta_data
+
+    def spy(K, f, offset=None):
+        calls.append((K, f))
+        return real(K, f, offset)
+
+    monkeypatch.setattr(decalage, "_eta_data", spy)
+    rng = random.Random(25)
+    for _ in range(5):
+        inst = LetaInstance(random_z_complex(rng))
+        calls.clear()
+        run_property_set(inst)
+        K = inst.complex
+        expected = [(K, 2), (K, 3), (K, 4), (inst.eta(2), 2), (inst.eta(3), 2), (K, 6), (inst.eta(4), 3), (K, 12)]
+        assert len(calls) == len(expected)
+        for (got_K, got_f), (want_K, want_f) in zip(calls, expected):
+            assert got_K is want_K and got_f == want_f
+
+
+def two_call_bockstein_homology(B):
+    """BocksteinComplex.homology computing the cycle coordinates of degree
+    i + 1 for the numerator and again for the denominator of i + 1."""
+    data = {}
+    for i in sorted(B.lattices):
+        z_rows, b_rows = B.lattices[i]
+        k_i = len(z_rows)
+        if k_i == 0:
+            continue
+        if i + 1 in B.lattices and B.beta.get(i):
+            z1_rows, b1_rows = B.lattices[i + 1]
+            k_i1 = len(z1_rows)
+            coords1 = intlinalg.in_lattice(z1_rows, b1_rows, B.ambient.rank(i + 1))
+            b1_basis = intlinalg.lattice_basis(coords1, k_i1)
+            num_rows = intlinalg.preimage_lattice(B.beta[i], k_i1, k_i, b1_basis)
+        else:
+            num_rows = intlinalg.identity(k_i)
+        den = intlinalg.in_lattice(z_rows, b_rows, B.ambient.rank(i))
+        if i - 1 in B.lattices and B.beta.get(i - 1):
+            den += intlinalg.transpose(B.beta[i - 1], k_i, len(B.lattices[i - 1][0]))
+        free, tors = intlinalg.quotient_presentation(num_rows, den, k_i)
+        if free or tors:
+            data[i] = (free, tors)
+    return HomologyPresentation(Z, data)
+
+
+def test_bockstein_homology_matches_two_call_route():
+    rng = random.Random(26)
+    nontrivial = 0
+    for _ in range(40):
+        K = random_z_complex(rng)
+        for f in (2, 3, 4, 9):
+            B = bockstein(K, f)
+            H = B.homology()
+            assert H == two_call_bockstein_homology(B)
+            nontrivial += not H.is_zero()
+    assert nontrivial > 0
 
 
 def test_restriction_of_scalars_is_structural():

@@ -45,6 +45,7 @@ CHEAP = [
     ("torus-cells", "torus all --p 3 --depth 2 --dim 3 --bound 6 --seed 0"),
     ("lattice-suites", "suite run --suite witt --seed 0"),
     ("lattice-suites", "suite run --suite s4-torus-decomp --seed 0"),
+    ("lattice-suites", "leta verify --suite s5-leta --instances 1000 --seed 0"),
 ]
 
 

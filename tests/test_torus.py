@@ -265,6 +265,22 @@ def test_etale_ranks_weight_aggregated_classes_by_count():
     assert etale_rank_torus(res)["rank_table"] == {0: 6, 1: 12, 2: 6}
 
 
+def test_semicontinuity_weights_aggregated_classes_by_count():
+    # zero weights: both fibres carry the exterior algebra, so a class of
+    # five such cells adds five times its ranks to each total
+    from aomega.complexes import KoszulSummand, LaurentRing
+
+    model, box = AinfModel(3, 1), GradingBox(2, 1, 2)
+    grading = (Fraction(0), Fraction(0))
+    summand = KoszulSummand(LaurentRing(3, 1), (LaurentElement.zero(1),) * 2, grading)
+    explicit = TorusCell(grading, "koszul", summand)
+    row = ClassRow(("Z0", "Z0"), 5, TorusCell(grading, "koszul", summand))
+    res = TorusCohomologyResult("ainf", model, box, {grading: explicit}, [row], True)
+    rep = torus_semicontinuity(res)
+    assert rep["generic_totals"] == rep["special_totals"] == {0: 6, 1: 12, 2: 6}
+    assert rep["inequality_holds"] and not rep["equality_with_binomials"]
+
+
 def test_generic_fibre_ranks_by_elimination():
     # honest fraction-free elimination over the Laurent carrier
     model = AinfModel(3, 1)
@@ -308,14 +324,16 @@ def test_torus_semicontinuity_equality():
 
 
 def per_cell_semicontinuity(result):
-    """The fibre comparison with one Koszul complex per cell, no sharing."""
+    """The fibre comparison with one Koszul complex per cell, no sharing;
+    an aggregated class counts as many times as the gradings it stands for."""
     model = result.model
     ring = FpPolyRing(model.p)
     d = result.box.dim
     totals_generic = {i: 0 for i in range(d + 1)}
     totals_special = {i: 0 for i in range(d + 1)}
     all_hold = True
-    for cell in result.all_cells():
+    weighted = [(cell, 1) for cell in result.cells.values()] + [(row.cell, row.count) for row in result.classes]
+    for cell, count in weighted:
         if cell.status == "koszul":
             elements = [_laurent_to_fp_poly(g, ring) for g in cell.summand.elements]
         elif cell.status == "residual":
@@ -330,9 +348,9 @@ def per_cell_semicontinuity(result):
         generic, special, verdict = semicontinuity_demo(koszul(ring, elements))
         all_hold = all_hold and verdict["holds"]
         for i, r in generic.items():
-            totals_generic[i] += r
+            totals_generic[i] += r * count
         for i, r in special.items():
-            totals_special[i] += r
+            totals_special[i] += r * count
     return (
         {i: r for i, r in totals_generic.items() if r},
         {i: r for i, r in totals_special.items() if r},
