@@ -248,7 +248,7 @@ class FpPolyRing(Ring):
         return (1,)
 
     def is_zero(self, x):
-        return not self._trim(x)
+        return not any(c % self.p for c in x)
 
     def add(self, a, b):
         n = max(len(a), len(b))
@@ -336,16 +336,24 @@ class ChainComplex:
         self._check_dd()
 
     def _check_dd(self):
+        """d_(k+1) d_k = 0 in every degree, summed over nonzero entries only:
+        a term with a zero factor is zero in any ring."""
         R = self.ring
         for k in range(len(self.diffs) - 1):
             A, B = self.diffs[k + 1], self.diffs[k]
-            m, mid, n = self.ranks[k + 2], self.ranks[k + 1], self.ranks[k]
-            for i in range(m):
-                for j in range(n):
-                    acc = R.zero()
-                    for t in range(mid):
-                        acc = R.add(acc, R.mul(A[i][t], B[t][j]))
-                    if not R.is_zero(acc):
+            cols = [
+                {t: row[j] for t, row in enumerate(B) if not R.is_zero(row[j])}
+                for j in range(self.ranks[k])
+            ]
+            for row in A:
+                terms = [(t, a) for t, a in enumerate(row) if not R.is_zero(a)]
+                for col in cols:
+                    acc = None
+                    for t, a in terms:
+                        if t in col:
+                            prod = R.mul(a, col[t])
+                            acc = prod if acc is None else R.add(acc, prod)
+                    if acc is not None and not R.is_zero(acc):
                         raise ValueError(f"d o d != 0 at degree {self.lo + k}")
 
     @property
@@ -423,25 +431,27 @@ def koszul_basis(d: int, size: int) -> list[tuple[int, ...]]:
 
 
 def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
-    """Koszul cochain complex on the given elements, degrees lo..lo+d."""
+    """Koszul cochain complex on the given elements, degrees lo..lo+d.
+
+    Each cell holds a weight or its negation, or the one shared zero; each
+    weight is normalized once by adding it to zero.
+    """
     d = len(elements)
-    ranks = [len(koszul_basis(d, k)) for k in range(d + 1)]
+    zero = ring.zero()
+    weights = [ring.add(zero, g) for g in elements]
+    negated = [ring.neg(g) for g in weights]
     diffs = []
     for k in range(d):
         src = koszul_basis(d, k)
         tgt = {S: i for i, S in enumerate(koszul_basis(d, k + 1))}
-        mat = [[ring.zero() for _ in src] for _ in tgt]
+        mat = [[zero] * len(src) for _ in tgt]
         for col, S in enumerate(src):
             for j in range(d):
-                if j in S:
-                    continue
-                T = tuple(sorted(S + (j,)))
-                sign = koszul_sign(j, S)
-                val = elements[j] if sign == 1 else ring.neg(elements[j])
-                row = tgt[T]
-                mat[row][col] = ring.add(mat[row][col], val)
+                if j not in S:
+                    val = weights[j] if koszul_sign(j, S) == 1 else negated[j]
+                    mat[tgt[tuple(sorted(S + (j,)))]][col] = val
         diffs.append(mat)
-    return ChainComplex(ring, lo, ranks, diffs)
+    return ChainComplex(ring, lo, [comb(d, k) for k in range(d + 1)], diffs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .ainf import AinfModel
 from .arith import LaurentElement, q_analog
@@ -116,33 +117,32 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
     wedge signs counted on the way.
     """
     ring = LaurentRing(model.p, model.depth)
+    zero = ring.zero()
+    ranks = [comb(dim, k) for k in range(dim + 1)]
     blocks = {}
     for m in itertools.product(range(-bound, bound + 1), repeat=dim):
-        shifted = [tuple(x - (1 if i == j else 0) for i, x in enumerate(m)) for j in range(dim)]
         base = QLaurentFunction.monomial(model.p, model.depth, m)
-        images = [nabla_q(base, j) for j in range(dim)]
+        # per direction the dlog coefficient and its negation: the single
+        # term of nabla_q at m - e_j
+        signed = []
+        for j in range(dim):
+            shifted = tuple(x - (1 if i == j else 0) for i, x in enumerate(m))
+            coeff = zero
+            for mono, c in nabla_q(base, j).terms:
+                if mono != shifted:
+                    raise AssertionError("q-derivative left the monomial m - e_j")
+                coeff = c
+            signed.append({1: coeff, -1: -coeff})
         diffs = []
         for k in range(dim):
             src = koszul_basis(dim, k)
             tgt = {S: i for i, S in enumerate(koszul_basis(dim, k + 1))}
-            mat = [[ring.zero() for _ in src] for _ in tgt]
+            mat = [[zero] * len(src) for _ in tgt]
             for col, S in enumerate(src):
                 for j in range(dim):
-                    if j in S:
-                        continue
-                    # the dlog coefficient: the single term of nabla_q at m - e_j
-                    coeff = ring.zero()
-                    for mono, c in images[j].terms:
-                        if mono != shifted[j]:
-                            raise AssertionError("q-derivative left the monomial m - e_j")
-                        coeff = c
-                    sign = koszul_sign(j, S)
-                    if sign < 0:
-                        coeff = -coeff
-                    row = tgt[tuple(sorted(S + (j,)))]
-                    mat[row][col] = mat[row][col] + coeff
+                    if j not in S:
+                        mat[tgt[tuple(sorted(S + (j,)))]][col] = signed[j][koszul_sign(j, S)]
             diffs.append(mat)
-        ranks = [len(koszul_basis(dim, k)) for k in range(dim + 1)]
         blocks[m] = ChainComplex(ring, 0, ranks, diffs)
     return blocks
 

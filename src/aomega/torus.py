@@ -626,10 +626,15 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             return [comb(d, i) for i in range(d + 1)]
         return [0] * (d + 1)
 
+    reduced_by_exponent = {}
     for cell in result.all_cells():
         key = ",".join(str(a) for a in cell.grading)
         if cell.status == "koszul":
-            reduced = [_q_analog_mod_p_th_root(int(Fraction(a)), p) for a in cell.grading]
+            exps = [int(Fraction(a)) for a in cell.grading]
+            for a in exps:
+                if a not in reduced_by_exponent:
+                    reduced_by_exponent[a] = _q_analog_mod_p_th_root(a, p)
+            reduced = [reduced_by_exponent[a] for a in exps]
             units = [e for e in reduced if e.is_unit()]
             zeros = [e for e in reduced if e.is_zero()]
             if len(zeros) == d:

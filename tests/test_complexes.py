@@ -1,12 +1,13 @@
 """Chain complexes, Koszul builders, and the two homology paths."""
 
 import random
+from math import comb
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from aomega.ainf import AinfModel
+from aomega.ainf import AinfModel, OCModelElement
 from aomega.arith import LaurentElement
 from aomega.complexes import (
     NOT_STRUCTURED,
@@ -25,10 +26,14 @@ from aomega.complexes import (
     homology_diagonal,
     homology_snf,
     koszul,
+    koszul_basis,
+    koszul_sign,
     koszul_to_diagonal,
     mod_f,
     tensor_product,
 )
+from aomega.suites import random_z_complex
+from aomega.torus import random_fp_complex
 
 Z = ZRing()
 
@@ -233,3 +238,189 @@ def test_rings_compare_hash_and_print_by_parameters():
     assert R.model is R.model and (R.model.p, R.model.depth) == (3, 2)
     with pytest.raises(AttributeError):
         R.p = 5
+
+
+# ---------------------------------------------------------------------------
+# the d-after-d check and the Koszul placement against their dense oracles
+# ---------------------------------------------------------------------------
+
+def dense_dd_is_zero(ring, ranks, diffs):
+    """d after d = 0 by the dense triple loop: every entry pair multiplied,
+    zeros included, each sum started from zero."""
+    for k in range(len(diffs) - 1):
+        A, B = diffs[k + 1], diffs[k]
+        for i in range(ranks[k + 2]):
+            for j in range(ranks[k]):
+                acc = ring.zero()
+                for t in range(ranks[k + 1]):
+                    acc = ring.add(acc, ring.mul(A[i][t], B[t][j]))
+                if not ring.is_zero(acc):
+                    return False
+    return True
+
+
+def sparse_dd_is_zero(ring, ranks, diffs):
+    """The verdict of the check `ChainComplex` runs at construction."""
+    try:
+        ChainComplex(ring, 0, ranks, diffs)
+    except ValueError as e:
+        assert str(e).startswith("d o d != 0 at degree ")
+        return False
+    return True
+
+
+def per_entry_koszul_diffs(ring, elements):
+    """Koszul differentials assembled cell by cell: a fresh zero in every
+    cell, the signed weight added to it."""
+    d = len(elements)
+    diffs = []
+    for k in range(d):
+        src = koszul_basis(d, k)
+        tgt = {S: i for i, S in enumerate(koszul_basis(d, k + 1))}
+        mat = [[ring.zero() for _ in src] for _ in tgt]
+        for col, S in enumerate(src):
+            for j in range(d):
+                if j in S:
+                    continue
+                row = tgt[tuple(sorted(S + (j,)))]
+                val = elements[j] if koszul_sign(j, S) == 1 else ring.neg(elements[j])
+                mat[row][col] = ring.add(mat[row][col], val)
+        diffs.append(mat)
+    return diffs
+
+
+FP = FpPolyRing(5)
+OC = OCRing(3, 2)
+UNTRIMMED_ONE = (1, 0, 0)
+
+
+def random_fp_poly(rng):
+    """An F_5[u] entry as an untrimmed tuple: coefficients outside [0, 5)
+    and trailing zeros (or multiples of 5) left in place."""
+    return tuple(rng.randrange(-10, 10) for _ in range(rng.randint(0, 3))) + (0, 5)[: rng.randint(0, 2)]
+
+
+RANDOM_ENTRY = {
+    "Z": lambda rng: rng.randint(-3, 3),
+    "Z/12": lambda rng: rng.randrange(-24, 24),
+    "A(p=3,depth=1)": lambda rng: LaurentElement(
+        {rng.randint(-2, 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}, 1
+    ),
+    "OC(p=3,depth=2)": lambda rng: OCModelElement(
+        OC.model, tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(OC.model.degree))
+    ),
+    "F5[u]": random_fp_poly,
+}
+RINGS = [ZRing(), ZModRing(12), LaurentRing(3, 1), OC, FP]
+
+
+def perturbed(K, rng, entry):
+    """K's differentials with one random cell replaced by `entry(rng)`."""
+    diffs = [[list(row) for row in d] for d in K.diffs]
+    live = [k for k, d in enumerate(diffs) if d and d[0]]
+    if live:
+        d = diffs[rng.choice(live)]
+        d[rng.randrange(len(d))][rng.randrange(len(d[0]))] = entry(rng)
+    return diffs
+
+
+def test_dd_check_matches_dense_oracle_on_random_complexes():
+    rng = random.Random(71)
+    verdicts = set()
+    for ring, make in ((Z, lambda: random_z_complex(rng)), (FP, lambda: random_fp_complex(rng, 5))):
+        entry = RANDOM_ENTRY[ring.tag]
+        for _ in range(150):
+            K = make()
+            assert dense_dd_is_zero(ring, K.ranks, K.diffs)
+            diffs = perturbed(K, rng, entry)
+            verdict = sparse_dd_is_zero(ring, K.ranks, diffs)
+            assert verdict == dense_dd_is_zero(ring, K.ranks, diffs)
+            verdicts.add((ring.tag, verdict))
+    assert verdicts == {("Z", True), ("Z", False), ("F5[u]", True), ("F5[u]", False)}
+
+
+def test_dd_check_sees_untrimmed_zeros_and_cancelling_terms():
+    # the same F_5[u] complexes with every entry re-written untrimmed: the
+    # zeros hide as (0, 5) or (5,), and the products still cancel
+    rng = random.Random(72)
+    for _ in range(100):
+        K = random_fp_complex(rng, 5)
+        padded = [
+            [[tuple(c + 5 * rng.randint(-1, 1) for c in x) + (0, 5)[: rng.randint(0, 2)] for x in row] for row in d]
+            for d in K.diffs
+        ]
+        assert sparse_dd_is_zero(FP, K.ranks, padded) and dense_dd_is_zero(FP, K.ranks, padded)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_dd_check_matches_dense_oracle_on_koszul_complexes(ring):
+    rng = random.Random(73)
+    entry = RANDOM_ENTRY[ring.tag]
+    verdicts = set()
+    for _ in range(40):
+        K = koszul(ring, [entry(rng) for _ in range(rng.randint(1, 3))])
+        assert dense_dd_is_zero(ring, K.ranks, K.diffs)
+        diffs = perturbed(K, rng, entry)
+        verdict = sparse_dd_is_zero(ring, K.ranks, diffs)
+        assert verdict == dense_dd_is_zero(ring, K.ranks, diffs)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _oc(terms):
+    return OC.model.reduce(LaurentElement(terms, 2))
+
+
+MUTATION_WEIGHTS = [
+    (ZRing(), [2, 3, 5]),
+    (ZModRing(7), [2, 3, 5]),
+    (LaurentRing(3, 1), [LaurentElement({1: 1, 0: -1}, 1), LaurentElement({2: 1, 0: 1}, 1), LaurentElement({-1: 2}, 1)]),
+    (OC, [_oc({1: 1, 0: -1}), _oc({0: 2}), _oc({4: 1, 1: 3})]),
+    (FP, [(1, 1), (0, 2), (3,)]),
+]
+
+
+def flip_sign(ring, diffs):
+    diffs[0][0][0] = ring.neg(diffs[0][0][0])
+
+
+def move_to_other_row(ring, diffs):
+    col = [row[0] for row in diffs[1]]
+    src = next(r for r, x in enumerate(col) if not ring.is_zero(x))
+    dst = next(r for r, x in enumerate(col) if ring.is_zero(x))
+    diffs[1][dst][0], diffs[1][src][0] = diffs[1][src][0], diffs[1][dst][0]
+
+
+@pytest.mark.parametrize("mutate", [flip_sign, move_to_other_row])
+@pytest.mark.parametrize("ring,weights", MUTATION_WEIGHTS, ids=[repr(r) for r, _ in MUTATION_WEIGHTS])
+def test_dd_check_rejects_mutated_koszul_complex(ring, weights, mutate):
+    K = koszul(ring, weights)
+    diffs = [[list(row) for row in d] for d in K.diffs]
+    mutate(ring, diffs)
+    assert diffs != K.diffs and not dense_dd_is_zero(ring, K.ranks, diffs)
+    with pytest.raises(ValueError, match="d o d != 0 at degree"):
+        ChainComplex(ring, 0, K.ranks, diffs)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_koszul_matches_per_entry_assembly(ring):
+    rng = random.Random(74)
+    entry = RANDOM_ENTRY[ring.tag]
+    special = [ring.zero()] + ([UNTRIMMED_ONE, (0,), (5, 0)] if ring == FP else [])
+    for d in range(5):
+        for _ in range(8):
+            elements = [rng.choice(special) if rng.random() < 0.3 else entry(rng) for _ in range(d)]
+            K = koszul(ring, elements, lo=-1)
+            assert K.lo == -1 and K.ranks == [comb(d, k) for k in range(d + 1)]
+            assert K.diffs == per_entry_koszul_diffs(ring, elements)
+    # the untrimmed unit is placed trimmed, as the per-entry sum placed it
+    assert koszul(FP, [UNTRIMMED_ONE, (2,)]).diffs == [[[(1,)], [(2,)]], [[(3,), (1,)]]]
+
+
+def test_fp_is_zero_matches_trim_on_untrimmed_tuples():
+    rng = random.Random(75)
+    for p in (2, 3, 5, 13):
+        R = FpPolyRing(p)
+        for _ in range(300):
+            x = tuple(rng.choice((0, p, -p, rng.randrange(-2 * p, 2 * p))) for _ in range(rng.randint(0, 4)))
+            assert R.is_zero(x) == (not R._trim(x))

@@ -43,6 +43,7 @@ def test_residue_deep_reports_match_golden_digest(command):
 CHEAP = [
     ("torus-cells", "torus all --p 3 --depth 2 --dim 2 --bound 4 --seed 0"),
     ("torus-cells", "torus all --p 3 --depth 2 --dim 3 --bound 6 --seed 0"),
+    ("torus-cells", "suite run --suite s7-specializations --seed 0"),
     ("lattice-suites", "suite run --suite witt --seed 0"),
     ("lattice-suites", "suite run --suite s4-torus-decomp --seed 0"),
     ("lattice-suites", "leta verify --suite s5-leta --instances 1000 --seed 0"),

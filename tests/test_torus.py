@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from aomega import torus
 from aomega.ainf import AinfModel, OCModel
 from aomega.arith import LaurentElement
 from aomega.complexes import ChainComplex, FpPolyRing, ZRing, homology_snf, koszul
@@ -214,6 +215,42 @@ def test_hodge_tate_integral_cell_values():
     assert rep["cells"]["0"]["ht_ranks"] == [1, 1]
     assert rep["cells"]["2"]["ht_ranks"] == [1, 1]
     assert rep["cells"]["1"]["ht_ranks"] == [0, 0]
+
+
+def test_hodge_tate_reduces_each_exponent_once(monkeypatch):
+    res = ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 3))
+    calls = []
+    real = torus._q_analog_mod_p_th_root
+
+    def spy(a, p):
+        calls.append(a)
+        return real(a, p)
+
+    monkeypatch.setattr(torus, "_q_analog_mod_p_th_root", spy)
+    rep = specialize_hodge_tate(res)
+    assert rep["passed"]
+    exps = {int(a) for cell in res.all_cells() if cell.status == "koszul" for a in cell.grading}
+    assert len(exps) > 1 and sorted(calls) == sorted(exps)
+
+
+def test_hodge_tate_tests_every_cell_for_zero_and_unit(monkeypatch):
+    # [0]_q reduces to zero; make it the non-unit 2 instead.  Every cell
+    # whose weights then hold no unit and are not all zero must fail, and
+    # only those: the shared reduction is still tested cell by cell.
+    res = ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 3))
+    real = torus._q_analog_mod_p_th_root
+    monkeypatch.setattr(
+        torus, "_q_analog_mod_p_th_root", lambda a, p: OCModel(p, 1).constant(2) if a == 0 else real(a, p)
+    )
+    rep = specialize_hodge_tate(res)
+    expected = {
+        ",".join(str(a) for a in cell.grading)
+        for cell in res.all_cells()
+        if cell.status == "koszul" and 0 in cell.grading and all(int(a) % 3 == 0 for a in cell.grading)
+    }
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    assert len(expected) > 1 and failed == expected
+    assert all(rep["cells"][key]["note"] == "reduced weight neither zero nor unit" for key in failed)
 
 
 def test_de_rham_matrices_and_beta():
