@@ -26,11 +26,13 @@ from math import gcd, inf, lcm
 
 from .arith import (
     LaurentElement,
+    dense_coefficients,
     laurent_exact_div,
     p_valuation,
     q_analog,
     q_power_minus_one,
 )
+from .poly import euclid, exact_div, mul, reduce_monic, trim
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -61,24 +63,19 @@ class OCModel:
     def reduce(self, x: LaurentElement) -> "OCModelElement":
         if x.depth > self.depth:
             raise ValueError(f"element at depth {x.depth} does not live in depth-{self.depth} model")
-        folded: dict[int, int] = {}
+        dense = [0] * self.period
         scale = self.p ** (self.depth - x.depth)
         for e, c in x.terms.items():
-            k = (e * scale) % self.period
-            folded[k] = folded.get(k, 0) + c
-        dense = [0] * self.period
-        for e, c in folded.items():
-            dense[e] = c
-        # sparse monic division by the cyclotomic modulus
-        step = self.p ** (self.depth - 1)
-        for deg in range(self.period - 1, self.degree - 1, -1):
-            c = dense[deg]
-            if c:
-                # subtract c * u^(deg - (p-1)*step) * Phi(u)
-                base = deg - (self.p - 1) * step
-                for i in range(self.p):
-                    dense[base + i * step] -= c
-        return OCModelElement(self, tuple(dense[: self.degree]))
+            dense[(e * scale) % self.period] += c
+        return self._residue(dense)
+
+    def _residue(self, dense: list) -> "OCModelElement":
+        """The class of a dense polynomial of degree < 2 p^n: fold, then divide."""
+        period = self.period
+        for i in range(period, len(dense)):
+            dense[i - period] += dense[i]
+        del dense[period:]
+        return OCModelElement(self, tuple(reduce_monic(dense, self.modulus.items())))
 
     def zero(self) -> "OCModelElement":
         return OCModelElement(self, tuple([0] * self.degree))
@@ -136,15 +133,7 @@ class OCModelElement:
 
     def __mul__(self, other):
         self._check(other)
-        m = self.model
-        prod = [0] * (2 * m.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        lifted = LaurentElement({i: c for i, c in enumerate(prod) if c}, m.depth)
-        return m.reduce(lifted)
+        return self.model._residue(mul(self.coeffs, other.coeffs))
 
     def scalar_mul(self, c: int):
         return OCModelElement(self.model, tuple(c * a for a in self.coeffs))
@@ -170,40 +159,22 @@ class OCModelElement:
 
         Returns ``(nums, den)`` with ``den > 0``, ``gcd(den, *nums) == 1``
         and ``len(nums) == phi(p^n)``; the inverse is ``nums[i]/den``.  The
-        extended Euclid against the sparse modulus keeps every remainder
-        and cofactor as a list with no trailing zeros, so a degree is a
-        length.  A quotient step by a remainder whose leading coefficient
-        is +-1 stays in Z[u]; the first other leading coefficient switches
-        the remaining steps to exact Fraction arithmetic.  The last
-        remainder is a constant, which becomes the common denominator.
+        extended Euclid against the modulus stays in Z[u] while every
+        leading coefficient is +-1 (see :func:`aomega.poly.euclid`); its
+        last remainder is a constant, which becomes the common denominator.
         """
         if self.is_zero():
             return None
         m = self.model
-        r0 = [0] * (m.degree + 1)
-        for e, c in m.modulus.items():
-            r0[e] = c
-        r1 = _trimmed(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            lead = r1[-1]
-            while len(r0) >= len(r1):
-                top = r0.pop()
-                c = top * lead if lead in (1, -1) else Fraction(top) / lead
-                shift = len(r0) + 1 - len(r1)
-                # r0 -= c * u^shift * r1; c is chosen so the popped top cancels
-                r0[shift:] = [a - c * b for a, b in zip(r0[shift:], r1)]
-                _trimmed(r0)
-                _sub_scaled(s0, s1, c, shift)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if not r1:
+        modulus = [m.modulus.get(i, 0) for i in range(m.degree + 1)]
+        rem, s = euclid(modulus, self.coeffs)
+        if len(rem) != 1:
             return None  # common factor with the modulus: not invertible
-        # s1 / r1[0]; ints carry .numerator and .denominator like Fractions
-        lead = r1[0]
-        scale = lcm(*(c.denominator for c in s1))
+        # s / rem[0]; ints carry .numerator and .denominator like Fractions
+        lead = rem[0]
+        scale = lcm(*(c.denominator for c in s))
         den = scale * lead.numerator
-        nums = [c.numerator * (scale // c.denominator) * lead.denominator for c in s1]
+        nums = [c.numerator * (scale // c.denominator) * lead.denominator for c in s]
         g = gcd(den, *nums)
         if den < 0:
             g = -g
@@ -238,20 +209,6 @@ class OCModelElement:
         """True iff self is invertible in Z[zeta]: its inverse is integral."""
         inv = self.inverse_rational()
         return inv is not None and inv[1] == 1
-
-
-def _trimmed(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _sub_scaled(f: list, g: list, c, shift: int) -> None:
-    """f -= c * u^shift * g in place, leaving no trailing zeros in f."""
-    end = shift + len(g)
-    f.extend([0] * (end - len(f)))
-    f[shift:end] = [a - c * b for a, b in zip(f[shift:end], g)]
-    _trimmed(f)
 
 
 # ---------------------------------------------------------------------------
@@ -370,50 +327,19 @@ class AinfModel:
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _fp_one_valuation(element: LaurentElement, p: int) -> int | float:
-    """(u-1)-adic valuation of the mod-p reduction, inf if it reduces to 0.
-
-    Works on the sparse term list: the w-expansion coefficients of
-    x(w + 1) are sums of binomials C(e, k) mod p, evaluated by Lucas'
-    digit product, so pure powers of (u - 1) of large degree stay cheap.
-    """
-    terms = [(e, c % p) for e, c in element.terms.items() if c % p]
-    if not terms:
+def _fp_one_valuation(f: list, p: int) -> int | float:
+    """Largest k with (u - 1)^k dividing f in F_p[u]; inf for f = 0."""
+    if not f:
         return inf
-    lo = min(e for e, _ in terms)
-    terms = [(e - lo, c) for e, c in terms]  # u^lo is a unit
+    k = 0  # each quotient is one degree lower; a constant has valuation 0
+    while len(f) > 1 and (f := exact_div(f, [p - 1, 1], p)) is not None:
+        k += 1
+    return k
 
-    small: dict[tuple[int, int], int] = {}
 
-    def binom_digit(a: int, b: int) -> int:
-        if b > a:
-            return 0
-        key = (a, b)
-        if key not in small:
-            r = 1
-            for i in range(b):
-                r = r * (a - i) // (i + 1)
-            small[key] = r % p
-        return small[key]
-
-    def binom_mod_p(e: int, k: int) -> int:
-        r = 1
-        while k:
-            r = (r * binom_digit(e % p, k % p)) % p
-            if not r:
-                return 0
-            e //= p
-            k //= p
-        return r
-
-    kmax = max(e for e, _ in terms)
-    for k in range(kmax + 1):
-        s = 0
-        for e, c in terms:
-            s = (s + c * binom_mod_p(e, k)) % p
-        if s:
-            return k
-    return inf
+def _least_power(threshold: int, v: int) -> int:
+    """The least k with k*v >= threshold."""
+    return -(-threshold // v)
 
 
 @dataclass
@@ -534,44 +460,43 @@ def check_notation_identities(model: AinfModel, samples: int = 50, seed: int = 0
     )
 
     # ideal topology: each of (p, xi), (p, xi_tilde), (p, mu), (xi_tilde, mu)
-    # contains a power of every generator of the others.  Two facts reduce
-    # this to integer comparisons, and both are verified here rather than
-    # assumed: (a) xi_tilde - p is exactly divisible by mu, so the fourth
-    # ideal equals (p, mu); (b) modulo p each generator is a unit times a
-    # pure power of (u - 1): the (u-1)-adic valuation equals the exponent
-    # spread, so membership in (p, h) is a valuation inequality.
+    # contains a power of every generator of the others.  xi_tilde - p is
+    # divisible by mu, so the fourth ideal is (p, mu); gen^k lies in (p, h)
+    # iff h | gen^k in F_p[u], decided by division.  k is the least power the
+    # (u-1)-adic valuations allow, as mod p each generator is a unit times
+    # (u - 1)^spread: its valuation equals its exponent spread, checked here.
     failures: list[dict] = []
     witness = laurent_exact_div(model.xi_tilde - model.constant(p), model.mu)
     if witness is None:
         failures.append({"identity": "xi_tilde - p not divisible by mu"})
-    vals = {
-        "mu": _fp_one_valuation(model.mu, p),
-        "xi": _fp_one_valuation(model.xi, p),
-        "xi_tilde": _fp_one_valuation(model.xi_tilde, p),
-    }
-    spreads = {
-        "mu": model.mu.max_exponent() - model.mu.min_exponent(),
-        "xi": model.xi.max_exponent() - model.xi.min_exponent(),
-        "xi_tilde": model.xi_tilde.max_exponent() - model.xi_tilde.min_exponent(),
-    }
-    for name in vals:
-        if vals[name] != spreads[name]:
-            failures.append({"element": name, "valuation": vals[name], "spread": spreads[name]})
-    ideal_threshold = {"(p,xi)": vals["xi"], "(p,xi_tilde)": vals["xi_tilde"],
-                       "(p,mu)": vals["mu"], "(xi_tilde,mu)": vals["mu"]}
+    gens = {"mu": model.mu, "xi": model.xi, "xi_tilde": model.xi_tilde}
+    # every coefficient is +-1, so reducing mod p keeps the constant terms.
+    # The lists are in v = u^step; with step = m p^j, m prime to p, v - 1 is
+    # (u - 1)^(p^j) times a unit at u = 1, so valuations scale by p^j.
+    step, dense = dense_coefficients(gens.values())
+    reduced = {name: trim([c % p for c in f]) for name, f in zip(gens, dense)}
+    vals = {name: p ** p_valuation(step, p) * _fp_one_valuation(f, p) for name, f in reduced.items()}
+    for name, x in gens.items():
+        spread = x.max_exponent() - x.min_exponent()
+        if vals[name] != spread:
+            failures.append({"element": name, "valuation": vals[name], "spread": spread})
     ideal_gens = {"(p,xi)": ["xi"], "(p,xi_tilde)": ["xi_tilde"],
                   "(p,mu)": ["mu"], "(xi_tilde,mu)": ["xi_tilde", "mu"]}
     powers = {}
-    for ideal_name, threshold in ideal_threshold.items():
+    for ideal_name, others in ideal_gens.items():
+        h = others[-1]
         for gen in ("mu", "xi", "xi_tilde"):
-            if gen in ideal_gens[ideal_name]:
+            if gen in others:
                 continue
             v = vals[gen]
             if v <= 0:
                 failures.append({"ideal": ideal_name, "generator": gen, "valuation": v})
                 continue
-            k = -(-threshold // v)  # ceil
-            powers[f"{gen}^{k} in {ideal_name}"] = k * v >= threshold
+            k = _least_power(vals[h], v)
+            gen_power = [1]
+            for _ in range(k):
+                gen_power = trim([c % p for c in mul(gen_power, reduced[gen])])
+            powers[f"{gen}^{k} in {ideal_name}"] = exact_div(gen_power, reduced[h], p) is not None
         # p itself lies in every one of the four ideals (in the fourth via
         # p = xi_tilde - mu*witness), power 1.
         powers[f"p^1 in {ideal_name}"] = True

@@ -18,6 +18,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import Union
 
+from .poly import euclid, exact_div
+
 IntegerValue = int
 
 #: Exponents live in Z[1/p]: rationals whose denominator is a power of the
@@ -228,103 +230,62 @@ class LaurentElement:
         return cls({int(e): int(c) for e, c in obj["terms"]}, int(obj["depth"]))
 
 
+def dense_coefficients(elements: Iterable[LaurentElement]) -> tuple[int, list[list[int]]]:
+    """(step, lists): each nonzero element shifted to a nonzero constant term,
+    as dense coefficients in v = u^step, step the gcd of all shifted
+    exponents.  Division and Euclid take the same steps in v as in u, on
+    lists step times shorter: q-analogs at depth n live in Z[u^(p^n)]."""
+    shifted = [[(e - x._terms[0][0], c) for e, c in x._terms] for x in elements]
+    step = math.gcd(*(e for terms in shifted for e, _ in terms)) or 1
+    lists = []
+    for terms in shifted:
+        f = [0] * (terms[-1][0] // step + 1)
+        for e, c in terms:
+            f[e // step] = c
+        lists.append(f)
+    return step, lists
+
+
 def laurent_exact_div(a: LaurentElement, b: LaurentElement) -> LaurentElement | None:
     """c with b*c == a if one exists in Z[u^(+-1)], else None (NotDivisible).
 
-    Both arguments are shifted to polynomials with nonzero constant term
-    and divided by integer long division, which stops with None at the
-    first leading coefficient that the divisor's leading coefficient does
-    not divide, or at a nonzero remainder.  The early stop is exact: the
-    quotient in Q[u] is unique (the ring is a domain), so when b divides a
-    in Z[u^(+-1)] every coefficient long division produces is already an
-    integer.  No Fraction is constructed.
+    Both arguments become polynomials by :func:`dense_coefficients` and are
+    divided by :func:`aomega.poly.exact_div` over Z; no Fraction is made.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero Laurent element")
     a._check_depth(b)
     if a.is_zero():
         return LaurentElement.zero(a.depth)
-    shift_a = a.min_exponent()
-    shift_b = b.min_exponent()
-    num = {e - shift_a: c for e, c in a._terms}
-    den = [(e - shift_b, c) for e, c in b._terms]
-    den_deg, den_lead = den[-1]
-    quo: dict[int, int] = {}
-    while num:
-        deg = max(num)
-        if deg < den_deg:
-            return NOT_DIVISIBLE
-        q, r = divmod(num[deg], den_lead)
-        if r:
-            return NOT_DIVISIBLE
-        offset = deg - den_deg
-        quo[offset + shift_a - shift_b] = q
-        for e, c in den:
-            e2 = e + offset
-            v = num.get(e2, 0) - q * c
-            if v:
-                num[e2] = v
-            else:
-                num.pop(e2, None)
-    return LaurentElement(quo, a.depth)
+    if a.max_exponent() - a.min_exponent() < b.max_exponent() - b.min_exponent():
+        return NOT_DIVISIBLE  # a nonzero remainder of lower degree than b
+    step, (fa, fb) = dense_coefficients((a, b))
+    quo = exact_div(fa, fb)
+    if quo is None:
+        return NOT_DIVISIBLE
+    shift = a.min_exponent() - b.min_exponent()
+    return LaurentElement({i * step + shift: c for i, c in enumerate(quo) if c}, a.depth)
 
 
 def laurent_gcd(a: LaurentElement, b: LaurentElement) -> LaurentElement:
     """A gcd in Z[u^(+-1)], normalized to min exponent 0 and positive leading coefficient.
 
-    Computed as the primitive part of the Q[u]-gcd scaled by the gcd of
-    the contents; enough for the binomial-shaped elements used here.
+    By Gauss's lemma it is the primitive part of the Q[u]-gcd (from
+    :func:`aomega.poly.euclid`) scaled by the gcd of the contents.
     """
     if a.is_zero():
         return normalize_associate(b)
     if b.is_zero():
         return normalize_associate(a)
     a._check_depth(b)
-
-    def to_poly(x: LaurentElement) -> list[Fraction]:
-        s = x.min_exponent()
-        d = x.max_exponent() - s
-        coeffs = [Fraction(0)] * (d + 1)
-        for e, c in x._terms:
-            coeffs[e - s] = Fraction(c)
-        return coeffs
-
-    def poly_mod(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-        f = f[:]
-        while len(f) >= len(g) and any(f):
-            while f and not f[-1]:
-                f.pop()
-            if len(f) < len(g):
-                break
-            q = f[-1] / g[-1]
-            off = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[off + i] -= q * c
-            while f and not f[-1]:
-                f.pop()
-        return f
-
-    fa, fb = to_poly(a), to_poly(b)
-    while any(fb):
-        fa, fb = fb, poly_mod(fa, fb)
-        while fb and not fb[-1]:
-            fb.pop()
-    # clear denominators, make primitive
-    den = 1
-    for c in fa:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in fa]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    ints = [c // content for c in ints]
-    content_ab = 0
-    for x in (a, b):
-        cx = 0
-        for _, c in x._terms:
-            cx = math.gcd(cx, c)
-        content_ab = math.gcd(content_ab, cx)
-    g = LaurentElement({i: c * content_ab for i, c in enumerate(ints)}, a.depth)
+    step, (fa, fb) = dense_coefficients((a, b))
+    g, _ = euclid(fa, fb)
+    # clear denominators, make primitive; ints carry .denominator too
+    den = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * den) for c in g]
+    content = math.gcd(*ints)
+    content_ab = math.gcd(*(c for x in (a, b) for _, c in x._terms))
+    g = LaurentElement({i * step: c // content * content_ab for i, c in enumerate(ints)}, a.depth)
     return normalize_associate(g)
 
 

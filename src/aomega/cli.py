@@ -15,6 +15,7 @@ bytes are identical run to run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,6 +55,46 @@ def _emit(payload: dict, out: str | None) -> None:
         return
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _read_json(path: str | None):
+    """The JSON document in the file at path, or on stdin when path is None."""
+    try:
+        with open(path) if path else contextlib.nullcontext(sys.stdin) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _is_list(x, of) -> bool:
+    return isinstance(x, list) and all(isinstance(v, of) for v in x)
+
+
+def _check_complex_json(obj) -> None:
+    """Refuse JSON without the shape `ChainComplex.to_json` writes."""
+    ranks = obj.get("ranks") if isinstance(obj, dict) else None
+    if not (
+        _is_list(ranks, int) and ranks and min(ranks) >= 0
+        and isinstance(obj.get("ring"), str) and isinstance(obj.get("lo"), int)
+        and isinstance(obj.get("diffs"), list) and len(obj["diffs"]) == len(ranks) - 1
+        and all(_is_list(d, (int, str)) and len(d) == ranks[k] * ranks[k + 1] for k, d in enumerate(obj["diffs"]))
+    ):
+        raise ValueError('input is not a complex: {"ring", "lo", "ranks": [...], "diffs": [[d_k row-major], ...]}')
+
+
+def _check_witt_json(obj) -> None:
+    """Refuse JSON that is neither {"value": n} nor of the shape `TruncatedWittElement.to_json` writes."""
+    if isinstance(obj, dict) and "terms" not in obj:
+        ok = isinstance(obj.get("value"), (int, str))
+    else:
+        terms = obj.get("terms") if isinstance(obj, dict) else None
+        ok = isinstance(terms, list) and isinstance(obj.get("p"), int) and isinstance(obj.get("precision"), int) and all(
+            isinstance(t, list) and len(t) == 2 and _is_list(t[0], int) and len(t[0]) == 2 and t[0][1] > 0
+            and isinstance(t[1], (int, str))
+            for t in terms
+        )
+    if not ok:
+        raise ValueError('input is not a Witt element: {"p", "precision", "terms": [[[num, den], c], ...]} or {"value": n}')
 
 
 def _config_from_args(args) -> SessionConfig:
@@ -102,12 +143,14 @@ def cmd_ainf_verify(args) -> int:
 
 def cmd_witt_digits(args) -> int:
     config = _config_from_args(args)
-    raw = json.load(open(args.infile) if args.infile else sys.stdin)
-    w = TruncatedWittElement.from_json(raw) if "terms" in raw else TruncatedWittElement.constant(
-        config.p, config.precision, int(raw["value"])
-    )
-    if w.p != config.p or w.precision != config.precision:
+    raw = _read_json(args.infile)
+    _check_witt_json(raw)
+    if "terms" not in raw:
+        w = TruncatedWittElement.constant(config.p, config.precision, int(raw["value"]))
+    elif (raw["p"], raw["precision"]) != (config.p, config.precision):
         raise ValueError("input element does not match --p/--precision")
+    else:
+        w = TruncatedWittElement.from_json(raw)
     digits = teichmuller_digits(w)
     payload = {
         "command": "witt digits",
@@ -125,7 +168,8 @@ def cmd_witt_digits(args) -> int:
 def cmd_leta_apply(args) -> int:
     if args.f == 0:
         raise ValueError("--f must be nonzero")
-    obj = json.load(open(args.infile) if args.infile else sys.stdin)
+    obj = _read_json(args.infile)
+    _check_complex_json(obj)
     K = ChainComplex.from_json(obj)
     out = eta_subcomplex(K, args.f)
     _emit(out.to_json(), args.out)
@@ -317,9 +361,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         parser.exit(2, f"error: {exc}\n")
-    except SystemExit:
-        raise
-    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from math import comb, gcd
 from typing import Any, Sequence
 
 from . import intlinalg as la
+from . import poly
 from .arith import LaurentElement, laurent_exact_div, normalize_associate
 from .ainf import AinfModel, OCModel, OCModelElement
 
@@ -235,11 +236,9 @@ class FpPolyRing(Ring):
     def tag(self):
         return f"F{self.p}[u]"
 
-    def _trim(self, f):
-        f = [c % self.p for c in f]
-        while f and not f[-1]:
-            f.pop()
-        return tuple(f)
+    def reduce(self, f):
+        """The canonical element: coefficients in [0, p), no trailing zeros."""
+        return tuple(poly.trim([c % self.p for c in f]))
 
     def zero(self):
         return ()
@@ -251,65 +250,39 @@ class FpPolyRing(Ring):
         return not any(c % self.p for c in x)
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        return self._trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+        return self.reduce([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
     def neg(self, a):
-        return self._trim([-c for c in a])
+        return self.reduce([-c for c in a])
 
     def mul(self, a, b):
-        a, b = self._trim(a), self._trim(b)
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return self._trim(out)
+        return self.reduce(poly.mul(a, b))
 
     def exact_div(self, a, b):
-        a, b = list(self._trim(a)), list(self._trim(b))
-        if not b:
-            raise ZeroDivisionError
-        if not a:
-            return ()
-        quo = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-        inv = pow(b[-1], -1, self.p)
-        while a and len(a) >= len(b):
-            c = a[-1] * inv % self.p
-            off = len(a) - len(b)
-            quo[off] = c
-            for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - c * bc) % self.p
-            while a and not a[-1]:
-                a.pop()
-        if a:
-            return None
-        return self._trim(quo)
+        quo = poly.exact_div(self.reduce(a), self.reduce(b), self.p)
+        return None if quo is None else tuple(quo)
 
     def is_unit(self, x):
-        x = self._trim(x)
-        return len(x) == 1
+        return len(self.reduce(x)) == 1
 
     def normalize_quotient(self, g):
-        g = self._trim(g)
+        g = self.reduce(g)
         if not g:
             return g
         inv = pow(g[-1], -1, self.p)
-        return self._trim([c * inv for c in g])
+        return self.reduce([c * inv for c in g])
 
     def evaluate(self, f, x: int) -> int:
         acc = 0
-        for c in reversed(self._trim(f)):
+        for c in reversed(self.reduce(f)):
             acc = (acc * x + c) % self.p
         return acc
 
     def entry_to_json(self, f):
-        return [str(c) for c in self._trim(f)]
+        return [str(c) for c in self.reduce(f)]
 
     def entry_from_json(self, obj):
-        return self._trim([int(c) for c in obj])
+        return self.reduce([int(c) for c in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +382,7 @@ class ChainComplex:
             tag = obj["ring"]
             if tag == "Z":
                 ring = ZRing()
-            elif tag.startswith("Z/"):
+            elif tag.startswith("Z/") and int(tag[2:]) > 0:
                 ring = ZModRing(int(tag[2:]))
             else:
                 raise ValueError(f"cannot reconstruct ring from tag {tag!r}")

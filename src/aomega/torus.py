@@ -626,6 +626,7 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             return [comb(d, i) for i in range(d + 1)]
         return [0] * (d + 1)
 
+    # (is_zero, is_unit) of each reduced weight, decided once per exponent
     reduced_by_exponent = {}
     for cell in result.all_cells():
         key = ",".join(str(a) for a in cell.grading)
@@ -633,13 +634,12 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             exps = [int(Fraction(a)) for a in cell.grading]
             for a in exps:
                 if a not in reduced_by_exponent:
-                    reduced_by_exponent[a] = _q_analog_mod_p_th_root(a, p)
+                    weight = _q_analog_mod_p_th_root(a, p)
+                    reduced_by_exponent[a] = (weight.is_zero(), weight.is_unit())
             reduced = [reduced_by_exponent[a] for a in exps]
-            units = [e for e in reduced if e.is_unit()]
-            zeros = [e for e in reduced if e.is_zero()]
-            if len(zeros) == d:
+            if all(zero for zero, _ in reduced):
                 ht = [comb(d, i) for i in range(d + 1)]
-            elif units:
+            elif any(unit for _, unit in reduced):
                 ht = [0] * (d + 1)
             else:
                 report["cells"][key] = {"passed": False, "note": "reduced weight neither zero nor unit"}
@@ -835,7 +835,7 @@ def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
     out = [0] * (y.max_exponent() + 1)
     for e, c in y.terms.items():
         out[e] = c % ring.p
-    return ring._trim(out)
+    return ring.reduce(out)
 
 
 def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
@@ -924,7 +924,7 @@ def random_fp_complex(rng: random.Random, p: int, max_deg: int = 3, max_rank: in
             pos[s] += 1
         else:
             i, j = pos[s], pos[s + 1]
-            diffs[s][j][i] = ring._trim(poly)
+            diffs[s][j][i] = ring.reduce(poly)
             pos[s] += 1
             pos[s + 1] += 1
     K = ChainComplex(ring, 0, ranks, diffs)

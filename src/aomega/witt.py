@@ -23,8 +23,8 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from . import intlinalg as la
+from . import poly
 from .arith import validate_exponent
-from .complexes import FpPolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,6 @@ class GF:
     def _find_irreducible(p: int, m: int) -> tuple[int, ...]:
         if m == 1:
             return (0, 1)
-        polys = FpPolyRing(p)
         low_degree_monics = [
             tail + (1,)
             for d in range(1, m // 2 + 1)
@@ -317,7 +316,7 @@ class GF:
         ]
         for tail in itertools.product(range(p), repeat=m):
             cand = tail + (1,)
-            if all(polys.exact_div(cand, g) is None for g in low_degree_monics):
+            if all(poly.exact_div(cand, g, p) is None for g in low_degree_monics):
                 return cand
         raise RuntimeError("no irreducible polynomial found")
 
@@ -342,19 +341,7 @@ class GF:
         return tuple(-x % self.p for x in a)
 
     def mul(self, a, b):
-        p, m = self.p, self.m
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d] % p
-            if c:
-                for i in range(m + 1):
-                    prod[d - m + i] = (prod[d - m + i] - c * self.modulus[i]) % p
-            prod[d] = 0
-        return tuple(c % p for c in prod[:m])
+        return tuple(poly.reduce_monic(poly.mul(a, b), enumerate(self.modulus), self.p))
 
     def pow(self, a, k: int):
         out = self.one()

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.abc import x
 
-from aomega import ainf
+from aomega import ainf, poly
 from aomega.ainf import AinfModel, OCModel, OCModelElement, check_notation_identities
 from aomega.arith import LaurentElement, laurent_exact_div, normalize_associate
 from aomega.complexes import LaurentRing
@@ -259,7 +259,7 @@ def test_residue_division_matches_oracle_on_pipeline_residuals(p, monkeypatch):
     # the two-term residuals u + 1 and u^p + 1 of torus cells at depth 2,
     # reduced one level deeper as theta_tilde does (degree 1210 or 2028);
     # every Euclid step divides by a +-1 lead
-    monkeypatch.setattr(ainf, "Fraction", CountingFraction)
+    monkeypatch.setattr(poly, "Fraction", CountingFraction)
     model = AinfModel(p, 2)
     oc = OCModel(p, 3)
     for s in (2, 2 * p):
@@ -274,7 +274,7 @@ def test_residue_division_matches_oracle_on_pipeline_residuals(p, monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (13, 2)])
 def test_residue_division_fraction_route_only_after_non_unit_lead(p, n, monkeypatch):
-    monkeypatch.setattr(ainf, "Fraction", CountingFraction)
+    monkeypatch.setattr(poly, "Fraction", CountingFraction)
     oc = OCModel(p, n)
 
     def element(terms):
@@ -291,3 +291,21 @@ def test_residue_division_fraction_route_only_after_non_unit_lead(p, n, monkeypa
         check_against_oracle(x, dividends=(x * element({2: 1, 0: -1}), oc.constant(5)))
         assert CountingFraction.made > 0
         assert x.inverse_rational()[1] > 1
+
+
+def ideal_topology(model):
+    (report,) = [r for r in check_notation_identities(model, samples=2) if r.name == "ideal_topology"]
+    return report
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 1), (13, 2)])
+def test_ideal_topology_fails_one_power_short(p, n, monkeypatch):
+    # the powers are decided by division in F_p[u], not by the valuation
+    # arithmetic that picks them: one power less must not be contained
+    model = AinfModel(p, n)
+    assert ideal_topology(model).passed
+    least = ainf._least_power
+    monkeypatch.setattr(ainf, "_least_power", lambda t, v: least(t, v) - (least(t, v) > 1))
+    report = ideal_topology(model)
+    assert not report.passed
+    assert report.detail["failures"][-1]["powers"]

@@ -75,6 +75,30 @@ def test_witt_digits_mismatch_is_usage_error():
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [["leta", "apply", "--f", "3"], ["witt", "digits", "--p", "3", "--precision", "2"]])
+def test_unreadable_input_file_is_usage_error(args, tmp_path):
+    proc = run_cli(args + ["--in", str(tmp_path / "missing.json")])
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,payload", [
+    (["leta", "apply", "--f", "3"], [1]),
+    (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": 0, "ranks": [1, 1, 1], "diffs": [["9"]]}),
+    (["leta", "apply", "--f", "3"], {"ring": "Z/0", "lo": 0, "ranks": [1, 1], "diffs": [["9"]]}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], {"terms": 5}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], {"p": 3, "precision": 2, "terms": [[[0, 0], "8"]]}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], {"p": 1, "precision": 2, "terms": []}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], 5),
+])
+def test_wrong_input_shape_is_usage_error(args, payload, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    for proc in (run_cli(args + ["--in", str(path)]), run_cli(args, stdin_text=json.dumps(payload))):
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_torus_run_stages():
     for stage in ("tilde", "ainf", "dr", "ht", "etale", "semicont"):
         proc = run_cli(["torus", "run", "--p", "2", "--depth", "1", "--dim", "1",
