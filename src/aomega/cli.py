@@ -7,7 +7,9 @@ the decalage lattice track, `torus run` / `torus all` drive the graded
 pipelines and their specializations, `qderham table` / `qderham compare`
 the q-derivative complex, and `suite run` the named verification suites.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
+141 (128 + SIGPIPE, as a shell reports it) stdout closed by its reader
+before the whole report was written.
 Reports are JSON on stdout (or --out); given the same flags and seed the
 bytes are identical run to run.
 """
@@ -37,6 +39,7 @@ from .torus import (
 from .witt import TruncatedWittElement, teichmuller_digits
 
 OUTPUT_DIR_ENV = "AOMEGA_OUT"
+EXIT_BROKEN_PIPE = 141
 
 
 def _out_path(out: str | None) -> str | None:
@@ -358,7 +361,14 @@ def main(argv=None) -> int:
         # refuse before any work: the report could not be written
         parser.exit(2, f"error: output directory of {path!r} does not exist\n")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): send the rest of stdout, and the
+        # flush at exit, to the null device instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError) as exc:
         parser.exit(2, f"error: {exc}\n")
 

@@ -547,17 +547,6 @@ class HomologyPresentation:
         return out
 
 
-def chain_normalize(divisors: list[int]) -> list[int]:
-    """Rewrite a multiset of cyclic orders in divisibility-chain form."""
-    ds = [abs(d) for d in divisors if abs(d) != 1]
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            a, b = ds[i], ds[j]
-            g = gcd(a, b)
-            ds[i], ds[j] = g, a * b // g
-    return sorted(d for d in ds if d != 1)
-
-
 def homology_snf(K: ChainComplex) -> HomologyPresentation:
     """Exact homology over Z by Smith normal form, degree by degree."""
     if not isinstance(K.ring, ZRing):
@@ -567,14 +556,8 @@ def homology_snf(K: ChainComplex) -> HomologyPresentation:
         n = K.rank(i)
         if n == 0:
             continue
-        d_out = K.diff(i)
-        cycles = la.kernel_basis(d_out, K.rank(i + 1), n) if K.rank(i + 1) else la.identity(n)
-        d_in = K.diff(i - 1)
-        boundary_gens = (
-            [[d_in[r][c] for r in range(n)] for c in range(K.rank(i - 1))]
-            if K.rank(i - 1)
-            else []
-        )
+        cycles = la.kernel_basis(K.diff(i), K.rank(i + 1), n)
+        boundary_gens = la.transpose(K.diff(i - 1), n, K.rank(i - 1))
         data[i] = la.quotient_presentation(cycles, boundary_gens, n)
     return HomologyPresentation(K.ring, data)
 
@@ -626,7 +609,7 @@ def homology_diagonal(D: DiagonalComplex) -> HomologyPresentation:
                 continue
             bump(s.shift + 1, tor=D.ring.normalize_quotient(s.element))
     if isinstance(D.ring, ZRing):
-        acc = {i: (f, chain_normalize(t)) for i, (f, t) in acc.items()}
+        acc = {i: (f, la.chain_normalize(t)) for i, (f, t) in acc.items()}
     return HomologyPresentation(D.ring, acc)
 
 

@@ -36,7 +36,6 @@ from .complexes import (
     HomologyPresentation,
     KoszulSummand,
     ZRing,
-    chain_normalize,
     homology_snf,
 )
 
@@ -126,19 +125,20 @@ class TrianglePair:
     @classmethod
     def from_map(cls, phi: ChainMap) -> "TrianglePair":
         K, L = phi.source, phi.target
-        cone = mapping_cone(phi)
+        pair = cls(phi, mapping_cone(phi))
+        M, second = pair.cone, pair.second
+
+        def h(j):  # K^j -> Cone^(j-1) = K^j + L^(j-1), x -> (x, 0)
+            return la.identity(K.rank(j)) + la.zeros(L.rank(j - 1), K.rank(j))
+
         for i in K.degrees():
-            nK, nK1, nL = K.rank(i), K.rank(i + 1), L.rank(i)
-            dK = K.diff(i)
-            ph = phi.matrix(i)
-            for c in range(nK):
-                # d(h(e_c)) = (-d_K e_c, phi e_c); h(d e_c) = (d_K e_c, 0)
-                total_K = [-dK[r][c] + dK[r][c] for r in range(nK1)]
-                total_L = [ph[r][c] for r in range(nL)]
-                composite_L = [ph[r][c] for r in range(nL)]
-                if any(total_K) or total_L != composite_L:
-                    raise AssertionError("canonical homotopy failed to witness the composite")
-        return cls(phi, cone)
+            rows, nK = M.rank(i), K.rank(i)
+            dh = la.mat_mul(M.diff(i - 1), h(i), rows, M.rank(i - 1), nK)
+            hd = la.mat_mul(h(i + 1), K.diff(i), rows, K.rank(i + 1), nK)
+            composite = la.mat_mul(second.matrix(i), phi.matrix(i), rows, L.rank(i), nK)
+            if [[a + b for a, b in zip(x, y)] for x, y in zip(dh, hd)] != composite:
+                raise AssertionError("canonical homotopy failed to witness the composite")
+        return pair
 
     @property
     def second(self) -> ChainMap:
@@ -176,10 +176,8 @@ class EtaData:
 
 def _divisibility_lattice(K: ChainComplex, f: int, k: int) -> list[list[int]]:
     """Rows spanning {x in K^(lo+k) : d x in f K^(lo+k+1)}."""
-    n = K.ranks[k]
-    if k + 1 < len(K.ranks) and K.ranks[k + 1] > 0:
-        return la.divisibility_lattice(K.diffs[k], K.ranks[k + 1], n, f)
-    return la.identity(n)
+    i = K.lo + k
+    return la.divisibility_lattice(K.diff(i), K.rank(i + 1), K.rank(i), f)
 
 
 def _eta_data(K: ChainComplex, f: int, offset: int | None = None) -> EtaData:
@@ -425,7 +423,7 @@ class CheckReport:
 
 def _divisor_transform(tors: list[int], f: int) -> list[int]:
     # dividing out the f-torsion sends a cyclic order e to e / gcd(e, f)
-    return chain_normalize([e // gcd(e, f) for e in tors])
+    return la.chain_normalize([e // gcd(e, f) for e in tors])
 
 
 class LetaInstance:
@@ -573,18 +571,10 @@ def check_exactness_criterion(T: TrianglePair, f: int) -> CheckReport:
         n_src, n_tgt = cone_eta.rank(i), dM.complex.rank(i)
         if n_tgt == 0:
             continue
-        z_src = (
-            la.kernel_basis(cone_eta.diff(i), cone_eta.rank(i + 1), n_src)
-            if cone_eta.rank(i + 1) else la.identity(n_src)
-        )
-        z_tgt = (
-            la.kernel_basis(dM.complex.diff(i), dM.complex.rank(i + 1), n_tgt)
-            if dM.complex.rank(i + 1) else la.identity(n_tgt)
-        )
+        z_src = la.kernel_basis(cone_eta.diff(i), cone_eta.rank(i + 1), n_src)
+        z_tgt = la.kernel_basis(dM.complex.diff(i), dM.complex.rank(i + 1), n_tgt)
         gens = [la.mat_vec(comparison.matrix(i), v, n_tgt, n_src) for v in z_src]
-        dm = dM.complex.diff(i - 1)
-        for c in range(dM.complex.rank(i - 1)):
-            gens.append([dm[r][c] for r in range(n_tgt)])
+        gens += la.transpose(dM.complex.diff(i - 1), n_tgt, dM.complex.rank(i - 1))
         if la.in_lattice(la.lattice_basis(gens, n_tgt), z_tgt, n_tgt) is None:
             return CheckReport(
                 "exactness_criterion", False,
@@ -677,11 +667,8 @@ def factor_through_leta(alpha: ChainMap, f: int):
     data = _eta_data(M, fa, offset=0)
     nM1, nM0 = M.rank(1), M.rank(0)
     nK1, nK0 = K.rank(1), K.rank(0)
-    z1 = (
-        la.kernel_basis(M.diff(1), M.rank(2), nM1)
-        if M.rank(2) else la.identity(nM1)
-    )
-    b1 = [[M.diff(0)[r][c] for r in range(nM1)] for c in range(nM0)]
+    z1 = la.kernel_basis(M.diff(1), M.rank(2), nM1)
+    b1 = la.transpose(M.diff(0), nM1, nM0)
     gens = [[fa * x for x in v] for v in z1] + b1
     # alpha^1 = f z + d h, with z a cycle
     G = la.transpose(gens, len(gens), nM1)

@@ -11,6 +11,8 @@ favours clarity over asymptotics; all arithmetic is exact.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def zeros(m: int, n: int) -> list[list[int]]:
     return [[0] * n for _ in range(m)]
@@ -202,71 +204,40 @@ def kernel_mod_p(A, m: int, n: int, p: int) -> list[list[int]]:
 def snf_divisors(A, m: int, n: int) -> list[int]:
     """Nonzero elementary divisors d1 | d2 | ... of the integer matrix A.
 
-    Each pivot divides the whole block left below it, so the divisors come
-    out in divisibility-chain order.
+    Smith from Hermite steps (Kannan and Bachem 1979).  In column echelon
+    form a pivot row is zero right of its pivot and a pivot column is zero
+    above it, so a pivot dividing the entries below it splits off by row
+    operations that touch nothing else.  At the first pivot that does not,
+    the columns left over are transposed and echelonized again.  Each
+    round either splits a pivot off, shrinking the rank left, or (by the
+    gcd step) makes the leading pivot a proper divisor of the failed one,
+    so the loop ends.  The pivots split off are then put in chain order.
     """
-    M = [row[:] for row in A]
-    divisors = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        piv = None
-        best = None
-        for i in range(top, m):
-            for j in range(left, n):
-                v = abs(M[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        M[top], M[pi] = M[pi], M[top]
-        for row in M:
-            row[left], row[pj] = row[pj], row[left]
-        while True:
-            p = M[top][left]
-            dirty = False
-            for i in range(top + 1, m):
-                if M[i][left]:
-                    q = M[i][left] // p
-                    for j in range(left, n):
-                        M[i][j] -= q * M[top][j]
-                    if M[i][left]:
-                        M[top], M[i] = M[i], M[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(left + 1, n):
-                if M[top][j]:
-                    q = M[top][j] // p
-                    for i in range(top, m):
-                        M[i][j] -= q * M[i][left]
-                    if M[top][j]:
-                        for i in range(top, m):
-                            M[i][left], M[i][j] = M[i][j], M[i][left]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            bad = None
-            for i in range(top + 1, m):
-                for j in range(left + 1, n):
-                    if M[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+    split = []
+    while True:
+        H, _, r = column_echelon(A, m, n)
+        for j in range(r):
+            col = [H[i][j] for i in range(m)]
+            top = next(i for i, x in enumerate(col) if x)
+            if any(x % col[top] for x in col[top + 1:]):
                 break
-            for j in range(left, n):
-                M[top][j] += M[bad][j]
-        divisors.append(abs(M[top][left]))
-        top += 1
-        left += 1
-    return divisors
+            split.append(col[top])
+        else:
+            chain = chain_normalize(split)
+            return [1] * (len(split) - len(chain)) + chain
+        A, m, n = [[H[i][c] for i in range(m)] for c in range(j, r)], r - j, m
+
+
+def chain_normalize(divisors: list[int]) -> list[int]:
+    """Rewrite a multiset of cyclic orders in divisibility-chain form (Smith
+    on a diagonal), dropping the trivial orders."""
+    ds = [abs(d) for d in divisors if abs(d) != 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            a, b = ds[i], ds[j]
+            g = gcd(a, b)
+            ds[i], ds[j] = g, a * b // g
+    return sorted(d for d in ds if d != 1)
 
 
 def rank(mat, ring) -> int:

@@ -329,7 +329,7 @@ def suite_torus_decomposition(config: SessionConfig) -> VerificationReport:
         h = rng.choice([x for x in range(-4, 5) if x])
         K = KoszulSummand(_Z, (g, g * h))
         D = koszul_to_diagonal(K)
-        if D is None or isinstance(D, type(None)):
+        if D is NOT_STRUCTURED:
             struct_fail.append({"g": g, "h": h})
             continue
         if homology_diagonal(D) != homology_snf(K.realize()):

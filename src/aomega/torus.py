@@ -797,12 +797,7 @@ def generic_fibre_ranks(K: ChainComplex) -> dict[int, int]:
     """dim over the fraction field of each homology group of K."""
     ranks = {}
     for i in K.degrees():
-        n = K.rank(i)
-        if n == 0:
-            continue
-        r_out = rank(K.diff(i), K.ring) if K.rank(i + 1) else 0
-        r_in = rank(K.diff(i - 1), K.ring) if K.rank(i - 1) else 0
-        val = n - r_out - r_in
+        val = K.rank(i) - rank(K.diff(i), K.ring) - rank(K.diff(i - 1), K.ring)
         if val:
             ranks[i] = val
     return ranks

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from aomega.cli import main
+from aomega import suites
+from aomega.cli import EXIT_BROKEN_PIPE, main
+from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
 
 
@@ -121,6 +123,30 @@ def test_reports_byte_identical():
     b = run_cli(args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # the report (about 185 kB) outgrows a pipe buffer, so some write meets
+    # the closed read end however fast the child is
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aomega.cli", "torus", "run", "--stage", "ainf",
+         "--p", "3", "--depth", "1", "--dim", "2", "--bound", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def test_s4_reports_unstructured_decomposition_as_failure(monkeypatch):
+    monkeypatch.setattr(suites, "koszul_to_diagonal", lambda K: NOT_STRUCTURED)
+    report = run_suite("s4-torus-decomp", SessionConfig(p=3, seed=0))
+    checks = {name: ok for name, ok, _ in report.checks}
+    assert checks["koszul-to-diagonal-vs-oracle"] is False
+    assert not report.passed
 
 
 def test_report_determinism_in_process():

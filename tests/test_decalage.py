@@ -373,6 +373,18 @@ def test_exactness_criterion_detects_nonzero_boundary():
     assert rep.passed and rep.detail["applicable"] is False
 
 
+def test_triangle_from_map_rejects_a_cone_with_negated_phi(monkeypatch):
+    # cone(-phi) is still a complex, since -phi is a chain map, but the
+    # canonical homotopy then witnesses -(L -> cone) o phi, not the composite
+    K = koszul(Z, [2, 3])
+    phi = identity_scaled(K, 3)
+    assert TrianglePair.from_map(phi).cone == mapping_cone(phi)
+    negated = ChainMap(K, K, {i: intlinalg.scale(phi.matrix(i), -1) for i in K.degrees()})
+    monkeypatch.setattr(decalage, "mapping_cone", lambda _: mapping_cone(negated))
+    with pytest.raises(AssertionError, match="canonical homotopy"):
+        TrianglePair.from_map(phi)
+
+
 def test_exactness_criterion_random_triangles():
     rng = random.Random(26)
     applicable = 0
