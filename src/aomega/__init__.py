@@ -4,9 +4,7 @@ specializations, truncated Witt vectors of perfect polynomial models, and
 property-based verification suites over exact integer linear algebra."""
 
 from .arith import (
-    IntegerValue,
     LaurentElement,
-    RationalExponent,
     laurent_exact_div,
     p_valuation,
     q_analog,
@@ -57,7 +55,6 @@ from .torus import (
 from .qderham import QLaurentFunction, compare_with_torus_pipeline, nabla_q, q_de_rham_complex, q_to_one
 from .suites import SessionConfig, VerificationReport, run_suite
 from .witt import (
-    PerfectionElement,
     SemilinearModule,
     TruncatedWittElement,
     digits_to_witt,

@@ -20,12 +20,9 @@ from typing import Union
 
 from .poly import euclid, exact_div
 
-IntegerValue = int
-
 #: Exponents live in Z[1/p]: rationals whose denominator is a power of the
 #: session prime.  Plain Fractions carry them; validate_exponent enforces
 #: the denominator invariant where a prime is in scope.
-RationalExponent = Fraction
 ExponentLike = Union[int, Fraction]
 
 #: Result marker for non-exact division; a value, not an exception.

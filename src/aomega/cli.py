@@ -8,8 +8,10 @@ pipelines and their specializations, `qderham table` / `qderham compare`
 the q-derivative complex, and `suite run` the named verification suites.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-141 (128 + SIGPIPE, as a shell reports it) stdout closed by its reader
-before the whole report was written.
+3 internal error (an invariant inside the library broke: an
+`internal error:` line on stderr, no traceback), 141 (128 + SIGPIPE, as a
+shell reports it) stdout closed by its reader before the whole report was
+written.
 Reports are JSON on stdout (or --out); given the same flags and seed the
 bytes are identical run to run.
 """
@@ -31,6 +33,7 @@ from .torus import (
     GradingBox,
     ainf_omega_torus,
     etale_rank_torus,
+    grading_key,
     specialize_de_rham,
     specialize_hodge_tate,
     tilde_omega_torus,
@@ -39,6 +42,7 @@ from .torus import (
 from .witt import TruncatedWittElement, teichmuller_digits
 
 OUTPUT_DIR_ENV = "AOMEGA_OUT"
+EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 
@@ -159,10 +163,7 @@ def cmd_witt_digits(args) -> int:
         "command": "witt digits",
         "p": w.p,
         "precision": w.precision,
-        "digits": [
-            {"terms": [[[e.numerator, e.denominator], str(c)] for e, c in d.terms]}
-            for d in digits
-        ],
+        "digits": [{"terms": d.to_json()["terms"]} for d in digits],
     }
     _emit(payload, args.out)
     return 0
@@ -255,7 +256,7 @@ def cmd_qderham_table(args) -> int:
         from .complexes import homology_snf
 
         hom = homology_snf(classical)
-        cells[",".join(str(x) for x in m)] = {
+        cells[grading_key(m)] = {
             "q_weights": [
                 [block.ring.entry_to_json(x) for row in mat for x in row] for mat in block.diffs
             ],
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except (ValueError, KeyError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except AssertionError as exc:
+        # a broken library invariant is neither a failed check nor bad input
+        parser.exit(EXIT_INTERNAL, f"internal error: {exc!r}\n")
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ def scale(A, c: int) -> list[list[int]]:
     return [[c * x for x in row] for row in A]
 
 
-def is_zero(A) -> bool:
-    return all(x == 0 for row in A for x in row)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with x*a + y*b == g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -22,7 +22,7 @@ from math import comb
 from .ainf import AinfModel
 from .arith import LaurentElement, q_analog
 from .complexes import ChainComplex, LaurentRing, ZRing, koszul_basis, koszul_sign
-from .torus import GradingBox, TorusCohomologyResult
+from .torus import GradingBox, TorusCohomologyResult, grading_key
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
     for m, block in blocks.items():
         grading = tuple(Fraction(x) for x in m)
         cell = torus_result.cells.get(grading)
-        key = ",".join(str(x) for x in m)
+        key = grading_key(m)
         if cell is None or cell.status != "koszul":
             report["cells"][key] = {"passed": False, "note": "missing pipeline cell"}
             report["passed"] = False

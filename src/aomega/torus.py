@@ -58,6 +58,11 @@ HONEST_DIVISION_DEGREE_LIMIT = 48
 # the grading box
 # ---------------------------------------------------------------------------
 
+def grading_key(grading) -> str:
+    """The report key of a grading: its components joined by commas."""
+    return ",".join(str(a) for a in grading)
+
+
 @dataclass(frozen=True)
 class GradingBox:
     """Gradings a in (p^-depth Z intersect [-bound, bound])^dim."""
@@ -244,7 +249,7 @@ class TorusCohomologyResult:
             "aggregated": self.aggregated,
             "rank_table": {str(i): r for i, r in self.rank_table().items()},
             "cells": {
-                ",".join(str(a) for a in cell.grading): {
+                grading_key(cell.grading): {
                     "status": cell.status,
                     "free_ranks": {str(i): r for i, r in cell.free_ranks.items()},
                     "presentation": _presentation_json(cell),
@@ -629,7 +634,7 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     # (is_zero, is_unit) of each reduced weight, decided once per exponent
     reduced_by_exponent = {}
     for cell in result.all_cells():
-        key = ",".join(str(a) for a in cell.grading)
+        key = grading_key(cell.grading)
         if cell.status == "koszul":
             exps = [int(Fraction(a)) for a in cell.grading]
             for a in exps:
@@ -725,7 +730,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
             got = [[_oc_as_int(x) for x in row] for row in realized.diffs[k]]
             if got != classical[k]:
                 matrices_ok = False
-        key = ",".join(str(a) for a in grading)
+        key = grading_key(grading)
         ok = beta_ok and matrices_ok and cell.status == "koszul"
         report["cells"][key] = {"passed": ok, "beta": exps}
         if not ok:
@@ -734,7 +739,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
-        key = ",".join(str(a) for a in cell.grading)
+        key = grading_key(cell.grading)
         if cell.status == "residual":
             ok = cell.certificates.get("theta_image") == "unit"
             note = "residual divisor is a unit in the residue ring"
@@ -778,7 +783,7 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
                 verified += 1
         else:
             ranks = [0] * (d + 1)
-        report_cells[",".join(str(a) for a in cell.grading)] = ranks
+        report_cells[grading_key(cell.grading)] = ranks
         for i, r in enumerate(ranks):
             table[i] += r * count
     return {

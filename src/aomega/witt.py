@@ -3,6 +3,8 @@
 The perfect base is F_p[x^(1/p^oo)] truncated to denominators p^depth; its
 length-m Witt ring is modeled as (Z/p^m)[x^a : a in Z[1/p], a >= 0], which
 is the mod-p^m reduction of the one-parameter deformation of the base.
+Since W_1(R) = R, the perfection itself is the length-1 ring: one carrier,
+`TruncatedWittElement`, holds both, and precision 1 is the perfection.
 Teichmuller lifts are computed by the iterated-powering limit and digits by
 the reduce / subtract-lift / divide-by-p induction, so the two directions
 are genuinely independent of each other.
@@ -17,24 +19,25 @@ rather than an error.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping
 
 from . import intlinalg as la
 from . import poly
-from .arith import validate_exponent
+from .arith import p_valuation, validate_exponent
 
 
 # ---------------------------------------------------------------------------
-# perfection and Witt elements
+# Witt elements; precision 1 is the perfection
 # ---------------------------------------------------------------------------
 
-def _intkey_mul(a: dict[int, int], b: dict[int, int], mod: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+def _term_mul(a, b, mod: int) -> dict:
+    """Sparse product of two (exponent, coefficient) sequences, mod `mod`."""
+    out: dict = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
             e = e1 + e2
             v = (out.get(e, 0) + c1 * c2) % mod
             if v:
@@ -44,96 +47,12 @@ def _intkey_mul(a: dict[int, int], b: dict[int, int], mod: int) -> dict[int, int
     return out
 
 
-def _clean_terms(terms, modulus: int) -> tuple:
-    cleaned: dict[Fraction, int] = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    for e, c in items:
-        e = Fraction(e)
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        c = c % modulus
-        if c:
-            cleaned[e] = (cleaned.get(e, 0) + c) % modulus
-            if not cleaned[e]:
-                del cleaned[e]
-    return tuple(sorted(cleaned.items()))
-
-
-class PerfectionElement:
-    """Element of the truncated perfection of F_p[x]: sparse, coefficients in F_p."""
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms):
-        self.p = p
-        self.terms = _clean_terms(terms, p)
-        for e, _ in self.terms:
-            validate_exponent(e, p)
-
-    @classmethod
-    def zero(cls, p: int) -> "PerfectionElement":
-        return cls(p, {})
-
-    @classmethod
-    def constant(cls, p: int, c: int) -> "PerfectionElement":
-        return cls(p, {Fraction(0): c})
-
-    @classmethod
-    def monomial(cls, p: int, exponent, coeff: int = 1) -> "PerfectionElement":
-        return cls(p, {Fraction(exponent): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PerfectionElement") -> "PerfectionElement":
-        t = dict(self.terms)
-        for e, c in other.terms:
-            t[e] = t.get(e, 0) + c
-        return PerfectionElement(self.p, t)
-
-    def __mul__(self, other: "PerfectionElement") -> "PerfectionElement":
-        t: dict[Fraction, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                t[e] = t.get(e, 0) + c1 * c2
-        return PerfectionElement(self.p, t)
-
-    def frobenius(self) -> "PerfectionElement":
-        """x -> x^p: exponent scaling (coefficients are fixed by Frobenius)."""
-        return PerfectionElement(self.p, {e * self.p: c for e, c in self.terms})
-
-    def frobenius_inverse(self) -> "PerfectionElement":
-        """p-th root; raises the depth of the exponent denominators by one."""
-        return PerfectionElement(self.p, {e / self.p: c for e, c in self.terms})
-
-    def depth(self) -> int:
-        d = 0
-        for e, _ in self.terms:
-            den = e.denominator
-            k = 0
-            while den > 1:
-                den //= self.p
-                k += 1
-            d = max(d, k)
-        return d
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PerfectionElement)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.terms))
-
-    def __repr__(self):
-        return f"Perfection(p={self.p}, {dict(self.terms)})"
-
-
 class TruncatedWittElement:
-    """Element of the length-`precision` Witt ring of the truncated perfection."""
+    """Element of the length-`precision` Witt ring of the truncated perfection.
+
+    Terms are a mapping or a sequence of (exponent, coefficient) pairs;
+    repeated exponents are summed and coefficients reduced mod p^precision.
+    """
 
     __slots__ = ("p", "precision", "terms")
 
@@ -142,7 +61,14 @@ class TruncatedWittElement:
             raise ValueError("precision must be >= 1")
         self.p = p
         self.precision = precision
-        self.terms = _clean_terms(terms, p**precision)
+        mod = p**precision
+        merged: dict[Fraction, int] = {}
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms:
+            e = Fraction(e)
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            merged[e] = merged.get(e, 0) + c
+        self.terms = tuple(sorted((e, c % mod) for e, c in merged.items() if c % mod))
         for e, _ in self.terms:
             validate_exponent(e, p)
 
@@ -160,10 +86,7 @@ class TruncatedWittElement:
 
     def __add__(self, other):
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms:
-            t[e] = t.get(e, 0) + c
-        return TruncatedWittElement(self.p, self.precision, t)
+        return TruncatedWittElement(self.p, self.precision, self.terms + other.terms)
 
     def __neg__(self):
         return TruncatedWittElement(self.p, self.precision, {e: -c for e, c in self.terms})
@@ -173,19 +96,24 @@ class TruncatedWittElement:
 
     def __mul__(self, other):
         self._check(other)
-        t: dict[Fraction, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                t[e] = t.get(e, 0) + c1 * c2
-        return TruncatedWittElement(self.p, self.precision, t)
+        mod = self.p**self.precision
+        return TruncatedWittElement(self.p, self.precision, _term_mul(self.terms, other.terms, mod))
 
     def frobenius(self) -> "TruncatedWittElement":
         """The canonical Frobenius lift: exponent scaling by p."""
         return TruncatedWittElement(self.p, self.precision, {e * self.p: c for e, c in self.terms})
 
-    def reduce_mod_p(self) -> PerfectionElement:
-        return PerfectionElement(self.p, dict(self.terms))
+    def frobenius_inverse(self) -> "TruncatedWittElement":
+        """p-th root of the exponents; the base is perfect, so Frobenius is bijective."""
+        return TruncatedWittElement(self.p, self.precision, {e / self.p: c for e, c in self.terms})
+
+    def depth(self) -> int:
+        """Largest k with p^k an exponent denominator."""
+        return max((p_valuation(e.denominator, self.p) for e, _ in self.terms), default=0)
+
+    def reduce_mod_p(self) -> "TruncatedWittElement":
+        """The image in W_1, the perfection."""
+        return TruncatedWittElement(self.p, 1, self.terms)
 
     def divide_by_p(self) -> "TruncatedWittElement":
         """Exact division by p, dropping one level of precision."""
@@ -225,35 +153,36 @@ class TruncatedWittElement:
         return cls(int(obj["p"]), int(obj["precision"]), terms)
 
 
-def teichmuller_lift(a: PerfectionElement, precision: int) -> TruncatedWittElement:
-    """Multiplicative lift [a]: lift a^(1/p^k) naively and raise to the p^k.
+def teichmuller_lift(a: TruncatedWittElement, precision: int) -> TruncatedWittElement:
+    """Multiplicative lift [a] of a perfection element a (precision 1).
 
-    Any k >= precision - 1 gives the stable value; one extra step is taken
-    for clarity.  The power is taken as k successive p-th powers with
-    reduction mod p^precision after each: every round pushes the non-stable
-    cross terms one p-layer deeper, so intermediates stay small.
-    Multiplicativity [ab] = [a][b] holds on the nose.
+    Lift a^(1/p^k) naively and raise it to the p^k.  Any k >= precision - 1
+    gives the stable value; one extra step is taken for clarity.  The power
+    is taken as k successive p-th powers with reduction mod p^precision
+    after each: every round pushes the non-stable cross terms one p-layer
+    deeper, so intermediates stay small.  Exponents are scaled to integers
+    for the powering.  Multiplicativity [ab] = [a][b] holds on the nose.
     """
+    if a.precision != 1:
+        raise ValueError(f"teichmuller_lift takes a precision-1 element, not precision {a.precision}")
     p = a.p
     k = precision
     root = a
     for _ in range(k):
         root = root.frobenius_inverse()
-    den = 1
-    for e, _ in root.terms:
-        den = den * e.denominator // gcd(den, e.denominator)
+    den = math.lcm(*(e.denominator for e, _ in root.terms))
     mod = p**precision
     cur = {int(e * den): c for e, c in root.terms}
     for _ in range(k):
         power = cur
         for _ in range(p - 1):
-            power = _intkey_mul(power, cur, mod)
+            power = _term_mul(power.items(), cur.items(), mod)
         cur = power
     return TruncatedWittElement(p, precision, {Fraction(e, den): c for e, c in cur.items()})
 
 
-def teichmuller_digits(w: TruncatedWittElement) -> list[PerfectionElement]:
-    """Digits (a_0, ..., a_{m-1}) with w = sum [a_i] p^i at precision m.
+def teichmuller_digits(w: TruncatedWittElement) -> list[TruncatedWittElement]:
+    """Digits (a_0, ..., a_{m-1}) in W_1 with w = sum [a_i] p^i at precision m.
 
     Inductive: reduce mod p, subtract the Teichmuller lift of the
     reduction, divide by p, recurse at one lower precision.
@@ -269,7 +198,7 @@ def teichmuller_digits(w: TruncatedWittElement) -> list[PerfectionElement]:
     return digits
 
 
-def digits_to_witt(digits: Iterable[PerfectionElement], p: int, precision: int) -> TruncatedWittElement:
+def digits_to_witt(digits: Iterable[TruncatedWittElement], p: int, precision: int) -> TruncatedWittElement:
     """sum [a_i] p^i at the stated precision.
 
     The i-th lift is only needed modulo p^(precision - i), which keeps the

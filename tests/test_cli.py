@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from aomega import suites
+from aomega import suites, torus
 from aomega.cli import EXIT_BROKEN_PIPE, main
 from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
@@ -139,6 +139,19 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(model, grading):
+        raise AssertionError("injected invariant failure")
+
+    monkeypatch.setattr(torus, "_oc_cell_outcome", broken)
+    with pytest.raises(SystemExit) as exc:
+        main(["torus", "run", "--stage", "tilde", "--p", "2", "--out", "-"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "injected" in err
+    assert "Traceback" not in err
 
 
 def test_s4_reports_unstructured_decomposition_as_failure(monkeypatch):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from aomega import suites, witt
+from aomega.suites import SessionConfig, run_suite
 from aomega.witt import (
     GF,
-    PerfectionElement,
     SemilinearModule,
     TruncatedWittElement,
     digits_to_witt,
@@ -29,20 +30,94 @@ def powering_oracle(value: int, p: int, m: int) -> int:
         cur = nxt
 
 
+def oracle_mul(a, b):
+    """The Fraction-keyed product loop the separate perfection and Witt classes each carried."""
+    t = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            e = e1 + e2
+            t[e] = t.get(e, 0) + c1 * c2
+    return TruncatedWittElement(a.p, a.precision, t)
+
+
+def oracle_lift(a, m):
+    """[a] as the p^m-th power, by oracle_mul, of the naive lift of a^(1/p^m)."""
+    cur = TruncatedWittElement(a.p, m, {e / a.p**m: c for e, c in a.terms})
+    for _ in range(m):
+        power = cur
+        for _ in range(a.p - 1):
+            power = oracle_mul(power, cur)
+        cur = power
+    return cur
+
+
+def random_element(rng, p, m, max_terms=3):
+    terms = {
+        Fraction(rng.randint(0, 5), p ** rng.randint(0, 2)): rng.randint(1, p**m - 1)
+        for _ in range(rng.randint(1, max_terms))
+    }
+    return TruncatedWittElement(p, m, terms)
+
+
+def test_mul_matches_fraction_keyed_oracle():
+    rng = random.Random(10)
+    for m in (1, 2, 3, 4):
+        for _ in range(30):
+            p = rng.choice((2, 3, 5))
+            a, b = random_element(rng, p, m), random_element(rng, p, m)
+            assert a * b == oracle_mul(a, b)
+
+
+def test_lift_matches_fraction_keyed_oracle():
+    rng = random.Random(11)
+    for m in (1, 2, 3, 4):
+        for _ in range(8):
+            p = rng.choice((2, 3))
+            a = random_element(rng, p, 1, max_terms=2)
+            assert teichmuller_lift(a, m) == oracle_lift(a, m)
+
+
+def test_lift_refuses_input_outside_the_perfection():
+    with pytest.raises(ValueError):
+        teichmuller_lift(TruncatedWittElement.constant(3, 2, 2), 2)
+
+
+def test_frobenius_inverse_undoes_frobenius_at_precision_three():
+    rng = random.Random(12)
+    for _ in range(30):
+        w = random_element(rng, rng.choice((2, 3)), 3)
+        assert w.frobenius().frobenius_inverse() == w
+        assert w.frobenius_inverse().frobenius() == w
+
+
+def test_naive_lift_fails_constant_digit_check(monkeypatch):
+    # copying coefficients is additive, not multiplicative: digits and
+    # their re-assembly still agree with each other, the lift of a constant does not
+    def naive_lift(a, m):
+        return TruncatedWittElement(a.p, m, a.terms)
+
+    monkeypatch.setattr(witt, "teichmuller_lift", naive_lift)
+    monkeypatch.setattr(suites, "teichmuller_lift", naive_lift)
+    report = run_suite("witt", SessionConfig(p=3, seed=0))
+    checks = {name: ok for name, ok, _ in report.checks}
+    assert checks["digit-roundtrip-constants"] is False
+    assert not report.passed
+
+
 def test_teichmuller_lift_of_constant_matches_powering_oracle():
     assert powering_oracle(2, 3, 2) == 8  # frozen: 2 -> 2^(3^k) mod 9 stabilizes at 8
-    got = teichmuller_lift(PerfectionElement.constant(3, 2), 2)
+    got = teichmuller_lift(TruncatedWittElement.constant(3, 1, 2), 2)
     assert got == TruncatedWittElement.constant(3, 2, 8)
     for p, m in ((2, 3), (3, 3), (5, 2)):
         for value in range(1, p):
-            lift = teichmuller_lift(PerfectionElement.constant(p, value), m)
+            lift = teichmuller_lift(TruncatedWittElement.constant(p, 1, value), m)
             assert lift == TruncatedWittElement.constant(p, m, powering_oracle(value, p, m))
 
 
 def test_digits_of_eight_in_length_two():
     w = TruncatedWittElement.constant(3, 2, 8)
     digits = teichmuller_digits(w)
-    assert digits[0] == PerfectionElement.constant(3, 2)
+    assert digits[0] == TruncatedWittElement.constant(3, 1, 2)
     assert digits[1].is_zero()
     assert digits_to_witt(digits, 3, 2) == w
 
@@ -52,21 +127,21 @@ def test_digits_of_p():
         w = TruncatedWittElement.constant(p, 2, p)
         digits = teichmuller_digits(w)
         assert digits[0].is_zero()
-        assert digits[1] == PerfectionElement.constant(p, 1)
+        assert digits[1] == TruncatedWittElement.constant(p, 1, 1)
 
 
 def test_digits_of_monomial():
-    w = teichmuller_lift(PerfectionElement.monomial(5, 1), 3)
+    w = teichmuller_lift(TruncatedWittElement(5, 1, {1: 1}), 3)
     digits = teichmuller_digits(w)
-    assert digits[0] == PerfectionElement.monomial(5, 1)
+    assert digits[0] == TruncatedWittElement(5, 1, {1: 1})
     assert digits[1].is_zero() and digits[2].is_zero()
 
 
 def test_lift_multiplicative():
-    a = PerfectionElement.monomial(3, Fraction(1, 3))
-    b = PerfectionElement.monomial(3, Fraction(2, 3))
+    a = TruncatedWittElement(3, 1, {Fraction(1, 3): 1})
+    b = TruncatedWittElement(3, 1, {Fraction(2, 3): 1})
     assert teichmuller_lift(a, 3) * teichmuller_lift(b, 3) == teichmuller_lift(a * b, 3)
-    assert teichmuller_lift(PerfectionElement.constant(3, 1), 4) == TruncatedWittElement.constant(3, 4, 1)
+    assert teichmuller_lift(TruncatedWittElement.constant(3, 1, 1), 4) == TruncatedWittElement.constant(3, 4, 1)
 
 
 def test_lift_multiplicative_random():
@@ -79,7 +154,7 @@ def test_lift_multiplicative_random():
                 Fraction(rng.randint(0, 4), p ** rng.randint(0, 2)): rng.randint(1, p - 1)
                 for _ in range(rng.randint(1, 2))
             }
-            return PerfectionElement(p, terms)
+            return TruncatedWittElement(p, 1, terms)
         a, b = rand_elt(), rand_elt()
         assert teichmuller_lift(a, m) * teichmuller_lift(b, m) == teichmuller_lift(a * b, m)
 
@@ -93,7 +168,7 @@ def test_frobenius_compatible_with_lift():
             Fraction(rng.randint(0, 5), p ** rng.randint(0, 2)): rng.randint(1, p - 1)
             for _ in range(rng.randint(1, 3))
         }
-        a = PerfectionElement(p, terms)
+        a = TruncatedWittElement(p, 1, terms)
         assert teichmuller_lift(a, m).frobenius() == teichmuller_lift(a.frobenius(), m)
 
 
@@ -115,7 +190,7 @@ def test_digit_round_trip_random_and_constants():
 
 
 def test_perfection_frobenius_inverse_raises_depth():
-    a = PerfectionElement.monomial(3, 1)
+    a = TruncatedWittElement(3, 1, {1: 1})
     root = a.frobenius_inverse()
     assert root.depth() == 1
     assert root.frobenius() == a
