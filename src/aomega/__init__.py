@@ -21,31 +21,23 @@ from .complexes import (
     homology_snf,
     koszul,
     koszul_to_diagonal,
-    mod_f,
     tensor_product,
 )
 from .decalage import (
     BocksteinComplex,
-    ChainMap,
     LetaInstance,
-    TrianglePair,
     ZERO_COMPLEX,
     bockstein,
     check_composition,
-    check_exactness_criterion,
     check_homology_formula,
     check_leta_mod_f_is_bockstein,
-    check_mod_g_commutation,
     eta_subcomplex,
-    factor_through_leta,
-    leta_inverse_maps,
     leta_koszul,
 )
 from .torus import (
     GradingBox,
     TorusCohomologyResult,
     ainf_omega_torus,
-    build_torus_cohomology,
     etale_rank_torus,
     semicontinuity_demo,
     specialize_de_rham,

@@ -135,9 +135,6 @@ class OCModelElement:
         self._check(other)
         return self.model._residue(mul(self.coeffs, other.coeffs))
 
-    def scalar_mul(self, c: int):
-        return OCModelElement(self.model, tuple(c * a for a in self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, OCModelElement)
@@ -260,9 +257,6 @@ class AinfModel:
 
     def q_analog(self, a) -> LaurentElement:
         return q_analog(a, self.p, self.depth)
-
-    def one(self) -> LaurentElement:
-        return LaurentElement.one(self.depth)
 
     def constant(self, c: int) -> LaurentElement:
         return LaurentElement.constant(c, self.depth)

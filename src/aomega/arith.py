@@ -113,10 +113,6 @@ class LaurentElement:
     def constant(cls, c: int, depth: int = 0) -> "LaurentElement":
         return cls({0: c}, depth)
 
-    @classmethod
-    def monomial(cls, exponent: int, depth: int = 0, coeff: int = 1) -> "LaurentElement":
-        return cls({exponent: coeff}, depth)
-
     # -- views -----------------------------------------------------------------
 
     @property
@@ -174,9 +170,6 @@ class LaurentElement:
                 t[e] = t.get(e, 0) + c1 * c2
         return LaurentElement(t, self.depth)
 
-    def scalar_mul(self, c: int) -> "LaurentElement":
-        return LaurentElement({e: c * v for e, v in self._terms}, self.depth)
-
     def shift(self, k: int) -> "LaurentElement":
         """Multiply by u**k."""
         return LaurentElement({e + k: c for e, c in self._terms}, self.depth)
@@ -221,10 +214,6 @@ class LaurentElement:
             "depth": self.depth,
             "terms": [[e, str(c)] for e, c in self._terms],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaurentElement":
-        return cls({int(e): int(c) for e, c in obj["terms"]}, int(obj["depth"]))
 
 
 def dense_coefficients(elements: Iterable[LaurentElement]) -> tuple[int, list[list[int]]]:

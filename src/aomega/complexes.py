@@ -27,18 +27,16 @@ from typing import Any, Sequence
 from . import intlinalg as la
 from . import poly
 from .arith import LaurentElement, laurent_exact_div, normalize_associate
-from .ainf import AinfModel, OCModel, OCModelElement
+from .ainf import OCModel, OCModelElement
 
 
 class Marker(enum.Enum):
-    """Values the symbolic paths return in place of a complex or a map."""
+    """Values the symbolic paths return in place of a complex."""
 
     # a complex without the divisibility structure the symbolic path needs
     NOT_STRUCTURED = "NotStructured"
     # the symbolic rules recognized the result as acyclic
     ZERO_COMPLEX = "ZeroComplex"
-    # the homological image condition failed; no factorization exists
-    NO_FACTORIZATION = "NoFactorization"
 
     def __repr__(self):
         return self.value
@@ -46,7 +44,6 @@ class Marker(enum.Enum):
 
 NOT_STRUCTURED = Marker.NOT_STRUCTURED
 ZERO_COMPLEX = Marker.ZERO_COMPLEX
-NO_FACTORIZATION = Marker.NO_FACTORIZATION
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ class LaurentRing(Ring):
         return x.to_json()
 
     def entry_from_json(self, obj):
-        return LaurentElement.from_json(obj)
+        return LaurentElement({int(e): int(c) for e, c in obj["terms"]}, int(obj["depth"]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -346,9 +343,6 @@ class ChainComplex:
         if self.lo <= i < self.hi:
             return self.diffs[i - self.lo]
         return [[self.ring.zero()] * self.rank(i) for _ in range(self.rank(i + 1))]
-
-    def shift(self, s: int) -> "ChainComplex":
-        return ChainComplex(self.ring, self.lo + s, self.ranks, self.diffs)
 
     def map_entries(self, ring, fn) -> "ChainComplex":
         return ChainComplex(
@@ -643,32 +637,3 @@ def koszul_to_diagonal(K: KoszulSummand):
         for _ in range(comb(d - 1, k))
     ]
     return DiagonalComplex(R, summands)
-
-
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
-
-def mod_f(K: ChainComplex, f) -> ChainComplex:
-    """Reduce a complex of free modules into a quotient of its base ring.
-
-    Supported quotients: Z -> Z/f for a nonzero integer, and the Laurent
-    carrier modulo its theta or theta-tilde kernel generator (the residue
-    rings of the two cyclotomic specializations).
-    """
-    R = K.ring
-    if isinstance(R, ZRing):
-        if not isinstance(f, int) or f == 0:
-            raise ValueError("reduction over Z needs a nonzero integer")
-        target = ZModRing(abs(f))
-        return K.map_entries(target, lambda x: x % abs(f))
-    if isinstance(R, LaurentRing):
-        model = AinfModel(R.p, R.depth)
-        if f == model.xi:
-            target = OCRing(R.p, R.depth)
-            return K.map_entries(target, target.model.reduce)
-        if f == model.xi_tilde:
-            target = OCRing(R.p, R.depth + 1)
-            return K.map_entries(target, lambda x: target.model.reduce(x.with_depth(R.depth + 1)))
-        raise ValueError("unsupported Laurent quotient; use xi or xi_tilde")
-    raise ValueError(f"no quotient rule for ring {R!r}")

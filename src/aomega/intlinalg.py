@@ -116,7 +116,9 @@ def kernel_basis(A, m: int, n: int) -> list[list[int]]:
 
 
 def solve_int(A, b, m: int, n: int) -> list[int] | None:
-    """One integer solution of A x = b, or None."""
+    """One integer solution of A x = b, or None.
+
+    No command calls it; `bench/tracing.py` spans it by name."""
     X = solve_matrix(A, [[x] for x in b], m, n, 1)
     return None if X is None else [row[0] for row in X]
 

@@ -57,9 +57,6 @@ class QLaurentFunction:
         coeff = coeff if coeff is not None else LaurentElement.one(depth)
         return cls.build(p, depth, len(m), {m: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "QLaurentFunction") -> "QLaurentFunction":
         t = dict(self.terms)
         for m, c in other.terms:

@@ -9,7 +9,6 @@ canonical payload so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -99,9 +98,6 @@ class SessionConfig:
     def model(self) -> AinfModel:
         return AinfModel(self.p, self.depth)
 
-    def box(self) -> GradingBox:
-        return GradingBox(self.dim, self.depth, self.bound)
-
     def to_json(self) -> dict:
         return {
             "p": self.p, "depth": self.depth, "dim": self.dim,
@@ -146,9 +142,6 @@ class VerificationReport:
         if include_timing:
             out["elapsed_seconds"] = round(self.elapsed_seconds, 3)
         return out
-
-    def dumps(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json(include_timing), sort_keys=True, indent=2)
 
 
 def _jsonable(x):

@@ -201,16 +201,6 @@ class ClassRow:
 
 
 @dataclass
-class GradedKoszulSum:
-    """Explicit graded sum of Koszul summands (small boxes only)."""
-
-    model: AinfModel
-    box: GradingBox
-    oc_side: bool
-    summands: dict
-
-
-@dataclass
 class TorusCohomologyResult:
     stage: str
     model: AinfModel
@@ -281,26 +271,6 @@ def _presentation_json(cell: TorusCell):
             "torsion": [repr(t) for t in pres.torsion(i)],
         }
     return out
-
-
-# ---------------------------------------------------------------------------
-# building the graded sum
-# ---------------------------------------------------------------------------
-
-def build_torus_cohomology(model: AinfModel, box: GradingBox, oc_side: bool = False) -> GradedKoszulSum:
-    """One Koszul summand per grading; weights q^(a_j) - 1, reduced into the
-    residue model when oc_side is set.  Explicit boxes only."""
-    if box.cell_count(model.p) > EXPLICIT_CELL_LIMIT:
-        raise ValueError("box too large to enumerate; use the pipeline functions")
-    ring = OCRing(model.p, model.depth) if oc_side else LaurentRing(model.p, model.depth)
-    summands = {}
-    for grading in box.iter_gradings(model.p):
-        elements = []
-        for a in grading:
-            g = model.q_power_minus_one(a)
-            elements.append(ring.model.reduce(g) if oc_side else g)
-        summands[grading] = KoszulSummand(ring, tuple(elements), grading)
-    return GradedKoszulSum(model, box, oc_side, summands)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +705,8 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         report["cells"][key] = {"passed": ok, "beta": exps}
         if not ok:
             report["passed"] = False
-    # dead cells contribute nothing; record their certificates
+    # dead cells contribute nothing; each needs the certificate the pipeline
+    # recorded for its death
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
@@ -744,10 +715,12 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
             ok = cell.certificates.get("theta_image") == "unit"
             note = "residual divisor is a unit in the residue ring"
         elif cell.status == "zero":
-            ok = True
+            ok = "kill" in cell.certificates
             note = "killed by divisibility"
         else:
-            ok = True
+            ok = cell.status == "unstructured" and (
+                cell.certificates.get("deeper_kill") in ("division", "order-calculus")
+            )
             note = "outside the structured locus; no contribution recorded"
         report["cells"][key] = {"passed": ok, "status": cell.status, "note": note}
         if not ok:

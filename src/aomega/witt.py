@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from . import intlinalg as la
 from . import poly
-from .arith import p_valuation, validate_exponent
+from .arith import validate_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +107,6 @@ class TruncatedWittElement:
         """p-th root of the exponents; the base is perfect, so Frobenius is bijective."""
         return TruncatedWittElement(self.p, self.precision, {e / self.p: c for e, c in self.terms})
 
-    def depth(self) -> int:
-        """Largest k with p^k an exponent denominator."""
-        return max((p_valuation(e.denominator, self.p) for e, _ in self.terms), default=0)
-
     def reduce_mod_p(self) -> "TruncatedWittElement":
         """The image in W_1, the perfection."""
         return TruncatedWittElement(self.p, 1, self.terms)
@@ -123,9 +119,6 @@ class TruncatedWittElement:
                 raise ValueError("element is not divisible by p")
             out[e] = c // self.p
         return TruncatedWittElement(self.p, self.precision - 1, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -254,11 +247,6 @@ class GF:
 
     def one(self):
         return (1,) + (0,) * (self.m - 1)
-
-    def gen(self):
-        if self.m == 1:
-            return (1,)
-        return (0, 1) + (0,) * (self.m - 2)
 
     def is_zero(self, a) -> bool:
         return not any(a)

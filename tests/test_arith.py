@@ -16,6 +16,7 @@ from aomega.arith import (
     q_analog,
     q_power_minus_one,
 )
+from aomega.complexes import LaurentRing
 
 
 def naive_convolution(a: dict, b: dict) -> dict:
@@ -118,7 +119,7 @@ def test_exact_div_zero_remainder_non_integral_quotient():
     num = LaurentElement({1: 1, 0: 1})
     den = LaurentElement({1: 2, 0: 2})
     assert laurent_exact_div(num, den) is None
-    assert laurent_exact_div(num.scalar_mul(2), den) == LaurentElement.one()
+    assert laurent_exact_div(LaurentElement({1: 2, 0: 2}), den) == LaurentElement.one()
 
 
 def test_exact_div_non_unit_lead_divisors():
@@ -128,7 +129,7 @@ def test_exact_div_non_unit_lead_divisors():
     assert laurent_exact_div(LaurentElement({1: 2, 0: 2}), LaurentElement.constant(2)) == u_plus_1
     assert laurent_exact_div(LaurentElement({1: 3, 0: 2}), LaurentElement.constant(2)) is None
     # negative leading coefficient
-    assert laurent_exact_div(LaurentElement({2: 4, 0: -4}), LaurentElement({1: -2, 0: 2})) == u_plus_1.scalar_mul(-2)
+    assert laurent_exact_div(LaurentElement({2: 4, 0: -4}), LaurentElement({1: -2, 0: 2})) == LaurentElement({1: -2, 0: -2})
 
 
 def test_exact_div_non_monic_negative_exponents():
@@ -138,7 +139,7 @@ def test_exact_div_non_monic_negative_exponents():
     got = laurent_exact_div(num, den)
     assert got == LaurentElement({-1: 2, 0: 2}, 2)
     assert got * den == num
-    assert laurent_exact_div(num, den.scalar_mul(4)) is None
+    assert laurent_exact_div(num, LaurentElement({-2: 12, -3: -12}, 2)) is None
 
 
 def sympy_exact_div(a: dict, b: dict):
@@ -270,5 +271,5 @@ def test_normalize_associate():
 def test_json_round_trip_bit_exact():
     big = 10**40 + 7
     a = LaurentElement({-5: -big, 3: 1}, 2)
-    assert LaurentElement.from_json(a.to_json()) == a
+    assert LaurentRing(3, 2).entry_from_json(a.to_json()) == a
     assert a.to_json()["terms"] == [[-5, str(-big)], [3, "1"]]

@@ -29,7 +29,6 @@ from aomega.complexes import (
     koszul_basis,
     koszul_sign,
     koszul_to_diagonal,
-    mod_f,
     tensor_product,
 )
 from aomega.suites import random_z_complex
@@ -154,22 +153,6 @@ def test_laurent_koszul_structured_case():
     assert H.torsion(1) and H.torsion(2)
 
 
-def test_mod_f_examples():
-    K = ChainComplex(Z, 0, [1, 1], [[[4]]])
-    M = mod_f(K, 2)
-    assert M.ring.tag == "Z/2" and M.diffs == [[[0]]]
-    K6 = koszul(Z, [6])
-    assert mod_f(K6, 2).diffs == [[[0]]]
-
-    model = AinfModel(3, 1)
-    ring = LaurentRing(3, 1)
-    KA = koszul(ring, [model.mu])
-    R = mod_f(KA, model.xi)
-    assert isinstance(R.ring, OCRing)
-    # mu mod xi: (q - 1) maps to 0 since theta(q) = 1
-    assert R.ring.is_zero(R.diffs[0][0][0])
-
-
 def test_tensor_product_matches_koszul_up_to_basis_bijection():
     rng = random.Random(14)
     for _ in range(15):
@@ -213,7 +196,7 @@ def test_complex_json_round_trip():
     K = koszul(Z, [2, 3])
     K2 = ChainComplex.from_json(K.to_json())
     assert K2 == K
-    M = mod_f(K, 5)
+    M = K.map_entries(ZModRing(5), lambda x: x % 5)
     M2 = ChainComplex.from_json(M.to_json())
     assert M2.ring.tag == "Z/5" and M2.diffs == M.diffs
 

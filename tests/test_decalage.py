@@ -17,27 +17,18 @@ from aomega.complexes import (
     koszul,
 )
 from aomega.decalage import (
-    NO_FACTORIZATION,
     ZERO_COMPLEX,
     BocksteinComplex,
-    ChainMap,
     CheckReport,
     LetaInstance,
-    TrianglePair,
     _divisor_transform,
     bockstein,
     check_composition,
-    check_exactness_criterion,
     check_homology_formula,
     check_leta_mod_f_is_bockstein,
-    check_mod_g_commutation,
     eta_subcomplex,
-    factor_through_leta,
-    identity_scaled,
-    leta_inverse_maps,
     leta_koszul,
     leta_two_term,
-    mapping_cone,
     mod_f_homology,
 )
 from aomega.complexes import NOT_STRUCTURED
@@ -82,19 +73,14 @@ def test_homology_formula_examples():
 
 def test_bockstein_values():
     # multiplication by p^2: beta is zero on both length-one terms
-    B = bockstein(two_term(9), 3)
-    assert B.term_presentation(0) == (0, [3]) and B.term_presentation(1) == (0, [3])
-    assert B.beta_is_zero(0)
-    H = B.homology()
+    H = bockstein(two_term(9), 3).homology()
     assert H.torsion(0) == [3] and H.torsion(1) == [3]
     # multiplication by p: beta is an isomorphism, the complex is acyclic
-    B2 = bockstein(two_term(3), 3)
-    assert not B2.beta_is_zero(0)
-    assert B2.homology().is_zero()
-    # zero differentials: beta vanishes
+    assert bockstein(two_term(3), 3).homology().is_zero()
+    # zero differentials: beta vanishes, so homology is both terms Z/5
     K = ChainComplex(Z, 0, [1, 1], [[[0]]])
-    B3 = bockstein(K, 5)
-    assert B3.beta_is_zero(0)
+    H3 = bockstein(K, 5).homology()
+    assert H3.torsion(0) == [5] and H3.torsion(1) == [5]
 
 
 def test_bockstein_needs_prime_power():
@@ -205,13 +191,13 @@ def test_shared_instance_matches_fresh_complexes():
 
 def test_instance_builds_each_eta_once(monkeypatch):
     calls = []
-    real = decalage._eta_data
+    real = decalage.eta_subcomplex
 
-    def spy(K, f, offset=None):
+    def spy(K, f):
         calls.append((K, f))
-        return real(K, f, offset)
+        return real(K, f)
 
-    monkeypatch.setattr(decalage, "_eta_data", spy)
+    monkeypatch.setattr(decalage, "eta_subcomplex", spy)
     rng = random.Random(25)
     for _ in range(5):
         inst = LetaInstance(random_z_complex(rng))
@@ -349,113 +335,6 @@ def test_leta_two_term_divided_weight():
     assert res == LaurentElement({0: 1, 1: 1, 2: 1}, 1)
 
 
-def test_exactness_criterion_split_triangle():
-    K = koszul(Z, [2])
-    zero = {i: [[0] * K.rank(i) for _ in range(K.rank(i))] for i in K.degrees()}
-    T = TrianglePair.from_map(ChainMap(K, K, zero))
-    rep = check_exactness_criterion(T, 3)
-    assert rep.passed and rep.detail["applicable"]
-
-
-def test_exactness_criterion_coprime_multiplication_triangle():
-    # the multiplication-by-g triangle has vanishing mod-f boundary when
-    # H^*(K/f) has no g-torsion; here g = 3, f = 2 on a zero-differential K
-    K = ChainComplex(Z, 0, [1, 1], [[[0]]])
-    T = TrianglePair.from_map(identity_scaled(K, 3))
-    rep = check_exactness_criterion(T, 2)
-    assert rep.passed and rep.detail["applicable"]
-
-
-def test_exactness_criterion_detects_nonzero_boundary():
-    K = two_term(3)
-    T = TrianglePair.from_map(identity_scaled(K, 3))
-    rep = check_exactness_criterion(T, 3)
-    assert rep.passed and rep.detail["applicable"] is False
-
-
-def test_triangle_from_map_rejects_a_cone_with_negated_phi(monkeypatch):
-    # cone(-phi) is still a complex, since -phi is a chain map, but the
-    # canonical homotopy then witnesses -(L -> cone) o phi, not the composite
-    K = koszul(Z, [2, 3])
-    phi = identity_scaled(K, 3)
-    assert TrianglePair.from_map(phi).cone == mapping_cone(phi)
-    negated = ChainMap(K, K, {i: intlinalg.scale(phi.matrix(i), -1) for i in K.degrees()})
-    monkeypatch.setattr(decalage, "mapping_cone", lambda _: mapping_cone(negated))
-    with pytest.raises(AssertionError, match="canonical homotopy"):
-        TrianglePair.from_map(phi)
-
-
-def test_exactness_criterion_random_triangles():
-    rng = random.Random(26)
-    applicable = 0
-    for _ in range(30):
-        K = random_z_complex(rng, max_deg=3, max_rank=3)
-        f = rng.choice((2, 3))
-        T = TrianglePair.from_map(identity_scaled(K, f * rng.choice((1, 5))))
-        rep = check_exactness_criterion(T, f)
-        assert rep.passed
-        applicable += bool(rep.detail.get("applicable"))
-    assert applicable  # the criterion fires on some of them
-
-
-def test_mod_g_commutation():
-    assert check_mod_g_commutation(koszul(Z, [6]), 2, 3).passed
-    assert check_mod_g_commutation(two_term(6), 3, 2).passed
-    # free mod-f homology
-    K = ChainComplex(Z, 0, [1, 1], [[[0]]])
-    rep = check_mod_g_commutation(K, 2, 3)
-    assert rep.passed and rep.detail["applicable"]
-    with pytest.raises(ValueError):
-        check_mod_g_commutation(two_term(6), 2, 4)
-
-
-def test_inverse_maps():
-    K = two_term(9)
-    inc, sec, chk = leta_inverse_maps(K, 3, 1)
-    assert chk["composites_equal"] and chk["factor"] == 3
-    # on the degree-one homology Z/9 the composite is multiplication by 3:
-    # the image of the generator is 3, nonzero in Z/9
-    assert inc.matrix(1) == [[3]] and sec.matrix(1) == [[1]]
-
-    K0 = ChainComplex(Z, 0, [1], [])
-    inc0, sec0, chk0 = leta_inverse_maps(K0, 5, 0)
-    assert inc0.matrix(0) == [[1]] and sec0.matrix(0) == [[1]]
-
-    K2 = koszul(Z, [2, 6])
-    _, _, chk2 = leta_inverse_maps(K2, 2, 2)
-    assert chk2["factor"] == 4
-    with pytest.raises(ValueError):
-        leta_inverse_maps(koszul(Z, [2, 6]), 2, 1)
-
-
-def test_factorization_through_subcomplex():
-    M = two_term(9)
-    K = ChainComplex(Z, 1, [1], [])
-    # image 3 Z/9 lies inside 3 H^1(M)
-    ok = factor_through_leta(ChainMap(K, M, {1: [[3]]}), 3)
-    assert ok is not NO_FACTORIZATION
-    factored, homotopy = ok
-    assert homotopy == [[0]]
-    # image generates H^1(M)/3: no factorization
-    assert factor_through_leta(ChainMap(K, M, {1: [[1]]}), 3) is NO_FACTORIZATION
-    # the zero map factors
-    assert factor_through_leta(ChainMap(K, M, {1: [[0]]}), 3) is not NO_FACTORIZATION
-    # f times anything factors
-    rng = random.Random(27)
-    tried = 0
-    while tried < 20:
-        f = rng.choice((2, 3))
-        M2 = ChainComplex(Z, 0, [1, 1], [[[rng.randint(-6, 6)]]])
-        K2 = ChainComplex(Z, 0, [1, 1], [[[rng.randint(-3, 3)]]])
-        alpha = {0: [[f * rng.randint(-3, 3)]], 1: [[f * rng.randint(-3, 3)]]}
-        try:
-            cm = ChainMap(K2, M2, alpha)
-        except ValueError:
-            continue
-        tried += 1
-        assert factor_through_leta(cm, f) is not NO_FACTORIZATION
-
-
 def test_two_term_rule_matches_lattice_over_z():
     # the divided weight of a two-term piece is g / gcd(g, f); the honest
     # lattice subcomplex must agree, wherever the complex is placed
@@ -475,25 +354,40 @@ def test_two_term_rule_matches_lattice_over_z():
             assert H.torsion(shift + 1) == [reduced] and H.free_rank(shift) == 0
 
 
+def multiplication_cone(K: ChainComplex, f: int) -> ChainComplex:
+    """The cone of multiplication by f on K, a free model of K/f:
+    degree i is K^(i+1) + K^i, and d(a, b) = (-d a, f a + d b)."""
+    lo, hi = K.lo - 1, K.hi
+    ranks = [K.rank(i + 1) + K.rank(i) for i in range(lo, hi + 1)]
+    diffs = []
+    for i in range(lo, hi):
+        a, b, a1 = K.rank(i + 1), K.rank(i), K.rank(i + 2)
+        mat = [[0] * (a + b) for _ in range(a1 + a)]
+        for r, row in enumerate(K.diff(i + 1)):
+            mat[r][:a] = [-x for x in row]
+        for r, row in enumerate(K.diff(i)):
+            mat[a1 + r][r] = f
+            mat[a1 + r][a:] = row
+        diffs.append(mat)
+    return ChainComplex(Z, lo, ranks, diffs)
+
+
 def test_mod_f_homology_matches_cone():
     rng = random.Random(28)
     for _ in range(20):
         K = random_z_complex(rng, max_deg=3)
         f = rng.choice((2, 3, 4))
         direct = mod_f_homology(K, f)
-        cone = mapping_cone(identity_scaled(K, f))
-        assert direct == homology_snf(cone)
+        assert direct == homology_snf(multiplication_cone(K, f))
 
 
 def test_bockstein_boundary_outside_cycles_is_an_internal_error():
     # B lies in Z by construction, so a boundary row outside the cycle
     # lattice is a broken invariant, never a vector to drop
     B = bockstein(koszul(Z, [1, 1]), 3)
-    assert B.beta_is_zero(0) and B.homology().is_zero()
+    assert B.homology().is_zero()
     z1, b1 = B.lattices[1]
     assert intlinalg.in_lattice(z1, [[1, 0]], 2) is None
     bad = BocksteinComplex(B.f, B.ambient, {**B.lattices, 1: (z1, b1 + [[1, 0]])}, B.beta)
-    with pytest.raises(AssertionError, match="boundary escaped the cycle lattice"):
-        bad.beta_is_zero(0)
     with pytest.raises(AssertionError, match="boundary escaped the cycle lattice"):
         bad.homology()

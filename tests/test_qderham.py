@@ -33,7 +33,7 @@ def test_nabla_monomials():
     f = QLaurentFunction.monomial(3, 1, (2,))
     g = nabla_q(f, 0)
     assert dict(g.terms) == {(1,): q_analog(2, 3, 1)}
-    assert nabla_q(QLaurentFunction.monomial(3, 1, (0,)), 0).is_zero()
+    assert nabla_q(QLaurentFunction.monomial(3, 1, (0,)), 0).terms == ()
     # negative exponent against the finite-difference quotient
     h = nabla_q(QLaurentFunction.monomial(3, 1, (-1,)), 0)
     oracle = finite_difference_oracle(-1, 3, 1)
@@ -46,7 +46,7 @@ def test_nabla_matches_finite_difference_oracle():
         got = nabla_q(QLaurentFunction.monomial(5, 1, (e,)), 0)
         oracle = finite_difference_oracle(e, 5, 1)
         if e == 0:
-            assert got.is_zero()
+            assert got.terms == ()
         else:
             assert dict(got.terms) == {(e - 1,): oracle}
 

@@ -1,5 +1,6 @@
 """Graded pipelines: ranks, kills, certificates, specializations, fibres."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -19,9 +20,9 @@ from aomega.torus import (
     _laurent_to_fp_poly,
     _root_power_divides,
     ainf_omega_torus,
-    build_torus_cohomology,
     etale_rank_torus,
     generic_fibre_ranks,
+    grading_key,
     random_fp_complex,
     semicontinuity_demo,
     specialize_de_rham,
@@ -51,15 +52,13 @@ def test_box_d0():
 def test_build_graded_sum():
     model = AinfModel(3, 1)
     box = GradingBox(1, 1, 1)
-    gs = build_torus_cohomology(model, box)
-    assert len(gs.summands) == 7
-    s = gs.summands[(Fraction(1, 3),)]
-    assert s.elements[0] == LaurentElement({1: 1, 0: -1}, 1)
-    zero = gs.summands[(Fraction(0),)]
-    assert zero.elements[0].is_zero()
+    # the one-dimensional box: one weight q^a - 1 per grading (a,)
+    weights = {grading: model.q_power_minus_one(grading[0]) for grading in box.iter_gradings(3)}
+    assert len(weights) == 7
+    assert weights[(Fraction(1, 3),)] == LaurentElement({1: 1, 0: -1}, 1)
+    assert weights[(Fraction(0),)].is_zero()
     # residue side
-    gs_oc = build_torus_cohomology(model, box, oc_side=True)
-    assert gs_oc.summands[(Fraction(1),)].elements[0].is_zero()
+    assert model.oc_model().reduce(weights[(Fraction(1),)]).is_zero()
 
 
 def test_root_divisibility_calculus_matches_division():
@@ -258,6 +257,26 @@ def test_de_rham_matrices_and_beta():
         res = ainf_omega_torus(AinfModel(p, n), GradingBox(d, n, 2))
         rep = specialize_de_rham(res)
         assert rep["passed"]
+
+
+def de_rham_with_mutated_certificate(status: str, mutate):
+    """The de Rham report after `mutate` rewrote the certificates of the
+    first dead cell of `status`, and the key of that cell."""
+    res = ainf_omega_torus(AinfModel(5, 1), GradingBox(2, 1, 1))
+    assert specialize_de_rham(res)["passed"]
+    grading, cell = next((g, c) for g, c in res.cells.items() if c.status == status)
+    res.cells[grading] = dataclasses.replace(cell, certificates=mutate(dict(cell.certificates)))
+    return specialize_de_rham(res), grading_key(grading)
+
+
+def test_de_rham_zero_cell_needs_its_kill_certificate():
+    rep, key = de_rham_with_mutated_certificate("zero", lambda c: {k: v for k, v in c.items() if k != "kill"})
+    assert not rep["passed"] and not rep["cells"][key]["passed"]
+
+
+def test_de_rham_unstructured_cell_needs_a_deeper_kill():
+    rep, key = de_rham_with_mutated_certificate("unstructured", lambda c: {**c, "deeper_kill": "failed"})
+    assert not rep["passed"] and not rep["cells"][key]["passed"]
 
 
 def test_de_rham_beta_is_multiplication_by_exponent():

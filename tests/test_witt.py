@@ -118,7 +118,7 @@ def test_digits_of_eight_in_length_two():
     w = TruncatedWittElement.constant(3, 2, 8)
     digits = teichmuller_digits(w)
     assert digits[0] == TruncatedWittElement.constant(3, 1, 2)
-    assert digits[1].is_zero()
+    assert digits[1] == TruncatedWittElement.zero(3, 1)
     assert digits_to_witt(digits, 3, 2) == w
 
 
@@ -126,7 +126,7 @@ def test_digits_of_p():
     for p in (2, 3, 5):
         w = TruncatedWittElement.constant(p, 2, p)
         digits = teichmuller_digits(w)
-        assert digits[0].is_zero()
+        assert digits[0] == TruncatedWittElement.zero(p, 1)
         assert digits[1] == TruncatedWittElement.constant(p, 1, 1)
 
 
@@ -134,7 +134,7 @@ def test_digits_of_monomial():
     w = teichmuller_lift(TruncatedWittElement(5, 1, {1: 1}), 3)
     digits = teichmuller_digits(w)
     assert digits[0] == TruncatedWittElement(5, 1, {1: 1})
-    assert digits[1].is_zero() and digits[2].is_zero()
+    assert digits[1] == digits[2] == TruncatedWittElement.zero(5, 1)
 
 
 def test_lift_multiplicative():
@@ -192,7 +192,7 @@ def test_digit_round_trip_random_and_constants():
 def test_perfection_frobenius_inverse_raises_depth():
     a = TruncatedWittElement(3, 1, {1: 1})
     root = a.frobenius_inverse()
-    assert root.depth() == 1
+    assert root == TruncatedWittElement(3, 1, {Fraction(1, 3): 1})
     assert root.frobenius() == a
 
 
@@ -211,7 +211,7 @@ def test_fixed_points_identity_matrix():
 
 def test_fixed_points_twisted_scalar_matches_exhaustive():
     F4 = GF(2, 2)
-    alpha = F4.gen()
+    alpha = (0, 1)  # the class of x, which generates F_4 over F_2
     module = SemilinearModule(F4, [[alpha]])
     dim, basis, check = frobenius_fixed_points(module)
     oracle = exhaustive_fixed_points(module)
