@@ -80,9 +80,6 @@ class OCModel:
     def zero(self) -> "OCModelElement":
         return OCModelElement(self, tuple([0] * self.degree))
 
-    def one(self) -> "OCModelElement":
-        return OCModelElement(self, tuple([1] + [0] * (self.degree - 1)))
-
     def constant(self, c: int) -> "OCModelElement":
         return OCModelElement(self, tuple([c] + [0] * (self.degree - 1)))
 

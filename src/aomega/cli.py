@@ -25,7 +25,7 @@ import os
 import sys
 
 from .ainf import AinfModel, check_notation_identities
-from .complexes import ChainComplex
+from .complexes import ChainComplex, homology_snf, matrices_to_json
 from .decalage import eta_subcomplex
 from .qderham import compare_with_torus_pipeline, q_de_rham_complex, q_to_one
 from .suites import SUITE_ALIASES, SUITES, SessionConfig, _jsonable, run_suite
@@ -174,7 +174,11 @@ def cmd_leta_apply(args) -> int:
         raise ValueError("--f must be nonzero")
     obj = _read_json(args.infile)
     _check_complex_json(obj)
-    K = ChainComplex.from_json(obj)
+    try:
+        K = ChainComplex.from_json(obj)
+    except AssertionError as exc:
+        # d o d != 0 in the input is bad input, not a broken invariant
+        raise ValueError(f"input is not a complex: {exc}") from None
     out = eta_subcomplex(K, args.f)
     _emit(out.to_json(), args.out)
     return 0
@@ -252,15 +256,9 @@ def cmd_qderham_table(args) -> int:
     blocks = q_de_rham_complex(model, config.dim, config.bound)
     cells = {}
     for m, block in blocks.items():
-        classical = q_to_one(block)
-        from .complexes import homology_snf
-
-        hom = homology_snf(classical)
         cells[grading_key(m)] = {
-            "q_weights": [
-                [block.ring.entry_to_json(x) for row in mat for x in row] for mat in block.diffs
-            ],
-            "classical_homology": hom.to_json(),
+            "q_weights": matrices_to_json(block.ring, block.diffs),
+            "classical_homology": homology_snf(q_to_one(block)).to_json(),
         }
     _emit({"command": "qderham table", "config": config.to_json(), "cells": cells}, args.out)
     return 0

@@ -1,11 +1,14 @@
 """Bounded cochain complexes of finite free modules, Koszul complexes, homology.
 
-Three coefficient rings are supported through one small protocol: the
-integers (where a Smith-normal-form oracle computes exact homology), the
-Laurent carrier of the cyclotomic model, and its residue rings.  Over the
-non-principal rings, homology is only offered for divisibility-structured
-complexes through the diagonal decomposition; that is all the graded
-pipelines need, and the integer oracle covers generic testing.
+Five coefficient rings share one small protocol, each defining only the
+methods its callers use: `ZRing` (Smith-normal-form homology, the decalage
+lattice track, complexes read from JSON), `ZModRing` (the special fibre
+u = 0 of the semicontinuity family), `LaurentRing` (the cyclotomic carrier
+of the torus pipeline and the q-de Rham blocks), `OCRing` (the residue ring
+the de Rham specialization compares in) and `FpPolyRing` (the
+semicontinuity family).  Over the non-principal rings, homology is only
+offered for divisibility-structured complexes through the diagonal
+decomposition; that is all the graded pipelines need.
 
 Differential matrices are stored row-major, d_i of shape rank(i+1) x rank(i),
 acting on column vectors.  The Koszul sign convention is fixed once:
@@ -27,7 +30,7 @@ from typing import Any, Sequence
 from . import intlinalg as la
 from . import poly
 from .arith import LaurentElement, laurent_exact_div, normalize_associate
-from .ainf import OCModel, OCModelElement
+from .ainf import OCModel
 
 
 class Marker(enum.Enum):
@@ -140,23 +143,11 @@ class ZModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    def is_unit(self, x):
-        return gcd(x, self.modulus) == 1
-
     def exact_div(self, a, b):
         g = gcd(b, self.modulus)
         if a % g:
             return None
         return (a // g) * pow(b // g, -1, self.modulus // g) % self.modulus
-
-    def normalize_quotient(self, g):
-        return gcd(g, self.modulus)
-
-    def entry_to_json(self, x):
-        return str(x % self.modulus)
-
-    def entry_from_json(self, s):
-        return int(s) % self.modulus
 
 
 @dataclass(frozen=True, repr=False)
@@ -207,21 +198,6 @@ class OCRing(Ring):
     def zero(self):
         return self.model.zero()
 
-    def one(self):
-        return self.model.one()
-
-    def exact_div(self, a, b):
-        return a.exact_div(b) if not isinstance(a, int) else None
-
-    def normalize_quotient(self, g):
-        return g
-
-    def entry_to_json(self, x):
-        return {"coeffs": [str(c) for c in x.coeffs]}
-
-    def entry_from_json(self, obj):
-        return OCModelElement(self.model, tuple(int(c) for c in obj["coeffs"]))
-
 
 @dataclass(frozen=True, repr=False)
 class FpPolyRing(Ring):
@@ -259,27 +235,11 @@ class FpPolyRing(Ring):
         quo = poly.exact_div(self.reduce(a), self.reduce(b), self.p)
         return None if quo is None else tuple(quo)
 
-    def is_unit(self, x):
-        return len(self.reduce(x)) == 1
-
-    def normalize_quotient(self, g):
-        g = self.reduce(g)
-        if not g:
-            return g
-        inv = pow(g[-1], -1, self.p)
-        return self.reduce([c * inv for c in g])
-
     def evaluate(self, f, x: int) -> int:
         acc = 0
         for c in reversed(self.reduce(f)):
             acc = (acc * x + c) % self.p
         return acc
-
-    def entry_to_json(self, f):
-        return [str(c) for c in self.reduce(f)]
-
-    def entry_from_json(self, obj):
-        return self.reduce([int(c) for c in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +250,8 @@ class ChainComplex:
     """Bounded cochain complex of finite free modules with explicit matrices.
 
     `diffs[k]` maps degree lo+k to degree lo+k+1 and has shape
-    ranks[k+1] x ranks[k]; d after d = 0 is checked at construction.
+    ranks[k+1] x ranks[k]; d after d = 0 is checked at construction, and a
+    failure raises AssertionError: inside the library it is a broken invariant.
     """
 
     def __init__(self, ring, lo: int, ranks: Sequence[int], diffs: Sequence[Sequence[Sequence[Any]]]):
@@ -324,7 +285,7 @@ class ChainComplex:
                             prod = R.mul(a, col[t])
                             acc = prod if acc is None else R.add(acc, prod)
                     if acc is not None and not R.is_zero(acc):
-                        raise ValueError(f"d o d != 0 at degree {self.lo + k}")
+                        raise AssertionError(f"d o d != 0 at degree {self.lo + k}")
 
     @property
     def hi(self) -> int:
@@ -367,19 +328,15 @@ class ChainComplex:
             "ring": self.ring.tag,
             "lo": self.lo,
             "ranks": self.ranks,
-            "diffs": [[self.ring.entry_to_json(x) for row in d for x in row] for d in self.diffs],
+            "diffs": matrices_to_json(self.ring, self.diffs),
         }
 
     @classmethod
-    def from_json(cls, obj: dict, ring=None) -> "ChainComplex":
-        if ring is None:
-            tag = obj["ring"]
-            if tag == "Z":
-                ring = ZRing()
-            elif tag.startswith("Z/") and int(tag[2:]) > 0:
-                ring = ZModRing(int(tag[2:]))
-            else:
-                raise ValueError(f"cannot reconstruct ring from tag {tag!r}")
+    def from_json(cls, obj: dict) -> "ChainComplex":
+        """The complex `to_json` wrote, over Z only."""
+        if obj["ring"] != "Z":
+            raise ValueError(f"complexes are read over Z only, not over {obj['ring']!r}")
+        ring = ZRing()
         ranks = [int(r) for r in obj["ranks"]]
         diffs = []
         for k, flat in enumerate(obj["diffs"]):
@@ -387,6 +344,11 @@ class ChainComplex:
             entries = [ring.entry_from_json(x) for x in flat]
             diffs.append([entries[i * cols : (i + 1) * cols] for i in range(rows)])
         return cls(ring, int(obj["lo"]), ranks, diffs)
+
+
+def matrices_to_json(ring, diffs) -> list:
+    """Each matrix as its row-major list of JSON entries."""
+    return [[ring.entry_to_json(x) for row in d for x in row] for d in diffs]
 
 
 def koszul_sign(j: int, subset: tuple[int, ...]) -> int:
@@ -397,8 +359,8 @@ def koszul_basis(d: int, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(d), size))
 
 
-def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
-    """Koszul cochain complex on the given elements, degrees lo..lo+d.
+def koszul_matrices(ring, elements: Sequence[Any]) -> list:
+    """The Koszul differentials on the given elements, unchecked.
 
     Each cell holds a weight or its negation, or the one shared zero; each
     weight is normalized once by adding it to zero.
@@ -418,7 +380,13 @@ def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
                     val = weights[j] if koszul_sign(j, S) == 1 else negated[j]
                     mat[tgt[tuple(sorted(S + (j,)))]][col] = val
         diffs.append(mat)
-    return ChainComplex(ring, lo, [comb(d, k) for k in range(d + 1)], diffs)
+    return diffs
+
+
+def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
+    """Koszul cochain complex on the given elements, degrees lo..lo+d."""
+    d = len(elements)
+    return ChainComplex(ring, lo, [comb(d, k) for k in range(d + 1)], koszul_matrices(ring, elements))
 
 
 @dataclass(frozen=True)

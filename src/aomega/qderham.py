@@ -21,8 +21,8 @@ from math import comb
 
 from .ainf import AinfModel
 from .arith import LaurentElement, q_analog
-from .complexes import ChainComplex, LaurentRing, ZRing, koszul_basis, koszul_sign
-from .torus import GradingBox, TorusCohomologyResult, grading_key
+from .complexes import ChainComplex, LaurentRing, ZRing, koszul_basis, koszul_matrices, koszul_sign, matrices_to_json
+from .torus import GradingBox, TorusCohomologyResult, ainf_omega_torus, grading_key
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ def q_to_one(K: ChainComplex) -> ChainComplex:
 def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
                                 torus_result: TorusCohomologyResult | None = None) -> dict:
     """Matrix-by-matrix equality of the q-derivative blocks against the
-    integral-grading summands of the graded pipeline."""
-    from .torus import ainf_omega_torus  # deferred: cycle-free but heavy
-
+    integral-grading summands of the graded pipeline.  The q-block is the
+    checked side; the summand's matrices, compared unchecked, are reported
+    on a mismatch, never raised."""
     if torus_result is None:
         box = GradingBox(dim, model.depth, bound)
         torus_result = ainf_omega_torus(model, box)
@@ -171,11 +171,12 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
             report["cells"][key] = {"passed": False, "note": "missing pipeline cell"}
             report["passed"] = False
             continue
-        realized = cell.summand.realize()
-        ok = realized.ranks == block.ranks and realized.diffs == block.diffs
+        summand = cell.summand
+        matrices = koszul_matrices(summand.ring, summand.elements)
+        ok = matrices == block.diffs
         report["cells"][key] = {"passed": ok}
         if not ok:
             report["passed"] = False
             report["cells"][key]["q_block"] = block.to_json()
-            report["cells"][key]["pipeline_block"] = realized.to_json()
+            report["cells"][key]["pipeline_block"] = matrices_to_json(summand.ring, matrices)
     return report

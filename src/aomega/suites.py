@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .ainf import AinfModel, check_notation_identities
 from .arith import LaurentElement, prime_base
@@ -21,6 +22,7 @@ from .complexes import (
     ChainComplex,
     DiagonalComplex,
     DiagonalSummand,
+    FpPolyRing,
     KoszulSummand,
     RANK1_FREE,
     TWO_TERM,
@@ -396,8 +398,6 @@ def _tensor_matches_koszul(K: ChainComplex, T: ChainComplex, d: int) -> bool:
 
 def suite_tilde_omega(config: SessionConfig) -> VerificationReport:
     """Exterior-algebra ranks per integral grading, zero elsewhere."""
-    from math import comb
-
     report = VerificationReport("s6-tilde-omega", config)
     for p in (2, 3, 5):
         for depth in (1, 2):
@@ -501,8 +501,6 @@ def suite_semicontinuity(config: SessionConfig, instances: int = 100) -> Verific
             fails += 1
         report.instances += 1
     report.add("random-inequality", fails == 0, {"failures": fails})
-
-    from .complexes import FpPolyRing
 
     ring = FpPolyRing(p)
     K = ChainComplex(ring, 0, [1, 1], [[[(0, 1)]]])

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from .ainf import AinfModel, OCModel
 from .arith import (
@@ -38,14 +38,23 @@ from .arith import (
     q_analog,
 )
 from .complexes import (
+    NOT_STRUCTURED,
+    TWO_TERM,
     ChainComplex,
+    DiagonalComplex,
+    DiagonalSummand,
     FpPolyRing,
+    HomologyPresentation,
     KoszulSummand,
     LaurentRing,
     OCRing,
     ZModRing,
+    ZRing,
+    homology_diagonal,
     koszul,
     koszul_basis,
+    koszul_matrices,
+    koszul_to_diagonal,
 )
 from .decalage import ZERO_COMPLEX, leta_koszul, leta_two_term
 from .intlinalg import rank
@@ -98,6 +107,15 @@ class GradingBox:
             if abs(a) > self.bound or (a * step).denominator != 1:
                 return False
         return True
+
+
+INTEGRAL_CLASSES = ("Z0", "I1", "I+")
+
+
+def _axis_classes(depth: int) -> list:
+    """The valuation classes of one axis (the first three hold the
+    integers), in the order aggregation visits them."""
+    return [*INTEGRAL_CLASSES, *(("F", k, unit) for k in range(1, depth + 1) for unit in (True, False))]
 
 
 def _axis_class_count(cls, p: int, bound: int) -> int:
@@ -160,16 +178,6 @@ class TorusCell:
         subcomplex lattice, never the divided weight); dead cells are
         zero.  Anything else is NOT_STRUCTURED, a value.
         """
-        from .complexes import (
-            DiagonalComplex,
-            DiagonalSummand,
-            HomologyPresentation,
-            NOT_STRUCTURED,
-            TWO_TERM,
-            homology_diagonal,
-            koszul_to_diagonal,
-        )
-
         if self.status == "zero":
             return HomologyPresentation(None, {})
         if self.status == "residual":
@@ -354,8 +362,7 @@ def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResul
         for grading in box.iter_gradings(p):
             cells[grading] = _oc_cell_outcome(model, grading)
     else:
-        per_axis = ["Z0", "I1", "I+"] + [("F", k, u) for k in range(1, box.depth + 1) for u in (True, False)]
-        for pattern in itertools.combinations_with_replacement(per_axis, box.dim):
+        for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
             count = _pattern_count(pattern, p, box)
             if count == 0:
                 continue
@@ -384,8 +391,6 @@ def _pattern_count(pattern, p: int, box: GradingBox) -> int:
 
 
 def _multiset_permutations(pattern) -> int:
-    from math import factorial
-
     n = len(pattern)
     out = factorial(n)
     for cls in set(pattern):
@@ -556,9 +561,8 @@ def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult
                 continue
             cells[grading] = _fractional_cell(model, grading)
     else:
-        per_axis = ["Z0", "I1", "I+"] + [("F", k, u) for k in range(1, box.depth + 1) for u in (True, False)]
-        for pattern in itertools.combinations_with_replacement(per_axis, box.dim):
-            if all(c in ("Z0", "I1", "I+") for c in pattern):
+        for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
+            if all(c in INTEGRAL_CLASSES for c in pattern):
                 continue  # integral cells are explicit
             count = _pattern_count(pattern, p, box)
             if count == 0:
@@ -675,33 +679,30 @@ def classical_de_rham_matrices(exponents: tuple[int, ...]) -> list[list[list[int
 
 
 def specialize_de_rham(result: TorusCohomologyResult) -> dict:
-    """Per integral grading: the divided-differential complex modulo the
-    cyclotomic weight, with the step differential acting by the integer
-    exponents; compared entry-for-entry with the classical de Rham
-    matrices of the monomial."""
+    """Per integral grading: theta (reduction modulo xi) of the pipeline's
+    weights, placed by the Koszul rule, equals the classical de Rham
+    matrices mapped into the residue ring.  Those come from the product rule
+    and pass d o d once over Z; a ring map carries it to their images.
+    "beta" records the exponents, the values theta must produce."""
     model, box = result.model, result.box
-    p, n, d = model.p, model.depth, box.dim
-    ocring = OCRing(p, n)
+    d = box.dim
+    ocring = OCRing(model.p, model.depth)
+    constant = ocring.model.constant
+    ranks = [comb(d, k) for k in range(d + 1)]
     report = {"stage": "de-rham", "cells": {}, "passed": True}
-    beta_by_exponent = {}
+    theta_of_weight = {}
     for grading in box.iter_integral_gradings():
         cell = result.cells[grading]
         exps = tuple(int(Fraction(a)) for a in grading)
-        # Bockstein values: theta of the q-analog weights must be the integers
-        for a in exps:
-            if a not in beta_by_exponent:
-                divided = laurent_exact_div(model.xi * model.q_analog(a), model.xi)
-                beta_by_exponent[a] = divided is not None and model.theta(divided) == ocring.model.constant(a)
-        beta_ok = all(beta_by_exponent[a] for a in exps)
-        realized = koszul(ocring, [ocring.model.constant(a) for a in exps])
-        classical = classical_de_rham_matrices(exps)
-        matrices_ok = True
-        for k in range(d):
-            got = [[_oc_as_int(x) for x in row] for row in realized.diffs[k]]
-            if got != classical[k]:
-                matrices_ok = False
+        ok = cell.status == "koszul"
+        if ok:
+            classical = ChainComplex(ZRing(), 0, ranks, classical_de_rham_matrices(exps))
+            for w in cell.summand.elements:
+                if w not in theta_of_weight:
+                    theta_of_weight[w] = model.theta(w)
+            reduced = koszul_matrices(ocring, [theta_of_weight[w] for w in cell.summand.elements])
+            ok = reduced == [[[constant(x) for x in row] for row in mat] for mat in classical.diffs]
         key = grading_key(grading)
-        ok = beta_ok and matrices_ok and cell.status == "koszul"
         report["cells"][key] = {"passed": ok, "beta": exps}
         if not ok:
             report["passed"] = False
@@ -726,13 +727,6 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         if not ok:
             report["passed"] = False
     return report
-
-
-def _oc_as_int(x) -> int:
-    c0 = x.coeffs[0]
-    if any(x.coeffs[1:]):
-        raise AssertionError("expected an integer residue")
-    return c0
 
 
 def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> dict:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from aomega import suites, torus
-from aomega.cli import EXIT_BROKEN_PIPE, main
+from aomega.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
 from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
 
@@ -70,6 +70,26 @@ def test_leta_apply_stream():
     assert "error:" in proc2.stderr and "Traceback" not in proc2.stderr
 
 
+def test_dd_failure_inside_a_stage_is_an_internal_error(monkeypatch, capsys):
+    # one sign flipped in the classical de Rham matrices: in dimension 2
+    # their d o d check fails inside the dr stage, which is neither a
+    # failed check nor a usage error
+    real = torus.classical_de_rham_matrices
+
+    def flipped(exponents):
+        mats = real(exponents)
+        mats[0][0][0] = -mats[0][0][0]
+        return mats
+
+    monkeypatch.setattr(torus, "classical_de_rham_matrices", flipped)
+    with pytest.raises(SystemExit) as exc:
+        main(["torus", "run", "--stage", "dr", "--p", "3", "--dim", "2", "--bound", "1", "--out", "-"])
+    assert exc.value.code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "d o d != 0" in err
+    assert "Traceback" not in err
+
+
 def test_witt_digits_mismatch_is_usage_error():
     element = {"p": 3, "precision": 2, "terms": [[[0, 1], "8"]]}
     proc = run_cli(["witt", "digits", "--p", "5", "--precision", "2"], stdin_text=json.dumps(element))
@@ -92,6 +112,9 @@ def test_unreadable_input_file_is_usage_error(args, tmp_path):
     (["witt", "digits", "--p", "3", "--precision", "2"], {"p": 3, "precision": 2, "terms": [[[0, 0], "8"]]}),
     (["witt", "digits", "--p", "3", "--precision", "2"], {"p": 1, "precision": 2, "terms": []}),
     (["witt", "digits", "--p", "3", "--precision", "2"], 5),
+    # read over Z only, and d o d = 0 is part of being a complex
+    (["leta", "apply", "--f", "3"], {"ring": "Z/5", "lo": 0, "ranks": [1, 1], "diffs": [["9"]]}),
+    (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": 0, "ranks": [1, 1, 1], "diffs": [["2"], ["3"]]}),
 ])
 def test_wrong_input_shape_is_usage_error(args, payload, tmp_path):
     path = tmp_path / "in.json"

@@ -65,7 +65,7 @@ def test_empty_koszul():
 
 
 def test_dd_zero_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         ChainComplex(Z, 0, [1, 1, 1], [[[2]], [[3]]])
 
 
@@ -196,9 +196,9 @@ def test_complex_json_round_trip():
     K = koszul(Z, [2, 3])
     K2 = ChainComplex.from_json(K.to_json())
     assert K2 == K
-    M = K.map_entries(ZModRing(5), lambda x: x % 5)
-    M2 = ChainComplex.from_json(M.to_json())
-    assert M2.ring.tag == "Z/5" and M2.diffs == M.diffs
+    # complexes are read over Z only
+    with pytest.raises(ValueError, match="over Z only"):
+        ChainComplex.from_json({**K.to_json(), "ring": "Z/5"})
 
 
 def test_presentation_equality_and_json():
@@ -246,7 +246,7 @@ def sparse_dd_is_zero(ring, ranks, diffs):
     """The verdict of the check `ChainComplex` runs at construction."""
     try:
         ChainComplex(ring, 0, ranks, diffs)
-    except ValueError as e:
+    except AssertionError as e:
         assert str(e).startswith("d o d != 0 at degree ")
         return False
     return True
@@ -381,7 +381,7 @@ def test_dd_check_rejects_mutated_koszul_complex(ring, weights, mutate):
     diffs = [[list(row) for row in d] for d in K.diffs]
     mutate(ring, diffs)
     assert diffs != K.diffs and not dense_dd_is_zero(ring, K.ranks, diffs)
-    with pytest.raises(ValueError, match="d o d != 0 at degree"):
+    with pytest.raises(AssertionError, match="d o d != 0 at degree"):
         ChainComplex(ring, 0, K.ranks, diffs)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement, q_analog
-from aomega.complexes import homology_snf, koszul_basis
+from aomega import qderham
+from aomega.complexes import homology_snf, koszul_basis, koszul_matrices
 from aomega.qderham import (
     QLaurentFunction,
     compare_with_torus_pipeline,
@@ -14,6 +15,7 @@ from aomega.qderham import (
     q_de_rham_complex,
     q_to_one,
 )
+from aomega.torus import grading_key
 
 
 def finite_difference_oracle(exponent: int, p: int, depth: int):
@@ -149,6 +151,32 @@ def test_compare_with_pipeline():
     for p, d, bound in ((2, 1, 3), (3, 1, 3), (2, 2, 2), (3, 2, 2)):
         rep = compare_with_torus_pipeline(AinfModel(p, 1), d, bound)
         assert rep["passed"], [k for k, v in rep["cells"].items() if not v["passed"]]
+
+
+def test_compare_fails_when_an_entry_sits_in_the_wrong_row(monkeypatch):
+    # the summand's matrices with one entry of d_1 moved to the structurally
+    # zero row of its column: no longer a complex, reported, not raised;
+    # only the 3 gradings (a, 0, 0) have nothing to move
+    moved = []
+
+    def misplaced(ring, elements):
+        diffs = koszul_matrices(ring, elements)
+        col = [row[0] for row in diffs[1]]
+        src = next((r for r, x in enumerate(col) if not ring.is_zero(x)), None)
+        if src is not None:
+            dst = next(r for r, x in enumerate(col) if ring.is_zero(x))
+            diffs[1][dst][0], diffs[1][src][0] = col[src], col[dst]
+            moved.append(grading_key(int(a.coefficient_sum()) for a in elements))
+        return diffs
+
+    monkeypatch.setattr(qderham, "koszul_matrices", misplaced)
+    rep = compare_with_torus_pipeline(AinfModel(2, 1), 3, 1)
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    assert not rep["passed"] and failed == set(moved) and len(moved) == 24
+    for key in failed:
+        cell = rep["cells"][key]
+        assert cell["pipeline_block"] != cell["q_block"]["diffs"]
+        assert len(cell["pipeline_block"]) == len(cell["q_block"]["diffs"]) == 3
 
 
 def test_compare_d0_trivial():

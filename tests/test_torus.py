@@ -279,6 +279,39 @@ def test_de_rham_unstructured_cell_needs_a_deeper_kill():
     assert not rep["passed"] and not rep["cells"][key]["passed"]
 
 
+def test_de_rham_reads_the_pipeline_weights():
+    # one weight swapped for another q-analog: theta of it is 3, not the
+    # exponent 2, so the cell no longer reduces to the classical matrices
+    model = AinfModel(3, 1)
+    res = ainf_omega_torus(model, GradingBox(2, 1, 2))
+    grading = (Fraction(1), Fraction(2))
+    cell = res.cells[grading]
+    swapped = dataclasses.replace(cell.summand, elements=(cell.summand.elements[0], model.q_analog(3)))
+    res.cells[grading] = dataclasses.replace(cell, summand=swapped)
+    rep = specialize_de_rham(res)
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    assert not rep["passed"] and failed == {grading_key(grading)}
+
+
+def test_de_rham_rejects_a_flipped_classical_sign(monkeypatch):
+    real = torus.classical_de_rham_matrices
+
+    def flipped(exponents):
+        mats = real(exponents)
+        mats[0][0][0] = -mats[0][0][0]
+        return mats
+
+    monkeypatch.setattr(torus, "classical_de_rham_matrices", flipped)
+    # dimension 1 has no d o d to break: the comparison fails where the
+    # flipped entry is nonzero
+    rep = specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(1, 1, 2)))
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    assert not rep["passed"] and failed == {"-2", "-1", "1", "2"}
+    # dimension 2: the classical matrices themselves fail d o d
+    with pytest.raises(AssertionError, match="d o d != 0"):
+        specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 1)))
+
+
 def test_de_rham_beta_is_multiplication_by_exponent():
     from aomega.arith import laurent_exact_div
 
