@@ -256,7 +256,7 @@ def cmd_qderham_table(args) -> int:
     blocks = q_de_rham_complex(model, config.dim, config.bound)
     cells = {}
     for m, block in blocks.items():
-        cells[grading_key(m)] = {
+        cells[grading_key(m, 1)] = {
             "q_weights": matrices_to_json(block.ring, block.diffs),
             "classical_homology": homology_snf(q_to_one(block)).to_json(),
         }

@@ -8,6 +8,11 @@ summand at a into the Koszul complex on the q-analogs [a_j]_q, whose
 reductions give the de Rham and the twisted residue specializations and
 whose fraction-field ranks give the etale ones.
 
+A grading is the tuple of its carrier exponents s_j = a_j p^n, the integers
+with q^(a_j) = u^(s_j), so the box depth n must be the model depth.
+`grading_key` writes the report key "-2/9,1/3"; it is the only place this
+module forms a Fraction.
+
 Nonintegral gradings die.  The carrier realizes the divisibility kill
 literally when some component has numerator +-1; the remaining cells are
 certified dead in every specialization by residue-ring computations: the
@@ -67,14 +72,22 @@ HONEST_DIVISION_DEGREE_LIMIT = 48
 # the grading box
 # ---------------------------------------------------------------------------
 
-def grading_key(grading) -> str:
-    """The report key of a grading: its components joined by commas."""
-    return ",".join(str(a) for a in grading)
+def grading_key(grading, step: int, labels: dict | None = None) -> str:
+    """The report key of a grading held as carrier exponents s_j = a_j step:
+    the values a_j joined by commas ("-2/9,1/3").  `labels` keeps the string
+    of each axis value, so that one box formats each value once."""
+    if labels is None:
+        labels = {}
+    for s in grading:
+        if s not in labels:
+            labels[s] = str(Fraction(s, step))
+    return ",".join([labels[s] for s in grading])
 
 
 @dataclass(frozen=True)
 class GradingBox:
-    """Gradings a in (p^-depth Z intersect [-bound, bound])^dim."""
+    """Gradings a in (p^-depth Z intersect [-bound, bound])^dim, each as its
+    carrier exponents a_j p^depth."""
 
     dim: int
     depth: int
@@ -84,29 +97,16 @@ class GradingBox:
         if self.dim < 0 or self.depth < 1 or self.bound < 1:
             raise ValueError("need dim >= 0, depth >= 1, bound >= 1")
 
-    def axis_values(self, p: int) -> list[Fraction]:
-        step = p**self.depth
-        return [Fraction(k, step) for k in range(-self.bound * step, self.bound * step + 1)]
-
     def iter_gradings(self, p: int):
-        yield from itertools.product(self.axis_values(p), repeat=self.dim)
+        top = self.bound * p**self.depth
+        yield from itertools.product(range(-top, top + 1), repeat=self.dim)
 
-    def iter_integral_gradings(self):
-        vals = [Fraction(k) for k in range(-self.bound, self.bound + 1)]
-        yield from itertools.product(vals, repeat=self.dim)
+    def iter_integral_gradings(self, p: int):
+        step = p**self.depth
+        yield from itertools.product(range(-self.bound * step, self.bound * step + 1, step), repeat=self.dim)
 
     def cell_count(self, p: int) -> int:
         return (2 * self.bound * p**self.depth + 1) ** self.dim
-
-    def contains(self, grading, p: int) -> bool:
-        if len(grading) != self.dim:
-            return False
-        step = p**self.depth
-        for a in grading:
-            a = Fraction(a)
-            if abs(a) > self.bound or (a * step).denominator != 1:
-                return False
-        return True
 
 
 INTEGRAL_CLASSES = ("Z0", "I1", "I+")
@@ -133,24 +133,14 @@ def _axis_class_count(cls, p: int, bound: int) -> int:
     return 2 if unit else total - 2
 
 
-def _class_representative(cls, p: int) -> Fraction:
-    if cls == "Z0":
-        return Fraction(0)
-    if cls == "I1":
-        return Fraction(1)
-    if cls == "I+":
-        return Fraction(2)
+def _class_representative(cls, p: int, depth: int) -> int:
+    """The carrier exponent of a grading in the class `cls` (over p^depth)."""
+    if cls in INTEGRAL_CLASSES:
+        return INTEGRAL_CLASSES.index(cls) * p**depth
     _, k, unit = cls
-    if unit:
-        return Fraction(1, p**k)
-    # smallest nonunit numerator coprime to p
-    m = 2 if p != 2 else 3
-    return Fraction(m, p**k)
-
-
-def _second_representative(cls, p: int) -> Fraction:
-    # negation stays inside the box and the class
-    return -_class_representative(cls, p)
+    # numerator 1, or the smallest nonunit numerator coprime to p
+    m = 1 if unit else 2 if p != 2 else 3
+    return m * p ** (depth - k)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +206,11 @@ class TorusCohomologyResult:
     cells: dict
     classes: list[ClassRow]
     aggregated: bool
+    labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def key(self, grading) -> str:
+        """The report key of a grading of this box."""
+        return grading_key(grading, self.model.p**self.box.depth, self.labels)
 
     def all_cells(self):
         """Explicit cells plus one representative per aggregated class."""
@@ -247,7 +242,7 @@ class TorusCohomologyResult:
             "aggregated": self.aggregated,
             "rank_table": {str(i): r for i, r in self.rank_table().items()},
             "cells": {
-                grading_key(cell.grading): {
+                self.key(cell.grading): {
                     "status": cell.status,
                     "free_ranks": {str(i): r for i, r in cell.free_ranks.items()},
                     "presentation": _presentation_json(cell),
@@ -315,6 +310,12 @@ def _division_honest(p: int, depth: int) -> bool:
     return OCModel(p, depth).degree <= HONEST_DIVISION_DEGREE_LIMIT
 
 
+def _check_box_depth(model: AinfModel, box: GradingBox) -> None:
+    """The carrier exponents of the box are read over the model's p^depth."""
+    if box.depth != model.depth:
+        raise ValueError(f"box depth {box.depth} differs from the model depth {model.depth}")
+
+
 def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
     """Decalage by the p-th root-of-unity divisor on one residue summand.
 
@@ -327,7 +328,7 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
     p, n = model.p, model.depth
     d = len(grading)
     period = p**n
-    s = [int(Fraction(a) * period) % period for a in grading]
+    s = [x % period for x in grading]
     s_f = p ** (n - 1)
     if all(x == 0 for x in s):
         return TorusCell(
@@ -354,6 +355,7 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
 def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult:
     """Decalage of the residue-side graded sum: exterior-algebra ranks
     binomial(d, i) per integral grading, zero elsewhere."""
+    _check_box_depth(model, box)
     p = model.p
     aggregated = box.cell_count(p) > EXPLICIT_CELL_LIMIT
     cells = {}
@@ -366,9 +368,10 @@ def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResul
             count = _pattern_count(pattern, p, box)
             if count == 0:
                 continue
-            rep = tuple(_class_representative(c, p) for c in pattern)
+            rep = tuple(_class_representative(c, p, box.depth) for c in pattern)
             cell = _oc_cell_outcome(model, rep)
-            rep2 = tuple(_second_representative(c, p) for c in pattern)
+            # negation stays inside the box and the class
+            rep2 = tuple(-s for s in rep)
             if rep2 != rep:
                 cell2 = _oc_cell_outcome(model, rep2)
                 if cell2.status != cell.status or cell2.free_ranks != cell.free_ranks:
@@ -422,17 +425,17 @@ def _verified_q_analog(p: int, depth: int, a: int) -> LaurentElement:
     return expected
 
 
-def _integral_cell(model: AinfModel, grading) -> TorusCell:
+def _integral_cell(model: AinfModel, grading, step: int) -> TorusCell:
     """Composite decalage of an integral summand: K on the q-analogs.
 
     The divisions are componentwise, so each weight's two-step/one-step
     agreement certifies the composition law for the whole summand.
     """
     ring = LaurentRing(model.p, model.depth)
-    elements = tuple(_verified_q_analog(model.p, model.depth, int(Fraction(a))) for a in grading)
+    elements = tuple(_verified_q_analog(model.p, model.depth, s // step) for s in grading)
     summand = KoszulSummand(ring, elements, grading, twist=1)
     d = len(grading)
-    if all(Fraction(a) == 0 for a in grading):
+    if not any(grading):
         ranks = {i: comb(d, i) for i in range(d + 1)}
     else:
         ranks = {}  # generically acyclic; torsion only
@@ -456,7 +459,7 @@ def _fractional_cell(model: AinfModel, grading) -> TorusCell:
     determined up to units by them), so it is cached on that key.
     """
     p, n = model.p, model.depth
-    key = tuple(sorted(abs(int(Fraction(a) * p**n)) for a in grading))
+    key = tuple(sorted(abs(s) for s in grading))
     status, divisor, certificates = _fractional_outcome(p, n, key)
     summand = None
     if divisor is not None:
@@ -549,15 +552,16 @@ def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult
     Integral gradings carry the Koszul complexes on the q-analogs;
     nonintegral gradings die, each with a recorded kill certificate.
     """
-    p = model.p
+    _check_box_depth(model, box)
+    p, step = model.p, model.p**model.depth
     aggregated = box.cell_count(p) > EXPLICIT_CELL_LIMIT
     cells = {}
     classes = []
-    for grading in box.iter_integral_gradings():
-        cells[grading] = _integral_cell(model, grading)
+    for grading in box.iter_integral_gradings(p):
+        cells[grading] = _integral_cell(model, grading, step)
     if not aggregated:
         for grading in box.iter_gradings(p):
-            if all(Fraction(a).denominator == 1 for a in grading):
+            if all(s % step == 0 for s in grading):
                 continue
             cells[grading] = _fractional_cell(model, grading)
     else:
@@ -567,7 +571,7 @@ def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult
             count = _pattern_count(pattern, p, box)
             if count == 0:
                 continue
-            rep = tuple(_class_representative(c, p) for c in pattern)
+            rep = tuple(_class_representative(c, p, box.depth) for c in pattern)
             cell = _fractional_cell(model, rep)
             classes.append(ClassRow(pattern, count, cell))
     return TorusCohomologyResult("ainf", model, box, cells, classes, aggregated)
@@ -588,6 +592,12 @@ def _q_analog_mod_p_th_root(a: int, p: int):
     return oc.reduce(q_analog(a, p, 0).with_depth(1))
 
 
+def _twist_over_p(grading, p: int, step: int) -> tuple[bool, bool]:
+    """Whether a/p lies in the box and whether it is integral, read off the
+    carrier exponents s of a: p divides every s, and p step divides every s."""
+    return all(s % p == 0 for s in grading), all(s % (p * step) == 0 for s in grading)
+
+
 def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     """Reduce every surviving summand by the q-analog of p and compare with
     the Frobenius-twisted residue pipeline: the cell at grading a matches
@@ -595,22 +605,19 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     in closed form (exterior ranks at integral gradings, zero elsewhere),
     which `tilde_omega_torus` computes and its tests check."""
     model, box = result.model, result.box
-    p, d = model.p, box.dim
+    p, d, step = model.p, box.dim, model.p**box.depth
     report = {"stage": "hodge-tate", "cells": {}, "passed": True}
 
-    def tilde_ranks(grading_over_p):
-        if not box.contains(grading_over_p, p):
-            return [0] * (d + 1)
-        if all(Fraction(a).denominator == 1 for a in grading_over_p):
-            return [comb(d, i) for i in range(d + 1)]
-        return [0] * (d + 1)
+    def twisted_tilde_ranks(grading):
+        in_box, integral = _twist_over_p(grading, p, step)
+        return [comb(d, i) if in_box and integral else 0 for i in range(d + 1)]
 
     # (is_zero, is_unit) of each reduced weight, decided once per exponent
     reduced_by_exponent = {}
     for cell in result.all_cells():
-        key = grading_key(cell.grading)
+        key = result.key(cell.grading)
         if cell.status == "koszul":
-            exps = [int(Fraction(a)) for a in cell.grading]
+            exps = [s // step for s in cell.grading]
             for a in exps:
                 if a not in reduced_by_exponent:
                     weight = _q_analog_mod_p_th_root(a, p)
@@ -624,8 +631,7 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
                 report["cells"][key] = {"passed": False, "note": "reduced weight neither zero nor unit"}
                 report["passed"] = False
                 continue
-            twisted = tuple(Fraction(a) / p for a in cell.grading)
-            expected = tilde_ranks(twisted)
+            expected = twisted_tilde_ranks(cell.grading)
             ok = ht == expected
             report["cells"][key] = {"passed": ok, "ht_ranks": ht, "twisted_tilde_ranks": expected}
             if not ok:
@@ -640,8 +646,7 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             )
             # a nonintegral grading divided by p stays nonintegral, so the
             # twisted residue-side value is zero whether or not a/p is in the box
-            twisted = tuple(Fraction(a) / p for a in cell.grading)
-            ok = ok and tilde_ranks(twisted) == [0] * (d + 1)
+            ok = ok and twisted_tilde_ranks(cell.grading) == [0] * (d + 1)
             report["cells"][key] = {
                 "passed": ok,
                 "status": cell.status,
@@ -685,15 +690,15 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     and pass d o d once over Z; a ring map carries it to their images.
     "beta" records the exponents, the values theta must produce."""
     model, box = result.model, result.box
-    d = box.dim
+    d, step = box.dim, model.p**box.depth
     ocring = OCRing(model.p, model.depth)
     constant = ocring.model.constant
     ranks = [comb(d, k) for k in range(d + 1)]
     report = {"stage": "de-rham", "cells": {}, "passed": True}
     theta_of_weight = {}
-    for grading in box.iter_integral_gradings():
+    for grading in box.iter_integral_gradings(model.p):
         cell = result.cells[grading]
-        exps = tuple(int(Fraction(a)) for a in grading)
+        exps = tuple(s // step for s in grading)
         ok = cell.status == "koszul"
         if ok:
             classical = ChainComplex(ZRing(), 0, ranks, classical_de_rham_matrices(exps))
@@ -702,7 +707,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
                     theta_of_weight[w] = model.theta(w)
             reduced = koszul_matrices(ocring, [theta_of_weight[w] for w in cell.summand.elements])
             ok = reduced == [[[constant(x) for x in row] for row in mat] for mat in classical.diffs]
-        key = grading_key(grading)
+        key = result.key(grading)
         report["cells"][key] = {"passed": ok, "beta": exps}
         if not ok:
             report["passed"] = False
@@ -711,7 +716,7 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
-        key = grading_key(cell.grading)
+        key = result.key(cell.grading)
         if cell.status == "residual":
             ok = cell.certificates.get("theta_image") == "unit"
             note = "residual divisor is a unit in the residue ring"
@@ -740,8 +745,7 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
     report_cells = {}
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
-            zero_grading = all(Fraction(a) == 0 for a in cell.grading)
-            ranks = [comb(d, i) if zero_grading else 0 for i in range(d + 1)]
+            ranks = [0 if any(cell.grading) else comb(d, i) for i in range(d + 1)]
             if verified < verify_limit and cell.summand is not None:
                 got = generic_fibre_ranks(cell.summand.realize())
                 got = [got.get(i, 0) for i in range(d + 1)]
@@ -750,7 +754,7 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
                 verified += 1
         else:
             ranks = [0] * (d + 1)
-        report_cells[grading_key(cell.grading)] = ranks
+        report_cells[result.key(cell.grading)] = ranks
         for i, r in enumerate(ranks):
             table[i] += r * count
     return {
@@ -820,22 +824,26 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     totals_generic = {i: 0 for i in range(d + 1)}
     totals_special = {i: 0 for i in range(d + 1)}
     all_hold = True
-    # the fibre comparison depends only on the ordered reduced weights
-    by_weights = {}
+    # each distinct weight is reduced once; the fibre comparison depends only
+    # on the ordered reduced weights
+    reduced, by_weights = {}, {}
+
+    def fp(g):
+        if g not in reduced:
+            reduced[g] = _laurent_to_fp_poly(g, ring)
+        return reduced[g]
+
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
-            elements = [_laurent_to_fp_poly(g, ring) for g in cell.summand.elements]
+            elements = [fp(g) for g in cell.summand.elements]
         elif cell.status == "residual":
-            elements = [_laurent_to_fp_poly(cell.residual_divisor, ring)]
+            elements = [fp(cell.residual_divisor)]
         elif cell.status == "zero":
             continue
         else:
-            # unstructured summands: feed the raw normalized weights; the
-            # fibre ranks vanish regardless of decalage bookkeeping
-            elements = [
-                _laurent_to_fp_poly(model.q_power_minus_one(a), ring)
-                for a in cell.grading if Fraction(a) != 0
-            ]
+            # unstructured summands: feed the raw normalized weights u^s - 1;
+            # the fibre ranks vanish regardless of decalage bookkeeping
+            elements = [fp(LaurentElement({s: 1, 0: -1}, model.depth)) for s in cell.grading if s]
         key = tuple(elements)
         if key not in by_weights:
             by_weights[key] = semicontinuity_demo(koszul(ring, elements))

@@ -85,3 +85,29 @@ LETA_APPLY = [
 def test_leta_apply_reports_match_recorded_digest(complex_json, f, digest):
     out = cli_stdout(["leta", "apply", "--f", str(f)], json.dumps(complex_json).encode())
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# `torus run --stage` prints one entry per grading, keyed by its value
+# ("-2/9,1/3"); `torus all` prints only flags and rank tables.  Digests were
+# recorded while gradings were still held as Fractions.
+TORUS_STAGES = [
+    ("3 2 2 4", "tilde", "0ef873a60cf9e8b39e09444e748f98fa27d74580f14b8960b8e9e268c024d146"),
+    ("3 2 2 4", "ainf", "faa482394ec60c45310e03e70de9b6c4b10d4396466c95ee70dd3a31c81d22e5"),
+    ("3 2 2 4", "ht", "0bad03ce9b238a379f1ba978d65e29c3f956164159e27475dd379a96744d8814"),
+    ("3 2 2 4", "dr", "c3b4bf3918aa5facd041a0e5cdf4f04d2e977975dd39180c87ddb142d8f7bc18"),
+    ("3 2 2 4", "etale", "a6d4b94de8bb2a812cc259888b5ba0117ad8d6fddc2f40b3a5a1619fdb4ba49b"),
+    ("3 2 2 4", "semicont", "72f63e3b46dbe96cd76d8d0073bb29d2fb8f43920a59dba25015d029cc559919"),
+    ("2 2 3 2", "tilde", "55215c03dfdd19e38e1bcca90ad423db8a34a9291204d6d31038b69070224376"),
+    ("2 2 3 2", "ainf", "718ba26fe4ec5cc8e01bf46969de5a22a0f359f2ada2835d14aa5097125604fa"),
+    ("2 2 3 2", "ht", "edbfeb02f8b8ae2fa1d3239b91213e0f75238783a4bb0b9f4c2a6fb946fac851"),
+    ("2 2 3 2", "dr", "bf93fb62a3c2f0ca2165ea02d9ed65502fb07b8ad4d847c3ae8d5cbdec931407"),
+    ("2 2 3 2", "etale", "39260450897231bda0b11d6fa42aefe50d9283b9076c5cd2935550e6afc1cb8f"),
+    ("2 2 3 2", "semicont", "a4b6552dd7c15efe49f6de9e605c4134b27d217ff1a87c28b2ce5e294f1daf13"),
+]
+
+
+@pytest.mark.parametrize("config,stage,digest", TORUS_STAGES)
+def test_torus_stage_reports_match_recorded_digest(config, stage, digest):
+    p, depth, dim, bound = config.split()
+    argv = ["torus", "run", "--stage", stage, "--p", p, "--depth", depth, "--dim", dim, "--bound", bound, "--seed", "0"]
+    assert hashlib.sha256(cli_stdout(argv)).hexdigest() == digest

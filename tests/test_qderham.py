@@ -166,7 +166,7 @@ def test_compare_fails_when_an_entry_sits_in_the_wrong_row(monkeypatch):
         if src is not None:
             dst = next(r for r, x in enumerate(col) if ring.is_zero(x))
             diffs[1][dst][0], diffs[1][src][0] = col[src], col[dst]
-            moved.append(grading_key(int(a.coefficient_sum()) for a in elements))
+            moved.append(grading_key([a.coefficient_sum() for a in elements], 1))
         return diffs
 
     monkeypatch.setattr(qderham, "koszul_matrices", misplaced)

@@ -1,6 +1,7 @@
 """Graded pipelines: ranks, kills, certificates, specializations, fibres."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -36,8 +37,9 @@ Z = ZRing()
 
 def test_box_gradings_d1():
     box = GradingBox(1, 1, 1)
+    # carrier exponents: the grading k/3 is held as k
     values = [g[0] for g in box.iter_gradings(3)]
-    assert values == [Fraction(k, 3) for k in range(-3, 4)]
+    assert values == list(range(-3, 4))
     assert box.cell_count(3) == 7
 
 
@@ -49,16 +51,92 @@ def test_box_d0():
     assert cell.free_ranks == {0: 1}
 
 
+def test_box_depth_must_match_the_model():
+    # gradings are read over p^depth of the model: a deeper box would have
+    # its gradings 1/9 and 2/9 taken for integral ones
+    for stage in (tilde_omega_torus, ainf_omega_torus):
+        with pytest.raises(ValueError, match="depth"):
+            stage(AinfModel(3, 1), GradingBox(1, 2, 1))
+
+
+# --- the Fraction path, kept as an oracle for the carrier exponents --------
+
+def fraction_axis(box, p):
+    step = p**box.depth
+    return [Fraction(k, step) for k in range(-box.bound * step, box.bound * step + 1)]
+
+
+def fraction_contains(box, grading, p):
+    step = p**box.depth
+    return len(grading) == box.dim and all(abs(a) <= box.bound and (a * step).denominator == 1 for a in grading)
+
+
+def fraction_representative(cls, p):
+    if cls in ("Z0", "I1", "I+"):
+        return Fraction(("Z0", "I1", "I+").index(cls))
+    _, k, unit = cls
+    return Fraction(1 if unit else 2 if p != 2 else 3, p**k)
+
+
+SMALL_BOXES = [(p, n, d, B) for p in (2, 3, 5) for n in (1, 2) for d in (1, 2) for B in (1, 2)]
+
+
+@pytest.mark.parametrize("p,n,d,B", SMALL_BOXES)
+def test_carrier_exponents_agree_with_the_fraction_oracle(p, n, d, B, monkeypatch):
+    box, step = GradingBox(d, n, B), p**n
+    gradings = list(box.iter_gradings(p))
+    assert [tuple(Fraction(s, step) for s in g) for g in gradings] == list(
+        itertools.product(fraction_axis(box, p), repeat=d)
+    )
+    assert [tuple(Fraction(s, step) for s in g) for g in box.iter_integral_gradings(p)] == list(
+        itertools.product([Fraction(k) for k in range(-B, B + 1)], repeat=d)
+    )
+    keys = []
+    monkeypatch.setattr(torus, "_fractional_outcome", lambda p, n, key: keys.append(key) or ("zero", None, ()))
+    labels = {}
+    for g in gradings:
+        a = tuple(Fraction(s, step) for s in g)
+        old_key = ",".join(str(x) for x in a)
+        assert grading_key(g, step) == grading_key(g, step, labels) == old_key
+        twisted = tuple(x / p for x in a)
+        assert torus._twist_over_p(g, p, step) == (
+            fraction_contains(box, twisted, p),
+            all(x.denominator == 1 for x in twisted),
+        )
+        if any(x.denominator != 1 for x in a):
+            _fractional_cell(AinfModel(p, n), g)
+            assert keys.pop() == tuple(sorted(abs(int(x * p**n)) for x in a))
+    for cls in torus._axis_classes(n):
+        assert torus._class_representative(cls, p, n) == fraction_representative(cls, p) * step
+
+
+def test_grading_key_writes_fractions_in_lowest_terms():
+    assert grading_key((-2, 3), 9) == "-2/9,1/3"
+    assert grading_key((18, 0), 9) == "2,0"
+
+
+def test_hodge_tate_fails_when_the_twist_skips_the_division_by_p(monkeypatch):
+    res = ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 2))
+    assert specialize_hodge_tate(res)["passed"]
+    real = torus._twist_over_p
+    monkeypatch.setattr(torus, "_twist_over_p", lambda grading, p, step: real(grading, 1, step))
+    rep = specialize_hodge_tate(res)
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    # every integral cell with a component prime to p now expects the
+    # exterior algebra that its unit weight kills
+    assert not rep["passed"] and "1,0" in failed and "3,0" not in failed
+
+
 def test_build_graded_sum():
     model = AinfModel(3, 1)
     box = GradingBox(1, 1, 1)
     # the one-dimensional box: one weight q^a - 1 per grading (a,)
-    weights = {grading: model.q_power_minus_one(grading[0]) for grading in box.iter_gradings(3)}
+    weights = {grading: model.q_power_minus_one(Fraction(grading[0], 3)) for grading in box.iter_gradings(3)}
     assert len(weights) == 7
-    assert weights[(Fraction(1, 3),)] == LaurentElement({1: 1, 0: -1}, 1)
-    assert weights[(Fraction(0),)].is_zero()
+    assert weights[(1,)] == LaurentElement({1: 1, 0: -1}, 1)
+    assert weights[(0,)].is_zero()
     # residue side
-    assert model.oc_model().reduce(weights[(Fraction(1),)]).is_zero()
+    assert model.oc_model().reduce(weights[(3,)]).is_zero()
 
 
 def test_root_divisibility_calculus_matches_division():
@@ -81,7 +159,7 @@ def test_tilde_ranks():
     for p, n, d in ((2, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 3)):
         res = tilde_omega_torus(AinfModel(p, n), GradingBox(d, n, 2))
         for cell in res.all_cells():
-            integral = all(Fraction(a).denominator == 1 for a in cell.grading)
+            integral = all(s % p**n == 0 for s in cell.grading)
             expected = {i: comb(d, i) for i in range(d + 1)} if integral else {}
             assert cell.free_ranks == expected, cell.grading
 
@@ -108,10 +186,10 @@ def test_tilde_aggregated_equals_explicit():
 def test_ainf_integral_cells():
     model = AinfModel(3, 1)
     res = ainf_omega_torus(model, GradingBox(1, 1, 2))
-    cell = res.cells[(Fraction(2),)]
+    cell = res.cells[(6,)]
     assert cell.status == "koszul"
     assert cell.summand.elements[0] == model.q_analog(2)
-    zero_cell = res.cells[(Fraction(0),)]
+    zero_cell = res.cells[(0,)]
     assert zero_cell.free_ranks == {0: 1, 1: 1}
     # twist bookkeeping is additive in the degree
     assert all(cell.twist[i] == i * cell.twist.get(1, -1) for i in cell.twist)
@@ -120,9 +198,9 @@ def test_ainf_integral_cells():
 def test_ainf_kill_certificates():
     model = AinfModel(3, 1)
     res = ainf_omega_torus(model, GradingBox(1, 1, 2))
-    killed = res.cells[(Fraction(1, 3),)]
+    killed = res.cells[(1,)]
     assert killed.status == "zero"
-    residual = res.cells[(Fraction(2, 3),)]
+    residual = res.cells[(2,)]
     assert residual.status == "residual"
     assert residual.certificates["theta_image"] == "unit"
     assert residual.certificates["theta_tilde_image"] == "unit"
@@ -135,12 +213,12 @@ def test_residual_presentation_multiplicities():
     # d = 2 the quotient shows up in degrees 1 and 2
     model = AinfModel(3, 1)
     res = ainf_omega_torus(model, GradingBox(2, 1, 1))
-    cell = res.cells[(Fraction(0), Fraction(2, 3))]
+    cell = res.cells[(0, 2)]
     assert cell.status == "residual"
     pres = cell.presentation()
     divisor = LaurentElement({0: 1, 1: 1}, 1)
     assert pres.torsion(1) == [divisor] and pres.torsion(2) == [divisor]
-    one_dim = ainf_omega_torus(model, GradingBox(1, 1, 1)).cells[(Fraction(2, 3),)]
+    one_dim = ainf_omega_torus(model, GradingBox(1, 1, 1)).cells[(2,)]
     assert one_dim.presentation().torsion(1) == [divisor]
     assert not one_dim.presentation().torsion(2)
 
@@ -148,7 +226,7 @@ def test_residual_presentation_multiplicities():
 def test_ainf_unstructured_cell_certificate():
     # grading (3/5, 2/5): no weight divides the others in the carrier
     model = AinfModel(5, 1)
-    cell = _fractional_cell(model, (Fraction(3, 5), Fraction(2, 5)))
+    cell = _fractional_cell(model, (3, 2))
     assert cell.status == "unstructured"
     assert cell.certificates["mod_mu_free"] == "p-power ideal chain"
     assert cell.certificates["deeper_kill"] == "division"
@@ -228,7 +306,7 @@ def test_hodge_tate_reduces_each_exponent_once(monkeypatch):
     monkeypatch.setattr(torus, "_q_analog_mod_p_th_root", spy)
     rep = specialize_hodge_tate(res)
     assert rep["passed"]
-    exps = {int(a) for cell in res.all_cells() if cell.status == "koszul" for a in cell.grading}
+    exps = {s // 3 for cell in res.all_cells() if cell.status == "koszul" for s in cell.grading}
     assert len(exps) > 1 and sorted(calls) == sorted(exps)
 
 
@@ -243,9 +321,9 @@ def test_hodge_tate_tests_every_cell_for_zero_and_unit(monkeypatch):
     )
     rep = specialize_hodge_tate(res)
     expected = {
-        ",".join(str(a) for a in cell.grading)
+        ",".join(str(Fraction(s, 3)) for s in cell.grading)
         for cell in res.all_cells()
-        if cell.status == "koszul" and 0 in cell.grading and all(int(a) % 3 == 0 for a in cell.grading)
+        if cell.status == "koszul" and 0 in cell.grading and all(s % 9 == 0 for s in cell.grading)
     }
     failed = {key for key, v in rep["cells"].items() if not v["passed"]}
     assert len(expected) > 1 and failed == expected
@@ -266,7 +344,7 @@ def de_rham_with_mutated_certificate(status: str, mutate):
     assert specialize_de_rham(res)["passed"]
     grading, cell = next((g, c) for g, c in res.cells.items() if c.status == status)
     res.cells[grading] = dataclasses.replace(cell, certificates=mutate(dict(cell.certificates)))
-    return specialize_de_rham(res), grading_key(grading)
+    return specialize_de_rham(res), res.key(grading)
 
 
 def test_de_rham_zero_cell_needs_its_kill_certificate():
@@ -284,13 +362,13 @@ def test_de_rham_reads_the_pipeline_weights():
     # exponent 2, so the cell no longer reduces to the classical matrices
     model = AinfModel(3, 1)
     res = ainf_omega_torus(model, GradingBox(2, 1, 2))
-    grading = (Fraction(1), Fraction(2))
+    grading = (3, 6)
     cell = res.cells[grading]
     swapped = dataclasses.replace(cell.summand, elements=(cell.summand.elements[0], model.q_analog(3)))
     res.cells[grading] = dataclasses.replace(cell, summand=swapped)
     rep = specialize_de_rham(res)
     failed = {key for key, v in rep["cells"].items() if not v["passed"]}
-    assert not rep["passed"] and failed == {grading_key(grading)}
+    assert not rep["passed"] and failed == {"1,2"}
 
 
 def test_de_rham_rejects_a_flipped_classical_sign(monkeypatch):
@@ -348,8 +426,8 @@ def test_etale_ranks():
 def test_etale_ranks_weight_aggregated_classes_by_count():
     # a synthetic class of five surviving zero-grading cells counts five times
     model, box = AinfModel(3, 1), GradingBox(2, 1, 2)
-    explicit = TorusCell((Fraction(0), Fraction(0)), "koszul")
-    row = ClassRow(("Z0", "Z0"), 5, TorusCell((Fraction(0), Fraction(0)), "koszul"))
+    explicit = TorusCell((0, 0), "koszul")
+    row = ClassRow(("Z0", "Z0"), 5, TorusCell((0, 0), "koszul"))
     res = TorusCohomologyResult("ainf", model, box, {explicit.grading: explicit}, [row], True)
     assert etale_rank_torus(res)["rank_table"] == {0: 6, 1: 12, 2: 6}
 
@@ -360,7 +438,7 @@ def test_semicontinuity_weights_aggregated_classes_by_count():
     from aomega.complexes import KoszulSummand, LaurentRing
 
     model, box = AinfModel(3, 1), GradingBox(2, 1, 2)
-    grading = (Fraction(0), Fraction(0))
+    grading = (0, 0)
     summand = KoszulSummand(LaurentRing(3, 1), (LaurentElement.zero(1),) * 2, grading)
     explicit = TorusCell(grading, "koszul", summand)
     row = ClassRow(("Z0", "Z0"), 5, TorusCell(grading, "koszul", summand))
@@ -412,9 +490,24 @@ def test_torus_semicontinuity_equality():
         assert rep["inequality_holds"] and rep["equality_with_binomials"], rep
 
 
+def test_semicontinuity_reduces_each_weight_once(monkeypatch):
+    res = ainf_omega_torus(AinfModel(5, 1), GradingBox(2, 1, 2))
+    calls = []
+    real = torus._laurent_to_fp_poly
+
+    def spy(x, ring):
+        calls.append(x)
+        return real(x, ring)
+
+    monkeypatch.setattr(torus, "_laurent_to_fp_poly", spy)
+    assert torus_semicontinuity(res)["inequality_holds"]
+    assert len(calls) > 1 and len(calls) == len(set(calls))
+
+
 def per_cell_semicontinuity(result):
     """The fibre comparison with one Koszul complex per cell, no sharing;
-    an aggregated class counts as many times as the gradings it stands for."""
+    an aggregated class counts as many times as the gradings it stands for;
+    an unstructured weight q^a - 1 is rebuilt from the Fraction a."""
     model = result.model
     ring = FpPolyRing(model.p)
     d = result.box.dim
@@ -430,9 +523,10 @@ def per_cell_semicontinuity(result):
         elif cell.status == "zero":
             continue
         else:
+            step = model.p**model.depth
             elements = [
-                _laurent_to_fp_poly(model.q_power_minus_one(a), ring)
-                for a in cell.grading if Fraction(a) != 0
+                _laurent_to_fp_poly(model.q_power_minus_one(Fraction(s, step)), ring)
+                for s in cell.grading if Fraction(s, step) != 0
             ]
         generic, special, verdict = semicontinuity_demo(koszul(ring, elements))
         all_hold = all_hold and verdict["holds"]
@@ -447,7 +541,9 @@ def per_cell_semicontinuity(result):
     )
 
 
-@pytest.mark.parametrize("p,depth,dim,bound,aggregated", [(3, 2, 2, 2, False), (3, 2, 3, 2, True)])
+@pytest.mark.parametrize(
+    "p,depth,dim,bound,aggregated", [(3, 2, 2, 2, False), (3, 2, 3, 2, True), (5, 1, 2, 2, False)]
+)
 def test_torus_semicontinuity_matches_per_cell_oracle(p, depth, dim, bound, aggregated):
     res = ainf_omega_torus(AinfModel(p, depth), GradingBox(dim, depth, bound))
     assert res.aggregated is aggregated
