@@ -6,16 +6,20 @@ lattice track, complexes read from JSON), `ZModRing` (the special fibre
 u = 0 of the semicontinuity family), `LaurentRing` (the cyclotomic carrier
 of the torus pipeline and the q-de Rham blocks), `OCRing` (the residue ring
 the de Rham specialization compares in) and `FpPolyRing` (the
-semicontinuity family).  Over the non-principal rings, homology is only
-offered for divisibility-structured complexes through the diagonal
-decomposition; that is all the graded pipelines need.
+semicontinuity family).  `dot_is_zero(pairs)` is the sum of products the
+d o d check asks for, once per entry: Laurent and F_p[u] sum into one
+accumulator, Z in plain ints, the other rings fold `mul` and `add`.  Over
+the non-principal rings, homology is only offered for divisibility-structured
+complexes through the diagonal decomposition; that is all the graded
+pipelines need.
 
 Differential matrices are stored row-major, d_i of shape rank(i+1) x rank(i),
 acting on column vectors.  The Koszul sign convention is fixed once:
 
     d(e_S) = sum over j not in S of (-1)^(#{s in S : s < j}) g_j e_(S u {j})
 
-with subset bases enumerated in (size, lexicographic) order.
+with subset bases enumerated in (size, lexicographic) order; the cells it
+fills are tabled once per number of weights, on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from math import comb, gcd
 from typing import Any, Sequence
 
@@ -76,6 +80,11 @@ class Ring:
     def is_unit(self, x):
         return x.is_unit()
 
+    def dot_is_zero(self, pairs):
+        """Whether the sum of the products a b over `pairs` is zero."""
+        products = [self.mul(a, b) for a, b in pairs]
+        return not products or self.is_zero(reduce(self.add, products))
+
     def __repr__(self):
         return self.tag
 
@@ -104,6 +113,9 @@ class ZRing(Ring):
 
     def is_unit(self, x):
         return x in (1, -1)
+
+    def dot_is_zero(self, pairs):
+        return sum(a * b for a, b in pairs) == 0
 
     def normalize_quotient(self, g):
         return abs(g)
@@ -170,6 +182,17 @@ class LaurentRing(Ring):
     def exact_div(self, a, b):
         return laurent_exact_div(a, b)
 
+    def dot_is_zero(self, pairs):
+        """The products summed into one exponent dict; mixed depths raise ValueError."""
+        acc = {}
+        for a, b in pairs:
+            if not a.depth == b.depth == pairs[0][0].depth:
+                raise ValueError(f"depth mismatch in a sum of products: {a.depth} vs {b.depth}")
+            for e1, c1 in a._terms:
+                for e2, c2 in b._terms:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        return not any(acc.values())
+
     def normalize_quotient(self, g):
         return normalize_associate(g)
 
@@ -235,6 +258,17 @@ class FpPolyRing(Ring):
         quo = poly.exact_div(self.reduce(a), self.reduce(b), self.p)
         return None if quo is None else tuple(quo)
 
+    def dot_is_zero(self, pairs):
+        """The products summed over Z into one list, nonzero terms only, read mod p."""
+        acc = [0] * max((len(a) + len(b) for a, b in pairs), default=0)
+        for a, b in pairs:
+            terms = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in terms:
+                        acc[i + j] += x * y
+        return not any(c % self.p for c in acc)
+
     def evaluate(self, f, x: int) -> int:
         acc = 0
         for c in reversed(self.reduce(f)):
@@ -267,8 +301,8 @@ class ChainComplex:
         self._check_dd()
 
     def _check_dd(self):
-        """d_(k+1) d_k = 0 in every degree, summed over nonzero entries only:
-        a term with a zero factor is zero in any ring."""
+        """d_(k+1) d_k = 0 in every degree, one `dot_is_zero` per entry over
+        its nonzero terms only: a term with a zero factor is zero in any ring."""
         R = self.ring
         for k in range(len(self.diffs) - 1):
             A, B = self.diffs[k + 1], self.diffs[k]
@@ -279,12 +313,7 @@ class ChainComplex:
             for row in A:
                 terms = [(t, a) for t, a in enumerate(row) if not R.is_zero(a)]
                 for col in cols:
-                    acc = None
-                    for t, a in terms:
-                        if t in col:
-                            prod = R.mul(a, col[t])
-                            acc = prod if acc is None else R.add(acc, prod)
-                    if acc is not None and not R.is_zero(acc):
+                    if not R.dot_is_zero([(a, col[t]) for t, a in terms if t in col]):
                         raise AssertionError(f"d o d != 0 at degree {self.lo + k}")
 
     @property
@@ -359,6 +388,17 @@ def koszul_basis(d: int, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(d), size))
 
 
+@lru_cache(maxsize=None)
+def _koszul_placement(d: int) -> tuple:
+    """Per degree k: the (row, column, weight index, sign) of every nonzero
+    cell of the Koszul differential d_k on d weights, built on first use."""
+    return tuple(
+        tuple((koszul_basis(d, k + 1).index(tuple(sorted(S + (j,)))), col, j, koszul_sign(j, S))
+              for col, S in enumerate(koszul_basis(d, k)) for j in range(d) if j not in S)
+        for k in range(d)
+    )
+
+
 def koszul_matrices(ring, elements: Sequence[Any]) -> list:
     """The Koszul differentials on the given elements, unchecked.
 
@@ -368,17 +408,12 @@ def koszul_matrices(ring, elements: Sequence[Any]) -> list:
     d = len(elements)
     zero = ring.zero()
     weights = [ring.add(zero, g) for g in elements]
-    negated = [ring.neg(g) for g in weights]
+    signed = {1: weights, -1: [ring.neg(g) for g in weights]}
     diffs = []
-    for k in range(d):
-        src = koszul_basis(d, k)
-        tgt = {S: i for i, S in enumerate(koszul_basis(d, k + 1))}
-        mat = [[zero] * len(src) for _ in tgt]
-        for col, S in enumerate(src):
-            for j in range(d):
-                if j not in S:
-                    val = weights[j] if koszul_sign(j, S) == 1 else negated[j]
-                    mat[tgt[tuple(sorted(S + (j,)))]][col] = val
+    for k, cells in enumerate(_koszul_placement(d)):
+        mat = [[zero] * comb(d, k) for _ in range(comb(d, k + 1))]
+        for row, col, j, sign in cells:
+            mat[row][col] = signed[sign][j]
         diffs.append(mat)
     return diffs
 

@@ -115,6 +115,13 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
     ring = LaurentRing(model.p, model.depth)
     zero = ring.zero()
     ranks = [comb(dim, k) for k in range(dim + 1)]
+    # per degree k: (row, column, direction, sign) of every wedge
+    # dlog(t_j) ^ dlog(t_S), the same for every monomial
+    wedges = [
+        [(koszul_basis(dim, k + 1).index(tuple(sorted(S + (j,)))), col, j, koszul_sign(j, S))
+         for col, S in enumerate(koszul_basis(dim, k)) for j in range(dim) if j not in S]
+        for k in range(dim)
+    ]
     blocks = {}
     for m in itertools.product(range(-bound, bound + 1), repeat=dim):
         base = QLaurentFunction.monomial(model.p, model.depth, m)
@@ -130,14 +137,10 @@ def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, Cha
                 coeff = c
             signed.append({1: coeff, -1: -coeff})
         diffs = []
-        for k in range(dim):
-            src = koszul_basis(dim, k)
-            tgt = {S: i for i, S in enumerate(koszul_basis(dim, k + 1))}
-            mat = [[zero] * len(src) for _ in tgt]
-            for col, S in enumerate(src):
-                for j in range(dim):
-                    if j not in S:
-                        mat[tgt[tuple(sorted(S + (j,)))]][col] = signed[j][koszul_sign(j, S)]
+        for k, cells in enumerate(wedges):
+            mat = [[zero] * ranks[k] for _ in range(ranks[k + 1])]
+            for row, col, j, sign in cells:
+                mat[row][col] = signed[j][sign]
             diffs.append(mat)
         blocks[m] = ChainComplex(ring, 0, ranks, diffs)
     return blocks

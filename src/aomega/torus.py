@@ -17,13 +17,20 @@ Nonintegral gradings die.  The carrier realizes the divisibility kill
 literally when some component has numerator +-1; the remaining cells are
 certified dead in every specialization by residue-ring computations: the
 divided-weight residue is a unit under both reduction maps, or (for cells
-without a divisibility-minimal weight) the reduced complex collapses in the
-one-level-deeper residue ring while the mod-(q-1) homology is a free
-module, the hypothesis under which decalage commutes with that reduction.
+without a divisibility-minimal weight) some weight divides the image of
+q - 1 one residue level deeper, so the reduced complex collapses there,
+while the mod-(q-1) homology is a free module, the hypothesis under which
+decalage commutes with that reduction.  Each of these facts depends on one
+exponent and is decided once: the residual by `_residual_outcome`, the
+deeper kill by `_root_power_divides` (honest division on small rings,
+root-of-unity orders on large ones).
 
 Large boxes are aggregated: gradings with the same per-component valuation
 pattern share their outcome, which is computed once per pattern on a
 representative and counted combinatorially; small boxes enumerate cells.
+The fibre comparison computes ranks once per orbit of weight tuples under
+permutation, on the sorted tuple; every other order is tied to it by the
+signed permutation of Koszul bases, checked entry by entry.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from .ainf import AinfModel, OCModel
 from .arith import (
@@ -296,11 +303,9 @@ def _root_power_divides(p: int, depth: int, s_div: int, s_num: int) -> bool:
         return True
     if s_div == 0:
         return False
-    oc = OCModel(p, depth)
-    if oc.degree <= HONEST_DIVISION_DEGREE_LIMIT:
-        num = oc.zeta_power_minus_one(s_num)
-        den = oc.zeta_power_minus_one(s_div)
-        return num.exact_div(den) is not None
+    if _division_honest(p, depth):
+        oc = OCModel(p, depth)
+        return oc.zeta_power_minus_one(s_num).exact_div(oc.zeta_power_minus_one(s_div)) is not None
     order_div = period // gcd(s_div, period)
     order_num = period // gcd(s_num, period)
     return order_div >= order_num
@@ -385,20 +390,11 @@ def _pattern_count(pattern, p: int, box: GradingBox) -> int:
     counts = [_axis_class_count(c, p, box.bound) for c in pattern]
     if any(c <= 0 for c in counts):
         return 0
-    total = 1
-    for c in counts:
-        total *= c
-    # multiset permutations of the pattern
-    perms = _multiset_permutations(pattern)
-    return total * perms
+    return prod(counts) * _multiset_permutations(pattern)
 
 
-def _multiset_permutations(pattern) -> int:
-    n = len(pattern)
-    out = factorial(n)
-    for cls in set(pattern):
-        out //= factorial(sum(1 for c in pattern if c == cls))
-    return out
+def _multiset_permutations(pattern: tuple) -> int:
+    return factorial(len(pattern)) // prod(factorial(pattern.count(cls)) for cls in set(pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -496,54 +492,41 @@ def _fractional_outcome(p: int, n: int, exps: tuple[int, ...]):
     nonzero = [s for s in exps if s]
     g_min_exp = next((s for s in nonzero if all(t % s == 0 for t in nonzero)), None)
     if g_min_exp is not None:
-        g_min = LaurentElement({g_min_exp: 1, 0: -1}, n)
-        residual = normalize_associate(leta_two_term(g_min, model.mu, ring))
-        theta_unit = OCModel(p, n).reduce(residual).is_unit()
-        theta_tilde_unit = OCModel(p, n + 1).reduce(residual.with_depth(n + 1)).is_unit()
-        if theta_unit and theta_tilde_unit:
-            certs = (
-                ("residual", "two-term divisor after dividing out gcd with q - 1"),
-                ("theta_image", "unit"),
-                ("theta_tilde_image", "unit"),
-            )
-        else:
-            certs = (("residual", "two-term divisor"), ("specializations", "unverified"))
-        return "residual", residual, certs
+        return ("residual", *_residual_outcome(p, n, g_min_exp))
 
     cert = _deeper_collapse_certificate(model, exps)
     return "unstructured", None, tuple(cert.items())
 
 
+@lru_cache(maxsize=None)
+def _residual_outcome(p: int, n: int, g_min_exp: int):
+    """The two-term divisor of the divisibility-minimal weight u^g_min_exp - 1
+    after dividing out its gcd with q - 1, and whether both residue maps send it to a unit."""
+    model = AinfModel(p, n)
+    g_min = LaurentElement({g_min_exp: 1, 0: -1}, n)
+    residual = normalize_associate(leta_two_term(g_min, model.mu, LaurentRing(p, n)))
+    theta_unit = OCModel(p, n).reduce(residual).is_unit()
+    theta_tilde_unit = OCModel(p, n + 1).reduce(residual.with_depth(n + 1)).is_unit()
+    if theta_unit and theta_tilde_unit:
+        return residual, (
+            ("residual", "two-term divisor after dividing out gcd with q - 1"),
+            ("theta_image", "unit"),
+            ("theta_tilde_image", "unit"),
+        )
+    return residual, (("residual", "two-term divisor"), ("specializations", "unverified"))
+
+
 def _deeper_collapse_certificate(model: AinfModel, exps: tuple[int, ...]) -> dict:
     """For summands without divisibility structure: (a) the mod-(q - 1)
-    homology is a free module because the folded weights generate a chain
-    of p-power ideals, and (b) the summand reduced one residue level deeper
-    collapses, since every fractional weight maps to a root of unity of
-    order at least p there.  (a) licenses commuting the decalage with the
-    deeper reduction, and (b) computes the result."""
+    homology is a free module because the folded weights gcd(s, p^n), powers
+    of p, generate a chain of ideals, and (b) the summand reduced one residue
+    level deeper collapses: some fractional weight zeta^s - 1 divides the image
+    zeta^(p^n) - 1 of q - 1 there, decided by `_root_power_divides`.  (a)
+    licenses commuting the decalage with the deeper reduction; (b) computes it."""
     p, n = model.p, model.depth
-    # (a) the folded exponents gcd(s, p^n) form a divisibility chain
-    folded = sorted({gcd(s, p**n) for s in exps if s})
-    for i in range(len(folded) - 1):
-        if folded[i + 1] % folded[i]:
-            return {"mod_mu_free": "failed"}  # unreachable: p-powers always chain
-    # (b) outcome one level deeper, by honest division when affordable
-    oc2 = OCModel(p, n + 1)
-    cert = {"mod_mu_free": "p-power ideal chain", "deeper_kill": "order-calculus"}
-    if oc2.degree <= HONEST_DIVISION_DEGREE_LIMIT:
-        f = oc2.reduce(model.mu.with_depth(n + 1))
-        killed = False
-        for s in exps:
-            if s == 0 or s % p**n == 0:
-                continue
-            e = oc2.reduce(LaurentElement({s: 1, 0: -1}, n + 1))
-            if f.exact_div(e) is not None:
-                killed = True
-                break
-        if not killed:
-            return {"mod_mu_free": "p-power ideal chain", "deeper_kill": "failed"}
-        cert["deeper_kill"] = "division"
-    return cert
+    route = "division" if _division_honest(p, n + 1) else "order-calculus"
+    killed = any(_root_power_divides(p, n + 1, s, p**n) for s in exps if s % p**n)
+    return {"mod_mu_free": "p-power ideal chain", "deeper_kill": route if killed else "failed"}
 
 
 def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult:
@@ -809,6 +792,35 @@ def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
     return ring.reduce(out)
 
 
+def _orbit_representative(elements: tuple) -> tuple[tuple, tuple]:
+    """The sorted weights rep and the permutation sigma with elements[j] == rep[sigma[j]]."""
+    order = sorted(range(len(elements)), key=elements.__getitem__)
+    return tuple(elements[j] for j in order), tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+def _signed_permutation(sigma: tuple) -> list:
+    """Per degree, for each subset S in `koszul_basis` order: the index of
+    sigma(S) and the sign of e_S -> +-e_sigma(S), by counting inversions."""
+    d = len(sigma)
+    images = [[[sigma[s] for s in S] for S in koszul_basis(d, k)] for k in range(d + 1)]
+    return [[(koszul_basis(d, k).index(tuple(sorted(im))), (-1) ** sum(a > b for a, b in itertools.combinations(im, 2)))
+             for im in row] for k, row in enumerate(images)]
+
+
+def _check_signed_permutation(ring, elements: tuple, rep_diffs, table) -> None:
+    """P d = d' P entry by entry, d and d' the Koszul differentials on `elements`
+    and on their orbit representative, P the signed permutation `table`.  P has
+    entries +-1, so it commutes with u = 0 and carries d o d = 0 and both fibre ranks."""
+    for k, mat in enumerate(koszul_matrices(ring, elements)):
+        for t, row in enumerate(mat):
+            t2, sign_t = table[k + 1][t]
+            for c, x in enumerate(row):
+                c2, sign_c = table[k][c]
+                y = rep_diffs[k][t2][c2]
+                if x != (y if sign_t == sign_c else ring.neg(y)):
+                    raise AssertionError(f"weights {elements} are not a signed permutation of their representative")
+
+
 def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     """Feed the mod-p summand complexes of the ainf result to the fibre
     comparison.
@@ -824,9 +836,9 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     totals_generic = {i: 0 for i in range(d + 1)}
     totals_special = {i: 0 for i in range(d + 1)}
     all_hold = True
-    # each distinct weight is reduced once; the fibre comparison depends only
-    # on the ordered reduced weights
-    reduced, by_weights = {}, {}
+    # each distinct weight is reduced once, the fibre ranks are computed once per
+    # orbit (the sorted weights), and each other ordered tuple is checked isomorphic
+    reduced, by_weights, orbits, permutations = {}, {}, {}, {}
 
     def fp(g):
         if g not in reduced:
@@ -846,7 +858,15 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
             elements = [fp(LaurentElement({s: 1, 0: -1}, model.depth)) for s in cell.grading if s]
         key = tuple(elements)
         if key not in by_weights:
-            by_weights[key] = semicontinuity_demo(koszul(ring, elements))
+            rep, sigma = _orbit_representative(key)
+            if rep not in orbits:
+                K = koszul(ring, rep)
+                orbits[rep] = K.diffs, semicontinuity_demo(K)
+            rep_diffs, by_weights[key] = orbits[rep]
+            if key != rep:
+                if sigma not in permutations:
+                    permutations[sigma] = _signed_permutation(sigma)
+                _check_signed_permutation(ring, key, rep_diffs, permutations[sigma])
         generic, special, verdict = by_weights[key]
         if not verdict["holds"]:
             all_hold = False

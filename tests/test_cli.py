@@ -177,6 +177,25 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_semicont_exits_3_when_a_tuple_is_not_isomorphic_to_its_orbit(monkeypatch, capsys):
+    # every ordered weight tuple is mapped to the representative of another
+    # orbit: the signed-permutation check is an invariant of the library
+    real = torus._orbit_representative
+
+    def wrong(elements):
+        rep, sigma = real(elements)
+        return (rep[-1],) + rep[1:] if len(set(elements)) > 1 else rep, sigma
+
+    monkeypatch.setattr(torus, "_orbit_representative", wrong)
+    with pytest.raises(SystemExit) as exc:
+        main(["torus", "run", "--stage", "semicont", "--p", "3", "--depth", "2", "--dim", "2", "--bound", "2",
+              "--out", "-"])
+    assert exc.value.code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "signed permutation" in err
+    assert "Traceback" not in err
+
+
 def test_s4_reports_unstructured_decomposition_as_failure(monkeypatch):
     monkeypatch.setattr(suites, "koszul_to_diagonal", lambda K: NOT_STRUCTURED)
     report = run_suite("s4-torus-decomp", SessionConfig(p=3, seed=0))

@@ -20,6 +20,7 @@ from aomega.complexes import (
     LaurentRing,
     OCRing,
     RANK1_FREE,
+    Ring,
     TWO_TERM,
     ZModRing,
     ZRing,
@@ -407,3 +408,47 @@ def test_fp_is_zero_matches_trim_on_untrimmed_tuples():
         for _ in range(300):
             x = tuple(rng.choice((0, p, -p, rng.randrange(-2 * p, 2 * p))) for _ in range(rng.randint(0, 4)))
             assert R.is_zero(x) == (not R.reduce(x))
+
+
+# ---------------------------------------------------------------------------
+# one sum per d-after-d entry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_dot_is_zero_matches_the_folded_sum(ring):
+    # each ring's own accumulator against the protocol default, which folds
+    # `mul` and `add`; half the sums are made to cancel
+    rng = random.Random(76)
+    entry = RANDOM_ENTRY[ring.tag]
+    verdicts = set()
+    for _ in range(200):
+        pairs = [(entry(rng), entry(rng)) for _ in range(rng.randint(0, 4))]
+        if pairs and rng.random() < 0.5:
+            a, b = pairs[0]
+            pairs.append((ring.neg(a), b))
+        verdict = ring.dot_is_zero(pairs)
+        assert verdict == Ring.dot_is_zero(ring, pairs), pairs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_fp_dd_entry_is_read_mod_p():
+    # over F_3[u] the one d o d entry sums u + 2u = 3u, zero mod 3 but not
+    # over Z; with 2u + 2u = 4u it is u, and the check must see it
+    F3 = FpPolyRing(3)
+    assert F3.dot_is_zero([((0, 1), (1,)), ((0, 1), (2,))])
+    ChainComplex(F3, 0, [1, 2, 1], [[[(1,)], [(2,)]], [[(0, 1), (0, 1)]]])
+    assert not F3.dot_is_zero([((0, 1), (2,)), ((0, 1), (2,))])
+    with pytest.raises(AssertionError, match="d o d != 0 at degree 0"):
+        ChainComplex(F3, 0, [1, 2, 1], [[[(2,)], [(2,)]], [[(0, 1), (0, 1)]]])
+
+
+def test_laurent_dd_rejects_mixed_depths():
+    ring = LaurentRing(3, 1)
+    u1, u2 = LaurentElement({1: 1}, 1), LaurentElement({1: 1}, 2)
+    with pytest.raises(ValueError, match="depth"):
+        ring.dot_is_zero([(u1, u2)])
+    with pytest.raises(ValueError, match="depth"):
+        ring.dot_is_zero([(u1, u1), (u2, u2)])
+    with pytest.raises(ValueError, match="depth"):
+        ChainComplex(ring, 0, [1, 2, 1], [[[u1], [u1]], [[u1, -u2]]])

@@ -111,3 +111,28 @@ def test_torus_stage_reports_match_recorded_digest(config, stage, digest):
     p, depth, dim, bound = config.split()
     argv = ["torus", "run", "--stage", stage, "--p", p, "--depth", depth, "--dim", dim, "--bound", bound, "--seed", "0"]
     assert hashlib.sha256(cli_stdout(argv)).hexdigest() == digest
+
+
+# Commands whose bytes the per-exponent kill certificates, the per-orbit
+# fibre ranks and the Koszul placement tables must leave alone: the q-de Rham
+# table and comparison, the dim-3 fibre comparison (orbits merge there), and
+# the Hodge-Tate and de Rham stages at (5,2,2,2), where the residue ring one
+# level deeper is too large for honest division and every unstructured cell
+# carries an order-calculus certificate.  Recorded before those changes.
+PINNED = [
+    ("qderham table --p 3 --depth 2 --dim 3 --bound 2",
+     "0627f87e17f81a69bbd0f2ba9a510f4d40c53ab124a8916f06f6b835df71819a"),
+    ("qderham compare --p 3 --depth 2 --dim 3 --bound 3",
+     "644761fc9f7b45438f4d76390748f148e9facf5cc7cd173082d59126393a6c0a"),
+    ("torus run --stage semicont --p 3 --depth 2 --dim 3 --bound 3 --seed 0",
+     "a4b6552dd7c15efe49f6de9e605c4134b27d217ff1a87c28b2ce5e294f1daf13"),
+    ("torus run --stage ht --p 5 --depth 2 --dim 2 --bound 2 --seed 0",
+     "310eccb0cfebec618abc707f6a56f5b81050e131dd26d3f224ed84bc7cdb77ae"),
+    ("torus run --stage dr --p 5 --depth 2 --dim 2 --bound 2 --seed 0",
+     "b4dfa7649f4a99b11168017b0407b0e5f90fcbb2f872038d159197123a3c080a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED)
+def test_pinned_reports_match_recorded_digest(command, digest):
+    assert hashlib.sha256(cli_stdout(command.split())).hexdigest() == digest

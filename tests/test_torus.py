@@ -232,6 +232,63 @@ def test_ainf_unstructured_cell_certificate():
     assert cell.certificates["deeper_kill"] == "division"
 
 
+def honest_deeper_kill(p: int, n: int, exps) -> str:
+    """The deeper-kill loop the pipeline ran before it went through
+    `_root_power_divides`: each fractional weight u^s - 1 is tried by exact
+    division of the image of q - 1 in the residue ring one level deeper.
+    Here it divides on every ring; the route names what the pipeline may
+    claim for that ring's size."""
+    oc2 = OCModel(p, n + 1)
+    f = oc2.reduce(LaurentElement({p**n: 1, 0: -1}, n + 1))
+    for s in exps:
+        if s == 0 or s % p**n == 0:
+            continue
+        if f.exact_div(oc2.reduce(LaurentElement({s: 1, 0: -1}, n + 1))) is not None:
+            return "division" if oc2.degree <= torus.HONEST_DIVISION_DEGREE_LIMIT else "order-calculus"
+    return "failed"
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_deeper_collapse_certificate_matches_the_honest_division_loop(p, n):
+    # every exponent class modulo p^(n+1), the multiples of p^n included,
+    # alone and next to each other exponent
+    model = AinfModel(p, n)
+    exponents = range(p ** (n + 1) + 1)
+    cases = [(s,) for s in exponents] + [(s, t) for s in exponents for t in (1, p, p**n, p**n + 1)]
+    for exps in cases:
+        cert = torus._deeper_collapse_certificate(model, exps)
+        assert cert == {"mod_mu_free": "p-power ideal chain", "deeper_kill": honest_deeper_kill(p, n, exps)}, exps
+
+
+@pytest.fixture
+def cold_fractional_caches():
+    """Empty the per-exponent memos before and after a test that mutates
+    what they remember."""
+    for cache in (torus._fractional_outcome, torus._residual_outcome):
+        cache.cache_clear()
+    yield
+    for cache in (torus._fractional_outcome, torus._residual_outcome):
+        cache.cache_clear()
+
+
+def test_order_calculus_deeper_kill_is_computed(monkeypatch, cold_fractional_caches):
+    # at (5,2,2,2) the residue ring one level deeper has degree 100, above
+    # the honest-division limit; the kill target there answers no for every
+    # weight, so each unstructured cell loses its deeper kill and both
+    # specializations must report it
+    real = torus._root_power_divides
+    monkeypatch.setattr(
+        torus, "_root_power_divides", lambda p, depth, s_div, s_num: depth != 3 and real(p, depth, s_div, s_num)
+    )
+    res = ainf_omega_torus(AinfModel(5, 2), GradingBox(2, 2, 2))
+    unstructured = {res.key(g) for g, cell in res.cells.items() if cell.status == "unstructured"}
+    assert len(unstructured) == 7864
+    assert all(res.cells[g].certificates["deeper_kill"] == "failed" for g in res.cells if res.key(g) in unstructured)
+    for rep in (specialize_hodge_tate(res), specialize_de_rham(res)):
+        failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+        assert not rep["passed"] and failed == unstructured
+
+
 def realize_group_ring_koszul(p: int, n: int, exps: list[int]) -> ChainComplex:
     """K(Z[x]/(x^(p^n) - 1); x^(s_1) - 1, ...) as a complex of free Z-modules."""
     P = p**n
@@ -542,7 +599,8 @@ def per_cell_semicontinuity(result):
 
 
 @pytest.mark.parametrize(
-    "p,depth,dim,bound,aggregated", [(3, 2, 2, 2, False), (3, 2, 3, 2, True), (5, 1, 2, 2, False)]
+    "p,depth,dim,bound,aggregated",
+    [(3, 2, 2, 2, False), (3, 2, 3, 2, True), (5, 1, 2, 2, False), (2, 1, 3, 2, False)],
 )
 def test_torus_semicontinuity_matches_per_cell_oracle(p, depth, dim, bound, aggregated):
     res = ainf_omega_torus(AinfModel(p, depth), GradingBox(dim, depth, bound))
@@ -553,6 +611,89 @@ def test_torus_semicontinuity_matches_per_cell_oracle(p, depth, dim, bound, aggr
     assert rep["special_totals"] == special
     assert rep["inequality_holds"] is holds
     assert rep["equality_with_binomials"]
+
+
+def count_orbit_work(monkeypatch):
+    """Counters of the Koszul complexes built for orbit representatives and
+    of the ordered tuples checked against theirs."""
+    counts = {"representatives": 0, "isomorphisms": 0}
+    real_koszul, real_check = torus.koszul, torus._check_signed_permutation
+
+    def koszul_spy(ring, elements):
+        counts["representatives"] += 1
+        return real_koszul(ring, elements)
+
+    def check_spy(*args):
+        counts["isomorphisms"] += 1
+        return real_check(*args)
+
+    monkeypatch.setattr(torus, "koszul", koszul_spy)
+    monkeypatch.setattr(torus, "_check_signed_permutation", check_spy)
+    return counts
+
+
+def test_semicontinuity_computes_fibre_ranks_once_per_orbit(monkeypatch):
+    # (3,2,3,6): 345 distinct ordered weight tuples fall into 86 orbits under
+    # permutation; each other ordered tuple passes its isomorphism check
+    res = ainf_omega_torus(AinfModel(3, 2), GradingBox(3, 2, 6))
+    counts = count_orbit_work(monkeypatch)
+    rep = torus_semicontinuity(res)
+    assert rep["inequality_holds"] and rep["equality_with_binomials"]
+    assert counts == {"representatives": 86, "isomorphisms": 345 - 86}
+
+
+def test_signed_permutation_is_a_chain_isomorphism():
+    # P d = d' P, checked here with the dense product of the matrices
+    ring = FpPolyRing(5)
+    elements = ((1, 1), (0, 2), (3,), (2, 0, 1))
+    rep, sigma = torus._orbit_representative(elements)
+    assert sorted(elements) == list(rep) and all(elements[j] == rep[sigma[j]] for j in range(4))
+    table = torus._signed_permutation(sigma)
+    d, d_rep = koszul(ring, elements).diffs, koszul(ring, rep).diffs
+
+    def P(k):
+        mat = [[0] * comb(4, k) for _ in range(comb(4, k))]
+        for col, (row, sign) in enumerate(table[k]):
+            mat[row][col] = sign
+        return mat
+
+    def times(A, B, scalar_left):
+        # A B where one side holds +-1 integers and the other ring elements
+        out = []
+        for i in range(len(A)):
+            out.append([])
+            for j in range(len(B[0])):
+                acc = ring.zero()
+                for t in range(len(B)):
+                    a, b = A[i][t], B[t][j]
+                    scalar, x = (a, b) if scalar_left else (b, a)
+                    acc = ring.add(acc, ring.mul((scalar % 5,), x))
+                out[-1].append(acc)
+        return out
+
+    for k in range(4):
+        assert times(P(k + 1), d[k], True) == times(d_rep[k], P(k), False)
+    torus._check_signed_permutation(ring, elements, d_rep, table)
+
+
+def test_semicontinuity_rejects_a_tuple_mapped_to_a_wrong_representative(monkeypatch):
+    # the first unsorted tuple of distinct weights gets the representative
+    # of another orbit: its first weight swapped for its last
+    real = torus._orbit_representative
+    mutated = []
+
+    def wrong(elements):
+        rep, sigma = real(elements)
+        if not mutated and rep != elements and len(set(elements)) > 1:
+            mutated.append(elements)
+            rep = (rep[-1],) + rep[1:]
+        return rep, sigma
+
+    monkeypatch.setattr(torus, "_orbit_representative", wrong)
+    res = ainf_omega_torus(AinfModel(3, 2), GradingBox(2, 2, 2))
+    with pytest.raises(AssertionError, match="signed permutation"):
+        torus_semicontinuity(res)
+    assert len(mutated) == 1
 
 
 def test_composite_decalage_one_step_equals_two_step():
