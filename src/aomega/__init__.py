@@ -15,7 +15,6 @@ from .complexes import (
     ChainComplex,
     DiagonalComplex,
     HomologyPresentation,
-    KoszulSummand,
     NOT_STRUCTURED,
     homology_diagonal,
     homology_snf,

@@ -123,9 +123,6 @@ class ZRing(Ring):
     def entry_to_json(self, x):
         return str(x)
 
-    def entry_from_json(self, s):
-        return int(s)
-
 
 @dataclass(frozen=True, repr=False)
 class ZModRing(Ring):
@@ -198,9 +195,6 @@ class LaurentRing(Ring):
 
     def entry_to_json(self, x):
         return x.to_json()
-
-    def entry_from_json(self, obj):
-        return LaurentElement({int(e): int(c) for e, c in obj["terms"]}, int(obj["depth"]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -370,7 +364,7 @@ class ChainComplex:
         diffs = []
         for k, flat in enumerate(obj["diffs"]):
             rows, cols = ranks[k + 1], ranks[k]
-            entries = [ring.entry_from_json(x) for x in flat]
+            entries = [int(x) for x in flat]
             diffs.append([entries[i * cols : (i + 1) * cols] for i in range(rows)])
         return cls(ring, int(obj["lo"]), ranks, diffs)
 
@@ -422,27 +416,6 @@ def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
     """Koszul cochain complex on the given elements, degrees lo..lo+d."""
     d = len(elements)
     return ChainComplex(ring, lo, [comb(d, k) for k in range(d + 1)], koszul_matrices(ring, elements))
-
-
-@dataclass(frozen=True)
-class KoszulSummand:
-    """Symbolic Koszul data: ring, weight elements, grading vector, twist tag."""
-
-    ring: Any
-    elements: tuple
-    grading: tuple = ()
-    twist: int = 0
-
-    def __post_init__(self):
-        if self.grading and len(self.grading) != len(self.elements):
-            raise ValueError("grading length must match the number of elements")
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    def realize(self, lo: int = 0) -> ChainComplex:
-        return koszul(self.ring, list(self.elements), lo)
 
 
 def tensor_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
@@ -499,8 +472,7 @@ def tensor_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
 class HomologyPresentation:
     """Per-degree free rank plus torsion divisors (chain order over Z)."""
 
-    def __init__(self, ring, data: dict[int, tuple[int, list]]):
-        self.ring = ring
+    def __init__(self, data: dict[int, tuple[int, list]]):
         self.data = {
             i: (free, list(tors))
             for i, (free, tors) in sorted(data.items())
@@ -535,13 +507,12 @@ class HomologyPresentation:
         return "Homology(" + "; ".join(parts) + ")" if parts else "Homology(0)"
 
     def to_json(self):
-        out = {}
-        for i, (free, tors) in self.data.items():
-            out[str(i)] = {
-                "free_rank": free,
-                "torsion": [t if isinstance(t, str) else self.ring.entry_to_json(t) for t in tors],
-            }
-        return out
+        """Each torsion divisor as its repr: the integer over Z, the
+        polynomial string over the Laurent carrier."""
+        return {
+            str(i): {"free_rank": free, "torsion": [repr(t) for t in tors]}
+            for i, (free, tors) in self.data.items()
+        }
 
 
 def homology_snf(K: ChainComplex) -> HomologyPresentation:
@@ -556,22 +527,20 @@ def homology_snf(K: ChainComplex) -> HomologyPresentation:
         cycles = la.kernel_basis(K.diff(i), K.rank(i + 1), n)
         boundary_gens = la.transpose(K.diff(i - 1), n, K.rank(i - 1))
         data[i] = la.quotient_presentation(cycles, boundary_gens, n)
-    return HomologyPresentation(K.ring, data)
+    return HomologyPresentation(data)
 
 
 # ---------------------------------------------------------------------------
 # diagonal complexes
 # ---------------------------------------------------------------------------
 
-RANK1_FREE = "free"
-TWO_TERM = "two"
-
-
 @dataclass(frozen=True)
 class DiagonalSummand:
+    """A rank-1 free piece at `shift`, or, given `element` g, the two-term
+    piece R --g--> R in degrees shift and shift + 1."""
+
     shift: int
-    kind: str
-    element: Any = None  # the regular element g of a two-term piece
+    element: Any = None
 
 
 @dataclass
@@ -583,7 +552,7 @@ class DiagonalComplex:
 
     def __post_init__(self):
         for s in self.summands:
-            if s.kind == TWO_TERM and self.ring.is_zero(s.element):
+            if s.element is not None and self.ring.is_zero(s.element):
                 raise ValueError("two-term pieces need a nonzero (regular) element")
 
 
@@ -599,7 +568,7 @@ def homology_diagonal(D: DiagonalComplex) -> HomologyPresentation:
         acc[i] = (f + free, t)
 
     for s in D.summands:
-        if s.kind == RANK1_FREE:
+        if s.element is None:
             bump(s.shift, free=1)
         else:
             if D.ring.is_unit(s.element):
@@ -607,36 +576,24 @@ def homology_diagonal(D: DiagonalComplex) -> HomologyPresentation:
             bump(s.shift + 1, tor=D.ring.normalize_quotient(s.element))
     if isinstance(D.ring, ZRing):
         acc = {i: (f, la.chain_normalize(t)) for i, (f, t) in acc.items()}
-    return HomologyPresentation(D.ring, acc)
+    return HomologyPresentation(acc)
 
 
-def koszul_to_diagonal(K: KoszulSummand):
-    """Decompose a Koszul complex whose weights are divisibility-comparable.
+def koszul_to_diagonal(ring, weights: Sequence[Any]):
+    """Decompose the Koszul complex on weights that are divisibility-comparable.
 
     All weights zero: the exterior algebra, binom(d, k) free pieces at
     shift k.  Some weight dividing all others: binom(d-1, k) two-term
     pieces on that weight at shift k.  Anything else: NOT_STRUCTURED.
     """
-    R = K.ring
-    d = K.dim
-    nonzero = [g for g in K.elements if not R.is_zero(g)]
+    d = len(weights)
+    nonzero = [g for g in weights if not ring.is_zero(g)]
     if not nonzero:
-        summands = [
-            DiagonalSummand(k, RANK1_FREE)
-            for k in range(d + 1)
-            for _ in range(comb(d, k))
-        ]
-        return DiagonalComplex(R, summands)
-    g_min = None
-    for g in nonzero:
-        if all(R.is_zero(h) or R.exact_div(h, g) is not None for h in K.elements):
-            g_min = g
-            break
+        return DiagonalComplex(ring, [DiagonalSummand(k) for k in range(d + 1) for _ in range(comb(d, k))])
+    g_min = next(
+        (g for g in nonzero if all(ring.is_zero(h) or ring.exact_div(h, g) is not None for h in weights)),
+        None,
+    )
     if g_min is None:
         return NOT_STRUCTURED
-    summands = [
-        DiagonalSummand(k, TWO_TERM, g_min)
-        for k in range(d)
-        for _ in range(comb(d - 1, k))
-    ]
-    return DiagonalComplex(R, summands)
+    return DiagonalComplex(ring, [DiagonalSummand(k, g_min) for k in range(d) for _ in range(comb(d - 1, k))])

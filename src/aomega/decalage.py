@@ -32,7 +32,6 @@ from .complexes import (
     ZERO_COMPLEX,
     ChainComplex,
     HomologyPresentation,
-    KoszulSummand,
     ZRing,
     homology_snf,
 )
@@ -86,27 +85,26 @@ def eta_subcomplex(K: ChainComplex, f: int) -> ChainComplex:
 # symbolic track
 # ---------------------------------------------------------------------------
 
-def leta_koszul(K: KoszulSummand, f):
-    """Symbolic decalage of a Koszul complex.
+def leta_koszul(ring, weights, f):
+    """Symbolic decalage of the Koszul complex on `weights` over `ring`.
 
-    f dividing every weight gives the Koszul complex on the divided
-    weights; some weight dividing f gives ZERO_COMPLEX; otherwise
-    NOT_STRUCTURED (a value, surfaced to callers, never an exception).
+    f dividing every weight gives the divided weights, a tuple; some weight
+    dividing f gives ZERO_COMPLEX; otherwise NOT_STRUCTURED (a value,
+    surfaced to callers, never an exception).
     """
-    R = K.ring
-    if R.is_zero(f):
+    if ring.is_zero(f):
         raise ValueError("f must be nonzero")
     divided = []
-    for g in K.elements:
-        q = R.zero() if R.is_zero(g) else R.exact_div(g, f)
+    for g in weights:
+        q = ring.zero() if ring.is_zero(g) else ring.exact_div(g, f)
         if q is None:
             divided = None
             break
         divided.append(q)
     if divided is not None:
-        return KoszulSummand(R, tuple(divided), K.grading, K.twist + 1)
-    for g in K.elements:
-        if not R.is_zero(g) and R.exact_div(f, g) is not None:
+        return tuple(divided)
+    for g in weights:
+        if not ring.is_zero(g) and ring.exact_div(f, g) is not None:
             return ZERO_COMPLEX
     return NOT_STRUCTURED
 
@@ -153,7 +151,7 @@ def mod_f_homology(K: ChainComplex, f: int) -> HomologyPresentation:
         free, tors = la.quotient_presentation(z, b, K.rank(i))
         if free or tors:
             data[i] = (free, tors)
-    return HomologyPresentation(_Z, data)
+    return HomologyPresentation(data)
 
 
 def _cycle_coords(z_rows, b_rows, n: int) -> list[list[int]]:
@@ -199,7 +197,7 @@ class BocksteinComplex:
             free, tors = la.quotient_presentation(num_rows, den, k_i)
             if free or tors:
                 data[i] = (free, tors)
-        return HomologyPresentation(_Z, data)
+        return HomologyPresentation(data)
 
 
 def bockstein(K: ChainComplex, f: int) -> BocksteinComplex:
@@ -288,7 +286,7 @@ def check_homology_formula(inst: LetaInstance, f: int) -> CheckReport:
         tors = _divisor_transform(base.torsion(i), abs(f))
         if free or tors:
             predicted[i] = (free, tors)
-    expected = HomologyPresentation(_Z, predicted)
+    expected = HomologyPresentation(predicted)
     ok = actual == expected
     return CheckReport(
         "homology_formula", ok,

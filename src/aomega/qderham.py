@@ -166,6 +166,7 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
     blocks = q_de_rham_complex(model, dim, bound)
     report = {"stage": "q-de-rham-compare", "cells": {}, "passed": True}
     step = model.p**model.depth  # the pipeline keys a cell by its carrier exponents
+    ring = LaurentRing(model.p, model.depth)
     for m, block in blocks.items():
         cell = torus_result.cells.get(tuple(x * step for x in m))
         key = grading_key(m, 1)
@@ -173,12 +174,11 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
             report["cells"][key] = {"passed": False, "note": "missing pipeline cell"}
             report["passed"] = False
             continue
-        summand = cell.summand
-        matrices = koszul_matrices(summand.ring, summand.elements)
+        matrices = koszul_matrices(ring, cell.weights)
         ok = matrices == block.diffs
         report["cells"][key] = {"passed": ok}
         if not ok:
             report["passed"] = False
             report["cells"][key]["q_block"] = block.to_json()
-            report["cells"][key]["pipeline_block"] = matrices_to_json(summand.ring, matrices)
+            report["cells"][key]["pipeline_block"] = matrices_to_json(ring, matrices)
     return report

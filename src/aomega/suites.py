@@ -23,9 +23,6 @@ from .complexes import (
     DiagonalComplex,
     DiagonalSummand,
     FpPolyRing,
-    KoszulSummand,
-    RANK1_FREE,
-    TWO_TERM,
     ZRing,
     homology_diagonal,
     homology_snf,
@@ -262,8 +259,8 @@ def suite_leta(config: SessionConfig, instances: int = 200) -> VerificationRepor
         d = rng.randint(1, 3)
         f = rng.choice((2, 3, 4))
         gs = tuple(f * rng.randint(1, 4) for _ in range(d))
-        out = leta_koszul(KoszulSummand(_Z, gs), f)
-        lhs = homology_snf(out.realize())
+        out = leta_koszul(_Z, gs, f)
+        lhs = homology_snf(koszul(_Z, out))
         rhs = homology_snf(eta_subcomplex(koszul(_Z, list(gs)), f))
         if lhs != rhs:
             sym_fail.append({"weights": gs, "f": f})
@@ -271,7 +268,7 @@ def suite_leta(config: SessionConfig, instances: int = 200) -> VerificationRepor
         gs2 = (divisor,) + tuple(rng.randint(1, 9) for _ in range(d - 1))
         # f a proper multiple of the first weight, so the divide branch
         # cannot fire and the kill branch must
-        out2 = leta_koszul(KoszulSummand(_Z, gs2), divisor * rng.randint(2, 3))
+        out2 = leta_koszul(_Z, gs2, divisor * rng.randint(2, 3))
         if out2 is not ZERO_COMPLEX:
             sym_fail.append({"weights": gs2, "note": "kill rule failed"})
     report.add("symbolic-vs-lattice", not sym_fail, {"failures": sym_fail[:3]})
@@ -306,9 +303,9 @@ def suite_torus_decomposition(config: SessionConfig) -> VerificationReport:
         for _ in range(rng.randint(1, 4)):
             s = rng.randint(0, 2)
             if rng.random() < 0.5:
-                summands.append(DiagonalSummand(s, RANK1_FREE))
+                summands.append(DiagonalSummand(s))
             else:
-                summands.append(DiagonalSummand(s, TWO_TERM, rng.choice([x for x in range(-9, 10) if x])))
+                summands.append(DiagonalSummand(s, rng.choice([x for x in range(-9, 10) if x])))
         D = DiagonalComplex(_Z, summands)
         realized = _realize_diagonal(D)
         if homology_diagonal(D) != homology_snf(realized):
@@ -321,26 +318,25 @@ def suite_torus_decomposition(config: SessionConfig) -> VerificationReport:
     for _ in range(50):
         g = rng.choice([x for x in range(-9, 10) if x])
         h = rng.choice([x for x in range(-4, 5) if x])
-        K = KoszulSummand(_Z, (g, g * h))
-        D = koszul_to_diagonal(K)
+        D = koszul_to_diagonal(_Z, (g, g * h))
         if D is NOT_STRUCTURED:
             struct_fail.append({"g": g, "h": h})
             continue
-        if homology_diagonal(D) != homology_snf(K.realize()):
+        if homology_diagonal(D) != homology_snf(koszul(_Z, (g, g * h))):
             struct_fail.append({"g": g, "h": h})
         report.instances += 1
     report.add("koszul-to-diagonal-vs-oracle", not struct_fail, {"failures": struct_fail[:3]})
-    report.add("unstructured-detected", koszul_to_diagonal(KoszulSummand(_Z, (2, 3))) is NOT_STRUCTURED)
+    report.add("unstructured-detected", koszul_to_diagonal(_Z, (2, 3)) is NOT_STRUCTURED)
     return report
 
 
 def _realize_diagonal(D: DiagonalComplex) -> ChainComplex:
     lo = min(s.shift for s in D.summands)
-    hi = max(s.shift + (1 if s.kind == TWO_TERM else 0) for s in D.summands)
+    hi = max(s.shift + (0 if s.element is None else 1) for s in D.summands)
     ranks = [0] * (hi - lo + 2)
     entries = []
     for s in D.summands:
-        if s.kind == RANK1_FREE:
+        if s.element is None:
             ranks[s.shift - lo] += 1
         else:
             i, j = ranks[s.shift - lo], ranks[s.shift - lo + 1]
@@ -365,10 +361,6 @@ def _tensor_matches_koszul(K: ChainComplex, T: ChainComplex, d: int) -> bool:
         if depth == 1:
             return {0: [()], 1: [(0,)]}
         prev = tensor_subsets(depth - 1)
-        out = {}
-        for i in sorted(prev):
-            for sub in prev[i]:
-                out.setdefault(i, []).append(sub)
         # X = fold of first depth-1 factors, Y = last factor
         combined = {}
         for k in range(depth + 1):

@@ -51,13 +51,9 @@ from .arith import (
 )
 from .complexes import (
     NOT_STRUCTURED,
-    TWO_TERM,
     ChainComplex,
-    DiagonalComplex,
-    DiagonalSummand,
     FpPolyRing,
     HomologyPresentation,
-    KoszulSummand,
     LaurentRing,
     OCRing,
     ZModRing,
@@ -72,6 +68,8 @@ from .decalage import ZERO_COMPLEX, leta_koszul, leta_two_term
 from .intlinalg import rank
 
 EXPLICIT_CELL_LIMIT = 20000
+# surviving cells per etale stage re-checked by elimination over the carrier
+ETALE_VERIFY_LIMIT = 200
 HONEST_DIVISION_DEGREE_LIMIT = 48
 
 
@@ -160,40 +158,33 @@ class TorusCell:
 
     grading: tuple
     status: str  # "koszul" | "exterior" | "zero" | "residual" | "unstructured"
-    summand: KoszulSummand | None = None
+    weights: tuple | None = None  # the q-analogs of a "koszul" cell
     residual_divisor: LaurentElement | None = None
     free_ranks: dict[int, int] = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
-    twist: dict[int, int] = field(default_factory=dict)
 
-    def presentation(self):
-        """Homology presentation where the symbolic path provides one.
+    def presentation(self, ring):
+        """Homology presentation over `ring` where the symbolic path provides one.
 
         Koszul cells decompose when some weight divides the others (always
-        true in dimension one); a residual cell is binom(d-1, k) copies of
-        its two-term piece at shift k (shifting only rescales the
-        subcomplex lattice, never the divided weight); dead cells are
-        zero.  Anything else is NOT_STRUCTURED, a value.
+        true in dimension one); a residual cell decomposes as the Koszul
+        complex on its divisor and d - 1 zeros, binom(d-1, k) copies of its
+        two-term piece at shift k (shifting only rescales the subcomplex
+        lattice, never the divided weight); dead cells are zero.  Anything
+        else is NOT_STRUCTURED, a value.
         """
         if self.status == "zero":
-            return HomologyPresentation(None, {})
+            return HomologyPresentation({})
         if self.status == "residual":
-            d = len(self.grading)
-            ring = self.summand.ring
-            pieces = [
-                DiagonalSummand(k, TWO_TERM, self.residual_divisor)
-                for k in range(d)
-                for _ in range(comb(d - 1, k))
-            ]
-            return homology_diagonal(DiagonalComplex(ring, pieces))
-        if self.summand is not None:
-            D = koszul_to_diagonal(self.summand)
-            if D is NOT_STRUCTURED:
-                return NOT_STRUCTURED
-            return homology_diagonal(D)
-        if self.status == "exterior":
-            return HomologyPresentation(None, {i: (r, []) for i, r in self.free_ranks.items()})
-        return NOT_STRUCTURED
+            weights = (self.residual_divisor,) + (ring.zero(),) * (len(self.grading) - 1)
+        elif self.weights is not None:
+            weights = self.weights
+        elif self.status == "exterior":
+            return HomologyPresentation({i: (r, []) for i, r in self.free_ranks.items()})
+        else:
+            return NOT_STRUCTURED
+        D = koszul_to_diagonal(ring, weights)
+        return NOT_STRUCTURED if D is NOT_STRUCTURED else homology_diagonal(D)
 
 
 @dataclass
@@ -240,6 +231,7 @@ class TorusCohomologyResult:
         return {i: r for i, r in sorted(table.items()) if r}
 
     def to_json(self) -> dict:
+        ring = LaurentRing(self.model.p, self.model.depth)
         return {
             "stage": self.stage,
             "p": self.model.p,
@@ -252,7 +244,7 @@ class TorusCohomologyResult:
                 self.key(cell.grading): {
                     "status": cell.status,
                     "free_ranks": {str(i): r for i, r in cell.free_ranks.items()},
-                    "presentation": _presentation_json(cell),
+                    "presentation": _presentation_json(cell.presentation(ring)),
                     "certificates": {k: str(v) for k, v in cell.certificates.items()},
                 }
                 for cell in self.cells.values()
@@ -270,17 +262,8 @@ class TorusCohomologyResult:
         }
 
 
-def _presentation_json(cell: TorusCell):
-    pres = cell.presentation()
-    if not hasattr(pres, "to_json"):
-        return "not-structured"
-    out = {}
-    for i in pres.degrees():
-        out[str(i)] = {
-            "free_rank": pres.free_rank(i),
-            "torsion": [repr(t) for t in pres.torsion(i)],
-        }
-    return out
+def _presentation_json(pres):
+    return "not-structured" if pres is NOT_STRUCTURED else pres.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +323,6 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
             grading, "exterior",
             free_ranks={i: comb(d, i) for i in range(d + 1)},
             certificates={"weights": "all zero"},
-            twist={i: -i for i in range(d + 1)},
         )
     how = "division" if _division_honest(p, n) else "order-calculus"
     if all(x == 0 or _root_power_divides(p, n, s_f, x) for x in s):
@@ -427,9 +409,7 @@ def _integral_cell(model: AinfModel, grading, step: int) -> TorusCell:
     The divisions are componentwise, so each weight's two-step/one-step
     agreement certifies the composition law for the whole summand.
     """
-    ring = LaurentRing(model.p, model.depth)
-    elements = tuple(_verified_q_analog(model.p, model.depth, s // step) for s in grading)
-    summand = KoszulSummand(ring, elements, grading, twist=1)
+    weights = tuple(_verified_q_analog(model.p, model.depth, s // step) for s in grading)
     d = len(grading)
     if not any(grading):
         ranks = {i: comb(d, i) for i in range(d + 1)}
@@ -437,10 +417,9 @@ def _integral_cell(model: AinfModel, grading, step: int) -> TorusCell:
         ranks = {}  # generically acyclic; torsion only
     return TorusCell(
         grading, "koszul",
-        summand=summand,
+        weights=weights,
         free_ranks=ranks,
         certificates={"q_analog_weights": "verified", "composition": "one-step equals two-step"},
-        twist={i: -i for i in range(d + 1)},
     )
 
 
@@ -457,35 +436,25 @@ def _fractional_cell(model: AinfModel, grading) -> TorusCell:
     p, n = model.p, model.depth
     key = tuple(sorted(abs(s) for s in grading))
     status, divisor, certificates = _fractional_outcome(p, n, key)
-    summand = None
-    if divisor is not None:
-        # the reduced two-term piece; not indexed by the grading components
-        summand = KoszulSummand(LaurentRing(p, n), (divisor,), (), twist=1)
-    return TorusCell(
-        grading, status,
-        summand=summand,
-        residual_divisor=divisor,
-        certificates=dict(certificates),
-    )
+    return TorusCell(grading, status, residual_divisor=divisor, certificates=dict(certificates))
 
 
 @lru_cache(maxsize=None)
 def _fractional_outcome(p: int, n: int, exps: tuple[int, ...]):
     model = AinfModel(p, n)
     ring = LaurentRing(p, n)
-    elements = tuple(
+    weights = tuple(
         LaurentElement({s: 1, 0: -1}, n) if s else LaurentElement.zero(n) for s in exps
     )
-    base = KoszulSummand(ring, elements, exps)
 
-    one_step = leta_koszul(base, model.mu)
+    one_step = leta_koszul(ring, weights, model.mu)
     if one_step is ZERO_COMPLEX:
         return "zero", None, (("kill", "weight divides q - 1"),)
-    step1 = leta_koszul(base, model.phi_inv_mu)
+    step1 = leta_koszul(ring, weights, model.phi_inv_mu)
     if step1 is ZERO_COMPLEX:
         return "zero", None, (("kill", "weight divides the p-th-root divisor"),)
-    if isinstance(step1, KoszulSummand):
-        step2 = leta_koszul(step1, model.xi)
+    if isinstance(step1, tuple):
+        step2 = leta_koszul(ring, step1, model.xi)
         if step2 is ZERO_COMPLEX:
             return "zero", None, (("kill", "divided weight divides the cyclotomic weight"),)
 
@@ -581,6 +550,19 @@ def _twist_over_p(grading, p: int, step: int) -> tuple[bool, bool]:
     return all(s % p == 0 for s in grading), all(s % (p * step) == 0 for s in grading)
 
 
+def _dead_cell_certified(cell: TorusCell) -> bool:
+    """Whether the pipeline's certificates keep a dead cell dead in every
+    specialization: a zero cell by its kill, a residual cell by its divisor
+    mapping to a unit under both residue maps, an unstructured cell by a
+    computed deeper kill."""
+    c = cell.certificates
+    if cell.status == "zero":
+        return "kill" in c
+    if cell.status == "residual":
+        return c.get("theta_image") == c.get("theta_tilde_image") == "unit"
+    return cell.status == "unstructured" and c.get("deeper_kill") in ("division", "order-calculus")
+
+
 def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     """Reduce every surviving summand by the q-analog of p and compare with
     the Frobenius-twisted residue pipeline: the cell at grading a matches
@@ -620,16 +602,10 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             if not ok:
                 report["passed"] = False
         else:
-            # dead cells must stay dead after the reduction; the certificates
-            # recorded by the pipeline witness exactly that
-            ok = cell.status in ("zero", "residual", "unstructured") and (
-                cell.status != "residual" or cell.certificates.get("theta_tilde_image") == "unit"
-            ) and (
-                cell.status != "unstructured" or cell.certificates.get("deeper_kill") in ("division", "order-calculus")
-            )
-            # a nonintegral grading divided by p stays nonintegral, so the
-            # twisted residue-side value is zero whether or not a/p is in the box
-            ok = ok and twisted_tilde_ranks(cell.grading) == [0] * (d + 1)
+            # dead cells must stay dead after the reduction; a nonintegral
+            # grading divided by p stays nonintegral, so the twisted
+            # residue-side value is zero whether or not a/p is in the box
+            ok = _dead_cell_certified(cell) and twisted_tilde_ranks(cell.grading) == [0] * (d + 1)
             report["cells"][key] = {
                 "passed": ok,
                 "status": cell.status,
@@ -666,6 +642,9 @@ def classical_de_rham_matrices(exponents: tuple[int, ...]) -> list[list[list[int
     return mats
 
 
+_DEAD_CELL_NOTES = {"residual": "residual divisor is a unit in the residue ring", "zero": "killed by divisibility"}
+
+
 def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     """Per integral grading: theta (reduction modulo xi) of the pipeline's
     weights, placed by the Koszul rule, equals the classical de Rham
@@ -685,10 +664,10 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         ok = cell.status == "koszul"
         if ok:
             classical = ChainComplex(ZRing(), 0, ranks, classical_de_rham_matrices(exps))
-            for w in cell.summand.elements:
+            for w in cell.weights:
                 if w not in theta_of_weight:
                     theta_of_weight[w] = model.theta(w)
-            reduced = koszul_matrices(ocring, [theta_of_weight[w] for w in cell.summand.elements])
+            reduced = koszul_matrices(ocring, [theta_of_weight[w] for w in cell.weights])
             ok = reduced == [[[constant(x) for x in row] for row in mat] for mat in classical.diffs]
         key = result.key(grading)
         report["cells"][key] = {"passed": ok, "beta": exps}
@@ -699,29 +678,20 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
-        key = result.key(cell.grading)
-        if cell.status == "residual":
-            ok = cell.certificates.get("theta_image") == "unit"
-            note = "residual divisor is a unit in the residue ring"
-        elif cell.status == "zero":
-            ok = "kill" in cell.certificates
-            note = "killed by divisibility"
-        else:
-            ok = cell.status == "unstructured" and (
-                cell.certificates.get("deeper_kill") in ("division", "order-calculus")
-            )
-            note = "outside the structured locus; no contribution recorded"
-        report["cells"][key] = {"passed": ok, "status": cell.status, "note": note}
+        ok = _dead_cell_certified(cell)
+        note = _DEAD_CELL_NOTES.get(cell.status, "outside the structured locus; no contribution recorded")
+        report["cells"][result.key(cell.grading)] = {"passed": ok, "status": cell.status, "note": note}
         if not ok:
             report["passed"] = False
     return report
 
 
-def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> dict:
+def etale_rank_torus(result: TorusCohomologyResult) -> dict:
     """Fraction-field ranks: only the zero grading survives, with the
     exterior-algebra ranks.  Small summands are re-checked by honest
     fraction-free elimination over the Laurent carrier."""
     model, box = result.model, result.box
+    ring = LaurentRing(model.p, model.depth)
     d = box.dim
     table = {i: 0 for i in range(d + 1)}
     verified = 0
@@ -729,8 +699,8 @@ def etale_rank_torus(result: TorusCohomologyResult, verify_limit: int = 200) -> 
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
             ranks = [0 if any(cell.grading) else comb(d, i) for i in range(d + 1)]
-            if verified < verify_limit and cell.summand is not None:
-                got = generic_fibre_ranks(cell.summand.realize())
+            if verified < ETALE_VERIFY_LIMIT and cell.weights is not None:
+                got = generic_fibre_ranks(koszul(ring, cell.weights))
                 got = [got.get(i, 0) for i in range(d + 1)]
                 if got != ranks:
                     raise AssertionError(f"fraction-field rank mismatch at {cell.grading}")
@@ -847,7 +817,7 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
 
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
-            elements = [fp(g) for g in cell.summand.elements]
+            elements = [fp(g) for g in cell.weights]
         elif cell.status == "residual":
             elements = [fp(cell.residual_divisor)]
         elif cell.status == "zero":

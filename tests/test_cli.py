@@ -197,7 +197,7 @@ def test_semicont_exits_3_when_a_tuple_is_not_isomorphic_to_its_orbit(monkeypatc
 
 
 def test_s4_reports_unstructured_decomposition_as_failure(monkeypatch):
-    monkeypatch.setattr(suites, "koszul_to_diagonal", lambda K: NOT_STRUCTURED)
+    monkeypatch.setattr(suites, "koszul_to_diagonal", lambda ring, weights: NOT_STRUCTURED)
     report = run_suite("s4-torus-decomp", SessionConfig(p=3, seed=0))
     checks = {name: ok for name, ok, _ in report.checks}
     assert checks["koszul-to-diagonal-vs-oracle"] is False

@@ -16,12 +16,9 @@ from aomega.complexes import (
     DiagonalSummand,
     FpPolyRing,
     HomologyPresentation,
-    KoszulSummand,
     LaurentRing,
     OCRing,
-    RANK1_FREE,
     Ring,
-    TWO_TERM,
     ZModRing,
     ZRing,
     homology_diagonal,
@@ -107,27 +104,29 @@ def test_homology_random_vs_oracle_free_ranks():
 
 
 def test_diagonal_homology():
-    D = DiagonalComplex(Z, [DiagonalSummand(0, TWO_TERM, 6), DiagonalSummand(2, RANK1_FREE)])
+    D = DiagonalComplex(Z, [DiagonalSummand(0, 6), DiagonalSummand(2)])
     H = homology_diagonal(D)
     assert H.torsion(1) == [6] and H.free_rank(2) == 1
     # unit two-term piece is acyclic
-    D1 = DiagonalComplex(Z, [DiagonalSummand(0, TWO_TERM, 1)])
+    D1 = DiagonalComplex(Z, [DiagonalSummand(0, 1)])
     assert homology_diagonal(D1).is_zero()
     with pytest.raises(ValueError):
-        DiagonalComplex(Z, [DiagonalSummand(0, TWO_TERM, 0)])
+        DiagonalComplex(Z, [DiagonalSummand(0, 0)])
 
 
 def test_koszul_to_diagonal_cases():
-    D = koszul_to_diagonal(KoszulSummand(Z, (2, 4)))
-    kinds = sorted((s.shift, s.kind) for s in D.summands)
-    assert kinds == [(0, TWO_TERM), (1, TWO_TERM)]
+    D = koszul_to_diagonal(Z, (2, 4))
+    assert sorted(s.shift for s in D.summands) == [0, 1]
     assert all(s.element == 2 for s in D.summands)
 
-    D0 = koszul_to_diagonal(KoszulSummand(Z, (0, 0)))
+    D0 = koszul_to_diagonal(Z, (0, 0))
     shifts = sorted(s.shift for s in D0.summands)
-    assert shifts == [0, 1, 1, 2] and all(s.kind == RANK1_FREE for s in D0.summands)
+    assert shifts == [0, 1, 1, 2] and all(s.element is None for s in D0.summands)
 
-    assert koszul_to_diagonal(KoszulSummand(Z, (2, 3))) is NOT_STRUCTURED
+    # no weights: one free piece in degree 0
+    assert koszul_to_diagonal(Z, ()).summands == [DiagonalSummand(0)]
+
+    assert koszul_to_diagonal(Z, (2, 3)) is NOT_STRUCTURED
 
 
 def test_koszul_to_diagonal_matches_snf():
@@ -135,9 +134,8 @@ def test_koszul_to_diagonal_matches_snf():
     for _ in range(50):
         g = rng.choice([v for v in range(-9, 10) if v])
         h = rng.choice([v for v in range(-4, 5) if v])
-        K = KoszulSummand(Z, (g, g * h))
-        D = koszul_to_diagonal(K)
-        assert homology_diagonal(D) == homology_snf(K.realize())
+        D = koszul_to_diagonal(Z, (g, g * h))
+        assert homology_diagonal(D) == homology_snf(koszul(Z, (g, g * h)))
 
 
 def test_laurent_koszul_structured_case():
@@ -146,10 +144,9 @@ def test_laurent_koszul_structured_case():
     ring = LaurentRing(3, 1)
     g1 = LaurentElement({1: 1, 0: -1}, 1)
     g2 = LaurentElement({2: 1, 0: -1}, 1)
-    D = koszul_to_diagonal(KoszulSummand(ring, (g1, g2)))
+    D = koszul_to_diagonal(ring, (g1, g2))
     assert D is not NOT_STRUCTURED
-    two_terms = [s for s in D.summands if s.kind == TWO_TERM]
-    assert len(two_terms) == 2 and all(s.element == g1 or s.element == -g1 or s.element == s.element for s in two_terms)
+    assert len(D.summands) == 2 and all(s.element == g1 for s in D.summands)
     H = homology_diagonal(D)
     assert H.torsion(1) and H.torsion(2)
 
@@ -184,8 +181,8 @@ def test_diagonal_specializes_at_u_equals_one():
         g = LaurentElement(terms, 1)
         if g.is_zero() or g.coefficient_sum() == 0:
             continue
-        D = DiagonalComplex(ring, [DiagonalSummand(0, TWO_TERM, g)])
-        DZ = DiagonalComplex(Z, [DiagonalSummand(0, TWO_TERM, g.coefficient_sum())])
+        D = DiagonalComplex(ring, [DiagonalSummand(0, g)])
+        DZ = DiagonalComplex(Z, [DiagonalSummand(0, g.coefficient_sum())])
         HZ = homology_diagonal(DZ)
         assert HZ == homology_snf(ChainComplex(Z, 0, [1, 1], [[[g.coefficient_sum()]]]))
         # the Laurent side records the symbolic divisor
@@ -203,8 +200,8 @@ def test_complex_json_round_trip():
 
 
 def test_presentation_equality_and_json():
-    a = HomologyPresentation(Z, {0: (1, []), 1: (0, [2, 4])})
-    b = HomologyPresentation(Z, {0: (1, []), 1: (0, [2, 4]), 2: (0, [])})
+    a = HomologyPresentation({0: (1, []), 1: (0, [2, 4])})
+    b = HomologyPresentation({0: (1, []), 1: (0, [2, 4]), 2: (0, [])})
     assert a == b
     assert a.to_json()["1"]["torsion"] == ["2", "4"]
 

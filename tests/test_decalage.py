@@ -10,7 +10,6 @@ from aomega.arith import LaurentElement
 from aomega.complexes import (
     ChainComplex,
     HomologyPresentation,
-    KoszulSummand,
     LaurentRing,
     ZRing,
     homology_snf,
@@ -127,7 +126,7 @@ def fresh_homology_formula(K, f):
         tors = _divisor_transform(base.torsion(i), abs(f))
         if base.free_rank(i) or tors:
             predicted[i] = (base.free_rank(i), tors)
-    expected = HomologyPresentation(Z, predicted)
+    expected = HomologyPresentation(predicted)
     ok = actual == expected
     return CheckReport(
         "homology_formula", ok,
@@ -233,7 +232,7 @@ def two_call_bockstein_homology(B):
         free, tors = intlinalg.quotient_presentation(num_rows, den, k_i)
         if free or tors:
             data[i] = (free, tors)
-    return HomologyPresentation(Z, data)
+    return HomologyPresentation(data)
 
 
 def test_bockstein_homology_matches_two_call_route():
@@ -292,14 +291,13 @@ def _truncate(K: ChainComplex, j: int) -> ChainComplex:
 
 def test_leta_koszul_rules():
     # componentwise division
-    out = leta_koszul(KoszulSummand(Z, (4, 6)), 2)
-    assert out.elements == (2, 3) and out.twist == 1
+    assert leta_koszul(Z, (4, 6), 2) == (2, 3)
     # kill: a weight divides f
-    assert leta_koszul(KoszulSummand(Z, (2, 9)), 6) is ZERO_COMPLEX
+    assert leta_koszul(Z, (2, 9), 6) is ZERO_COMPLEX
     # no structure either way
-    assert leta_koszul(KoszulSummand(Z, (4, 9)), 6) is NOT_STRUCTURED
+    assert leta_koszul(Z, (4, 9), 6) is NOT_STRUCTURED
     with pytest.raises(ValueError):
-        leta_koszul(KoszulSummand(Z, (2,)), 0)
+        leta_koszul(Z, (2,), 0)
 
 
 def test_leta_koszul_q_weights():
@@ -307,13 +305,11 @@ def test_leta_koszul_q_weights():
     model = AinfModel(3, 1)
     ring = LaurentRing(3, 1)
     weights = tuple(model.q_power_minus_one(a) for a in (1, 2))
-    out = leta_koszul(KoszulSummand(ring, weights), model.mu)
-    assert out.elements == (model.q_analog(1), model.q_analog(2))
+    assert leta_koszul(ring, weights, model.mu) == (model.q_analog(1), model.q_analog(2))
     # the weight q^(1/3) - 1 equals the p-th-root divisor, so dividing by it
     # leaves a unit weight and the summand is recognizably acyclic
     w = (LaurentElement({1: 1, 0: -1}, 1),)
-    divided = leta_koszul(KoszulSummand(ring, w), model.phi_inv_mu)
-    assert isinstance(divided, KoszulSummand) and divided.elements[0] == LaurentElement.one(1)
+    assert leta_koszul(ring, w, model.phi_inv_mu) == (LaurentElement.one(1),)
 
 
 def test_leta_koszul_agrees_with_lattice():
@@ -322,8 +318,8 @@ def test_leta_koszul_agrees_with_lattice():
         d = rng.randint(1, 3)
         f = rng.choice((2, 3, 4))
         gs = tuple(f * rng.randint(1, 4) for _ in range(d))
-        sym = leta_koszul(KoszulSummand(Z, gs), f)
-        assert homology_snf(sym.realize()) == homology_snf(eta_subcomplex(koszul(Z, list(gs)), f))
+        sym = leta_koszul(Z, gs, f)
+        assert homology_snf(koszul(Z, sym)) == homology_snf(eta_subcomplex(koszul(Z, list(gs)), f))
 
 
 def test_leta_two_term_divided_weight():

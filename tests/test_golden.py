@@ -130,6 +130,17 @@ PINNED = [
      "310eccb0cfebec618abc707f6a56f5b81050e131dd26d3f224ed84bc7cdb77ae"),
     ("torus run --stage dr --p 5 --depth 2 --dim 2 --bound 2 --seed 0",
      "b4dfa7649f4a99b11168017b0407b0e5f90fcbb2f872038d159197123a3c080a"),
+    # aggregated boxes, whose `classes` list the stage tables above never
+    # reach, and the dim-0 box, whose one cell presents as one free rank in
+    # degree 0; recorded before the torus cells held plain weights
+    ("torus run --stage ainf --p 3 --depth 2 --dim 2 --bound 8 --seed 0",
+     "79adb9de5540724b56447d2dbc220ebf88aa5af869dc313566cf3f0e1dbdfb62"),
+    ("torus run --stage tilde --p 3 --depth 2 --dim 2 --bound 8 --seed 0",
+     "227906b479d04f4508c3a079d5d6a5864c8a4832fe77f7fb5008fb6efc1ee446"),
+    ("torus run --stage ainf --p 3 --depth 2 --dim 3 --bound 2 --seed 0",
+     "0cd2ac25f8f738782fb55c5a2cb74e557fe5ab918ea7b9f7506122899a65029a"),
+    ("torus run --stage ainf --p 5 --depth 1 --dim 0 --bound 2 --seed 0",
+     "6b0806a1e5b1d576527a7ffb8cb288a4d78b4c9e2efdcd8c2cb61cda0f95ac69"),
 ]
 
 

@@ -29,7 +29,7 @@ MODULES = [importlib.import_module(f"aomega.{info.name}") for info in pkgutil.it
 # round trip ask of a ring; the rings the CLI builds need only some of them
 RING_PROTOCOL = {
     "zero", "one", "add", "neg", "mul", "is_zero", "is_unit", "exact_div",
-    "normalize_quotient", "entry_to_json", "entry_from_json", "tag",
+    "normalize_quotient", "entry_to_json", "tag",
 }
 
 # functions no command enters, kept on purpose: ring-protocol methods,
@@ -39,7 +39,6 @@ ALLOWED = {
     "complexes.ZRing.one",
     "complexes.ZModRing.tag",
     "complexes.LaurentRing.tag",
-    "complexes.LaurentRing.entry_from_json",
     "complexes.OCRing.tag",
     "complexes.FpPolyRing.tag",
     # dunders: Python calls them for operators, hashing and printing
