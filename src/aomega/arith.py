@@ -313,13 +313,14 @@ def q_analog(a: ExponentLike, p: int, depth: int) -> LaurentElement:
     Nonintegral exponents are rejected: their numerator q**a - 1 exists
     (see :func:`q_power_minus_one`) but is not divisible by q - 1.
     """
-    a = Fraction(a)
-    if a.denominator != 1:
-        raise ValueError(
-            f"[a]_q requires an integral exponent, got {a}; "
-            "use q_power_minus_one for the unnormalized numerator"
-        )
-    a = int(a)
+    if not isinstance(a, int):
+        a = Fraction(a)
+        if a.denominator != 1:
+            raise ValueError(
+                f"[a]_q requires an integral exponent, got {a}; "
+                "use q_power_minus_one for the unnormalized numerator"
+            )
+        a = int(a)
     step = p**depth
     if a == 0:
         return LaurentElement.zero(depth)

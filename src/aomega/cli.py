@@ -187,7 +187,7 @@ def cmd_leta_apply(args) -> int:
 def cmd_leta_verify(args) -> int:
     config = _config_from_args(args)
     report = run_suite(args.suite, config, instances=args.instances)
-    _emit(report.to_json(include_timing=args.timings), args.out)
+    _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
@@ -281,79 +281,98 @@ def cmd_qderham_compare(args) -> int:
 def cmd_suite_run(args) -> int:
     config = _config_from_args(args)
     report = run_suite(args.suite, config)
-    _emit(report.to_json(include_timing=args.timings), args.out)
+    _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _args_witt_digits(p):
+    _add_common(p, dim=False, bound=False, precision=True)
+    p.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
+
+
+def _args_leta_apply(p):
+    p.add_argument("--f", type=int, required=True, help="the nonzero divisor")
+    p.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
+    p.add_argument("--out", default=None)
+
+
+def _args_leta_verify(p):
+    p.add_argument("--suite", default="s5-leta", choices=sorted(SUITES) + sorted(SUITE_ALIASES))
+    p.add_argument("--instances", type=int, default=200)
+    _add_common(p, dim=False, bound=False)
+
+
+def _args_torus_run(p):
+    _add_common(p)
+    p.add_argument("--stage", required=True, choices=["tilde", "ainf", "dr", "ht", "etale", "semicont"])
+
+
+def _args_suite_run(p):
+    p.add_argument("--suite", required=True, choices=sorted(SUITES) + sorted(SUITE_ALIASES))
+    _add_common(p, precision=True)
+
+
+# command -> (help, {subcommand: (help, adds its arguments, runs it)})
+COMMANDS = {
+    "ainf": ("cyclotomic model checks", {
+        "verify": ("verify the distinguished-element identities", lambda p: _add_common(p, dim=False, bound=False),
+                   cmd_ainf_verify),
+    }),
+    "witt": ("truncated Witt vectors", {
+        "digits": ("multiplicative digits of a Witt element (JSON on stdin)", _args_witt_digits, cmd_witt_digits),
+    }),
+    "leta": ("decalage on integer complexes", {
+        "apply": ("apply the subcomplex construction to complex.json on stdin", _args_leta_apply, cmd_leta_apply),
+        "verify": ("run a verification suite", _args_leta_verify, cmd_leta_verify),
+    }),
+    "torus": ("graded torus pipelines", {
+        "run": ("run one pipeline stage", _args_torus_run, cmd_torus_run),
+        "all": ("full pipeline with cross-checks", _add_common, cmd_torus_all),
+    }),
+    "qderham": ("q-de Rham complex of the torus", {
+        "table": ("per-monomial weight and homology tables", _add_common, cmd_qderham_table),
+        "compare": ("compare against the graded pipeline", _add_common, cmd_qderham_compare),
+    }),
+    "suite": ("verification suites", {
+        "run": ("run a named suite", _args_suite_run, cmd_suite_run),
+    }),
+}
+
+
+def _add_choices(parser, dest: str, choices: dict, argv: list) -> None:
+    """The subparsers of `choices` under `parser`: only the one that argv[0]
+    names, or all of them when it names none.  The metavar lists every
+    choice, so usage lines and messages read as with the whole tree."""
+    names = list(choices)
+    picked = [argv[0]] if argv and argv[0] in choices else names
+    metavar = None if picked == names else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in picked:
+        entry = choices[name]
+        child = sub.add_parser(name, help=entry[0])
+        if isinstance(entry[1], dict):
+            _add_choices(child, "subcommand", entry[1], argv[1:] if picked != names else [])
+        else:
+            entry[1](child)
+            child.set_defaults(func=entry[2])
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command line argv, or of every command when argv is
+    None: a command line builds the subcommand it names and no other."""
     parser = argparse.ArgumentParser(
         prog="aomega",
         description="Exact-arithmetic desk models: cyclotomic period rings, the "
         "decalage construction, Koszul complexes, truncated Witt vectors, and "
         "the q-de Rham complex of the torus.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ainf = sub.add_parser("ainf", help="cyclotomic model checks")
-    ainf_sub = p_ainf.add_subparsers(dest="subcommand", required=True)
-    p_verify = ainf_sub.add_parser("verify", help="verify the distinguished-element identities")
-    _add_common(p_verify, dim=False, bound=False)
-    p_verify.set_defaults(func=cmd_ainf_verify)
-
-    p_witt = sub.add_parser("witt", help="truncated Witt vectors")
-    witt_sub = p_witt.add_subparsers(dest="subcommand", required=True)
-    p_digits = witt_sub.add_parser("digits", help="multiplicative digits of a Witt element (JSON on stdin)")
-    _add_common(p_digits, dim=False, bound=False, precision=True)
-    p_digits.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
-    p_digits.set_defaults(func=cmd_witt_digits)
-
-    p_leta = sub.add_parser("leta", help="decalage on integer complexes")
-    leta_sub = p_leta.add_subparsers(dest="subcommand", required=True)
-    p_apply = leta_sub.add_parser("apply", help="apply the subcomplex construction to complex.json on stdin")
-    p_apply.add_argument("--f", type=int, required=True, help="the nonzero divisor")
-    p_apply.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
-    p_apply.add_argument("--out", default=None)
-    p_apply.set_defaults(func=cmd_leta_apply)
-    p_lverify = leta_sub.add_parser("verify", help="run a verification suite")
-    p_lverify.add_argument("--suite", default="s5-leta",
-                           choices=sorted(SUITES) + sorted(SUITE_ALIASES))
-    p_lverify.add_argument("--instances", type=int, default=200)
-    p_lverify.add_argument("--timings", action="store_true", help="include wall-clock in the report")
-    _add_common(p_lverify, dim=False, bound=False)
-    p_lverify.set_defaults(func=cmd_leta_verify)
-
-    p_torus = sub.add_parser("torus", help="graded torus pipelines")
-    torus_sub = p_torus.add_subparsers(dest="subcommand", required=True)
-    p_run = torus_sub.add_parser("run", help="run one pipeline stage")
-    _add_common(p_run)
-    p_run.add_argument("--stage", required=True, choices=["tilde", "ainf", "dr", "ht", "etale", "semicont"])
-    p_run.set_defaults(func=cmd_torus_run)
-    p_all = torus_sub.add_parser("all", help="full pipeline with cross-checks")
-    _add_common(p_all)
-    p_all.set_defaults(func=cmd_torus_all)
-
-    p_qdr = sub.add_parser("qderham", help="q-de Rham complex of the torus")
-    qdr_sub = p_qdr.add_subparsers(dest="subcommand", required=True)
-    p_table = qdr_sub.add_parser("table", help="per-monomial weight and homology tables")
-    _add_common(p_table)
-    p_table.set_defaults(func=cmd_qderham_table)
-    p_cmp = qdr_sub.add_parser("compare", help="compare against the graded pipeline")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_qderham_compare)
-
-    p_suite = sub.add_parser("suite", help="verification suites")
-    suite_sub = p_suite.add_subparsers(dest="subcommand", required=True)
-    p_srun = suite_sub.add_parser("run", help="run a named suite")
-    p_srun.add_argument("--suite", required=True, choices=sorted(SUITES) + sorted(SUITE_ALIASES))
-    p_srun.add_argument("--timings", action="store_true", help="include wall-clock in the report")
-    _add_common(p_srun, precision=True)
-    p_srun.set_defaults(func=cmd_suite_run)
-
+    _add_choices(parser, "command", COMMANDS, argv or [])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     path = _out_path(getattr(args, "out", None))
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):

@@ -19,13 +19,17 @@ acting on column vectors.  The Koszul sign convention is fixed once:
     d(e_S) = sum over j not in S of (-1)^(#{s in S : s < j}) g_j e_(S u {j})
 
 with subset bases enumerated in (size, lexicographic) order; the cells it
-fills are tabled once per number of weights, on first use.
+fills are tabled once per number of weights, on first use.  A table lists,
+per degree k, the (row, column, weight index, sign) of every cell of d_k;
+`check_koszul_tables` proves d o d = 0 for a table once, over generic
+weights, and `table_matrices` realizes it on given weights.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import comb, gcd
@@ -393,8 +397,8 @@ def _koszul_placement(d: int) -> tuple:
     )
 
 
-def koszul_matrices(ring, elements: Sequence[Any]) -> list:
-    """The Koszul differentials on the given elements, unchecked.
+def table_matrices(ring, table, elements: Sequence[Any]) -> list:
+    """The differentials a table places on the given elements, unchecked.
 
     Each cell holds a weight or its negation, or the one shared zero; each
     weight is normalized once by adding it to zero.
@@ -404,12 +408,43 @@ def koszul_matrices(ring, elements: Sequence[Any]) -> list:
     weights = [ring.add(zero, g) for g in elements]
     signed = {1: weights, -1: [ring.neg(g) for g in weights]}
     diffs = []
-    for k, cells in enumerate(_koszul_placement(d)):
+    for k, cells in enumerate(table):
         mat = [[zero] * comb(d, k) for _ in range(comb(d, k + 1))]
         for row, col, j, sign in cells:
             mat[row][col] = signed[sign][j]
         diffs.append(mat)
     return diffs
+
+
+def koszul_matrices(ring, elements: Sequence[Any]) -> list:
+    """The Koszul differentials on the given elements, unchecked."""
+    return table_matrices(ring, _koszul_placement(len(elements)), elements)
+
+
+def check_koszul_tables(d: int, tables: dict) -> bool:
+    """Whether the named tables on d weights equal the Koszul placement, once
+    each table and the placement are proved to square to zero.
+
+    The proof is over generic weights x_0..x_(d-1): every entry of
+    d_(k+1) d_k is a sum of signed pairs x_i x_j, and they must cancel.  Any
+    ring map x_j -> w_j into a commutative ring carries this to every complex
+    a table realizes, and equal tables realize equal complexes from equal
+    weights.  A pair left over raises AssertionError, as `ChainComplex` does.
+    """
+    tables = {"Koszul placement": _koszul_placement(d), **tables}
+    for name, table in tables.items():
+        for k in range(len(table) - 1):
+            into = {}
+            for row, col, j, sign in table[k + 1]:
+                into.setdefault(col, []).append((row, j, sign))
+            pairs = Counter()
+            for mid, col, i, sign in table[k]:
+                for row, j, sign2 in into.get(mid, ()):
+                    pairs[row, col, min(i, j), max(i, j)] += sign * sign2
+            if any(pairs.values()):
+                raise AssertionError(f"d o d != 0 in the {name} table at degree {k}")
+    placement = [sorted(cells) for cells in tables["Koszul placement"]]
+    return all([sorted(cells) for cells in table] == placement for table in tables.values())
 
 
 def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:

@@ -3,14 +3,13 @@
 Each suite is a deterministic function of (config, seed): the random
 instances come from a seeded generator and the report echoes the seed, so
 a failing counterexample is reproducible from the report alone.  Reports
-serialize to JSON with sorted keys; wall-clock time is kept out of the
-canonical payload so identical inputs give byte-identical output.
+serialize to JSON with sorted keys and carry no wall-clock time, so
+identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -110,7 +109,6 @@ class VerificationReport:
     config: SessionConfig
     checks: list = field(default_factory=list)  # (name, passed, detail)
     instances: int = 0
-    elapsed_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -125,8 +123,8 @@ class VerificationReport:
             for name, ok, detail in self.checks if not ok
         ]
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "suite": self.suite,
             "config": self.config.to_json(),
             "seed": self.config.seed,
@@ -138,9 +136,6 @@ class VerificationReport:
             ],
             "counterexamples": _jsonable(self.counterexamples()),
         }
-        if include_timing:
-            out["elapsed_seconds"] = round(self.elapsed_seconds, 3)
-        return out
 
 
 def _jsonable(x):
@@ -617,7 +612,4 @@ def run_suite(name: str, config: SessionConfig, **kwargs) -> VerificationReport:
     name = SUITE_ALIASES.get(name, name)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    start = time.monotonic()
-    report = SUITES[name](config, **kwargs)
-    report.elapsed_seconds = time.monotonic() - start
-    return report
+    return SUITES[name](config, **kwargs)

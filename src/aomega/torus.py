@@ -57,7 +57,7 @@ from .complexes import (
     LaurentRing,
     OCRing,
     ZModRing,
-    ZRing,
+    check_koszul_tables,
     homology_diagonal,
     koszul,
     koszul_basis,
@@ -616,59 +616,74 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     return report
 
 
-def classical_de_rham_matrices(exponents: tuple[int, ...]) -> list[list[list[int]]]:
-    """Differential matrices of the de Rham complex of the monomial t^a on
-    the torus, in log-coordinate bases dlog(t_S).
+def classical_de_rham_table(d: int) -> tuple:
+    """The de Rham differential of a monomial t^a on the d-dimensional torus,
+    in log-coordinate bases dlog(t_S), as a table: per degree k the (row,
+    column, weight index, sign) of every cell of d_k, the weight of index j
+    being a_j.
 
     Built from the product rule d(t^a w) = sum_j a_j t^a dlog(t_j) ^ w, with
     wedge reordering signs counted directly; independent of the Koszul
     constructor.
     """
-    d = len(exponents)
-    mats = []
+    table = []
     for k in range(d):
-        src = koszul_basis(d, k)
         tgt = {S: i for i, S in enumerate(koszul_basis(d, k + 1))}
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for col, S in enumerate(src):
+        cells = []
+        for col, S in enumerate(koszul_basis(d, k)):
             for j in range(d):
                 if j in S:
                     continue
                 # dlog(t_j) ^ dlog(t_S): move j past the smaller indices of S
                 swaps = sum(1 for s in S if s < j)
-                sign = -1 if swaps % 2 else 1
-                mat[tgt[tuple(sorted(S + (j,)))]][col] += sign * exponents[j]
-        mats.append(mat)
-    return mats
+                cells.append((tgt[tuple(sorted(S + (j,)))], col, j, -1 if swaps % 2 else 1))
+        table.append(tuple(cells))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def koszul_tables_agree(d: int) -> bool:
+    """Whether the three constructions of the d-dimensional Koszul shape
+    agree: the pipeline's placement, the product-rule table of the classical
+    de Rham complex and the wedge table of the q-de Rham complex.  Each is
+    first proved to square to zero over generic weights
+    (`check_koszul_tables`, AssertionError otherwise).  Decided once per
+    dimension, on first use."""
+    from .qderham import wedge_table  # qderham is built on this module
+
+    return check_koszul_tables(d, {"product rule": classical_de_rham_table(d), "wedge": wedge_table(d)})
 
 
 _DEAD_CELL_NOTES = {"residual": "residual divisor is a unit in the residue ring", "zero": "killed by divisibility"}
+TABLES_DISAGREE = "the Koszul placement, product-rule and wedge tables disagree"
 
 
 def specialize_de_rham(result: TorusCohomologyResult) -> dict:
-    """Per integral grading: theta (reduction modulo xi) of the pipeline's
-    weights, placed by the Koszul rule, equals the classical de Rham
-    matrices mapped into the residue ring.  Those come from the product rule
-    and pass d o d once over Z; a ring map carries it to their images.
-    "beta" records the exponents, the values theta must produce."""
+    """Per integral grading a: theta (reduction modulo xi) of each of the
+    pipeline's weights equals the constant a_j, the weight the product rule
+    gives the classical de Rham complex of t^a.  The Koszul placement and the
+    product-rule table are certified once per dimension
+    (`koszul_tables_agree`), so equal weights make equal complexes, and
+    d o d = 0 holds on both.  "beta" records the exponents, the values theta
+    must produce."""
     model, box = result.model, result.box
     d, step = box.dim, model.p**box.depth
-    ocring = OCRing(model.p, model.depth)
-    constant = ocring.model.constant
-    ranks = [comb(d, k) for k in range(d + 1)]
+    constant = OCRing(model.p, model.depth).model.constant
     report = {"stage": "de-rham", "cells": {}, "passed": True}
-    theta_of_weight = {}
+    if not koszul_tables_agree(d):
+        report["passed"] = False
+        report["note"] = TABLES_DISAGREE
+    # whether theta of a weight is the constant of an exponent, decided once per pair
+    theta_is_constant = {}
     for grading in box.iter_integral_gradings(model.p):
         cell = result.cells[grading]
         exps = tuple(s // step for s in grading)
         ok = cell.status == "koszul"
         if ok:
-            classical = ChainComplex(ZRing(), 0, ranks, classical_de_rham_matrices(exps))
-            for w in cell.weights:
-                if w not in theta_of_weight:
-                    theta_of_weight[w] = model.theta(w)
-            reduced = koszul_matrices(ocring, [theta_of_weight[w] for w in cell.weights])
-            ok = reduced == [[[constant(x) for x in row] for row in mat] for mat in classical.diffs]
+            for pair in zip(cell.weights, exps):
+                if pair not in theta_is_constant:
+                    theta_is_constant[pair] = model.theta(pair[0]) == constant(pair[1])
+            ok = all(theta_is_constant[pair] for pair in zip(cell.weights, exps))
         key = result.key(grading)
         report["cells"][key] = {"passed": ok, "beta": exps}
         if not ok:

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from aomega import suites, torus
-from aomega.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
+from aomega import cli, suites, torus
+from aomega.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, build_parser, main
 from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
 
@@ -70,23 +70,19 @@ def test_leta_apply_stream():
     assert "error:" in proc2.stderr and "Traceback" not in proc2.stderr
 
 
-def test_dd_failure_inside_a_stage_is_an_internal_error(monkeypatch, capsys):
-    # one sign flipped in the classical de Rham matrices: in dimension 2
-    # their d o d check fails inside the dr stage, which is neither a
-    # failed check nor a usage error
-    real = torus.classical_de_rham_matrices
+def test_dd_failure_inside_a_stage_is_an_internal_error(monkeypatch, capsys, fresh_tables):
+    # one sign flipped in the product-rule table of the classical de Rham
+    # complex: in dimension 2 its d o d check fails inside the dr stage,
+    # which is neither a failed check nor a usage error
+    from test_mutations import flipped_sign
 
-    def flipped(exponents):
-        mats = real(exponents)
-        mats[0][0][0] = -mats[0][0][0]
-        return mats
-
-    monkeypatch.setattr(torus, "classical_de_rham_matrices", flipped)
+    real = torus.classical_de_rham_table
+    monkeypatch.setattr(torus, "classical_de_rham_table", lambda d: flipped_sign(real(d)))
     with pytest.raises(SystemExit) as exc:
         main(["torus", "run", "--stage", "dr", "--p", "3", "--dim", "2", "--bound", "1", "--out", "-"])
     assert exc.value.code == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "d o d != 0" in err
+    assert err.startswith("internal error:") and "d o d != 0 in the product rule table" in err
     assert "Traceback" not in err
 
 
@@ -204,13 +200,17 @@ def test_s4_reports_unstructured_decomposition_as_failure(monkeypatch):
     assert not report.passed
 
 
-def test_report_determinism_in_process():
+def test_report_determinism_in_process(capsys):
     cfg = SessionConfig(p=3, seed=123)
     r1 = run_suite("s4-torus-decomp", cfg)
     r2 = run_suite("s4-torus-decomp", cfg)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
-    # timing is opt-in and excluded from the canonical payload
+    # a report carries no wall-clock time, and no flag asks for it
     assert "elapsed" not in json.dumps(r1.to_json())
+    for argv in (["suite", "run", "--suite", "s4"], ["leta", "verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--timings"])
+        assert exc.value.code == 2 and "unrecognized arguments: --timings" in capsys.readouterr().err
 
 
 def test_out_file_and_env_dir(tmp_path):
@@ -250,3 +250,58 @@ def test_session_config_limits():
         SessionConfig(p=3, bound=9)
     with pytest.raises(ValueError):
         SessionConfig(p=3, precision=5)
+
+
+# the function each command line runs, by (command, subcommand)
+FUNCS = {
+    ("ainf", "verify"): cli.cmd_ainf_verify,
+    ("witt", "digits"): cli.cmd_witt_digits,
+    ("leta", "apply"): cli.cmd_leta_apply,
+    ("leta", "verify"): cli.cmd_leta_verify,
+    ("torus", "run"): cli.cmd_torus_run,
+    ("torus", "all"): cli.cmd_torus_all,
+    ("qderham", "table"): cli.cmd_qderham_table,
+    ("qderham", "compare"): cli.cmd_qderham_compare,
+    ("suite", "run"): cli.cmd_suite_run,
+}
+
+
+def test_parser_of_a_command_line_reads_it_as_the_whole_tree_does():
+    from test_reachability import COMMANDS, FILE_COMMANDS
+
+    argvs = COMMANDS + [argv + ["--in", "x.json"] for argv, _ in FILE_COMMANDS]
+    assert {tuple(argv[:2]) for argv in argvs} == set(FUNCS)
+    whole = build_parser()
+    for argv in argvs:
+        args = build_parser(argv).parse_args(argv)
+        assert args.func is FUNCS[argv[0], argv[1]], argv
+        # every option given, by its value; the defaults as the whole tree has them
+        for flag, value in zip(argv[2::2], argv[3::2]):
+            dest = {"--in": "infile"}.get(flag, flag[2:])
+            assert getattr(args, dest) == (int(value) if value.isdigit() else value), (argv, flag)
+        assert vars(args) == vars(whole.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["tor"], ["torus"], ["torus", "bogus"], ["torus", "al"], ["torus", "run"],
+    ["torus", "all", "--bogus", "1"], ["torus", "all", "extra"], ["torus", "run", "--stage", "x"],
+    ["torus", "all", "--p", "x"], ["leta", "apply"], ["suite", "run", "--suite", "nope"], ["witt"],
+])
+def test_usage_errors_read_as_with_the_whole_tree(argv, capsys):
+    messages = []
+    for parser in (build_parser(argv), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        messages.append((exc.value.code, capsys.readouterr().err))
+    assert messages[0] == messages[1] and messages[0][0] == 2
+
+
+def test_no_state_leaks_from_one_command_to_the_next(capsys):
+    # the residue-deep pair, in the order a traced run makes them, with no
+    # cache cleared in between: each report equals a fresh process's
+    argvs = [["torus", "all", "--p", str(p), "--depth", "2", "--dim", "2", "--bound", "8"] for p in (13, 11)]
+    for argv in argvs:
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out
+        fresh = run_cli(argv)
+        assert fresh.returncode == 0 and in_process == fresh.stdout, argv

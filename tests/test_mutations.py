@@ -1,0 +1,131 @@
+"""Mutation rows for the once-per-dimension certificate of the Koszul tables.
+
+The de Rham and q-de Rham stages compare weights, not matrices, per grading:
+the shape of every complex they compare comes from one of three tables, the
+pipeline's Koszul placement, the product-rule table of the classical de
+Rham complex and the wedge table of the q-de Rham complex, and
+`torus.koszul_tables_agree` proves once per dimension that each squares to
+zero and that the three are equal.  Each row below breaks one table or one
+weight, and both stages must refuse it: a table that no longer squares to
+zero raises AssertionError (exit 3 from the CLI), tables that disagree or a
+wrong weight fail the stage's check (exit 1).
+"""
+
+import dataclasses
+
+import pytest
+
+from aomega import complexes, qderham, torus
+from aomega.ainf import AinfModel
+from aomega.cli import EXIT_INTERNAL, main
+from aomega.qderham import compare_with_torus_pipeline, q_weights
+from aomega.torus import GradingBox, ainf_omega_torus, specialize_de_rham
+
+# (name in the certificate's messages, module, builder)
+TABLES = [
+    ("Koszul placement", complexes, "_koszul_placement"),
+    ("product rule", torus, "classical_de_rham_table"),
+    ("wedge", qderham, "wedge_table"),
+]
+TABLE_IDS = ["placement", "product-rule", "wedge"]
+
+MODEL = AinfModel(2, 1)
+DIM, BOUND = 3, 1
+
+
+def moved_entry(table):
+    """The first cell of d_1 moved to the next row of its matrix."""
+    cells = list(table[1])
+    row, col, j, sign = cells[0]
+    cells[0] = ((row + 1) % 3, col, j, sign)
+    return (table[0], tuple(cells), *table[2:])
+
+
+def flipped_sign(table):
+    """The first cell of d_0 with its sign flipped."""
+    row, col, j, sign = table[0][0]
+    return (((row, col, j, -sign), *table[0][1:]), *table[1:])
+
+
+def relabelled(table):
+    """Basis vectors 0 and 1 of degree 1 swapped: rows of d_0, columns of
+    d_1.  Still a complex, but another table."""
+    swap = {0: 1, 1: 0}
+    return (
+        tuple((swap.get(row, row), col, j, sign) for row, col, j, sign in table[0]),
+        tuple((row, swap.get(col, col), j, sign) for row, col, j, sign in table[1]),
+        *table[2:],
+    )
+
+
+def run_dr():
+    return specialize_de_rham(ainf_omega_torus(MODEL, GradingBox(DIM, 1, BOUND)))
+
+
+def run_qdr():
+    return compare_with_torus_pipeline(MODEL, DIM, BOUND)
+
+
+def mutate(monkeypatch, module, builder, change):
+    real = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda d: change(real(d)))
+
+
+@pytest.mark.parametrize("change", [moved_entry, flipped_sign], ids=["moved-entry", "flipped-sign"])
+@pytest.mark.parametrize("name,module,builder", TABLES, ids=TABLE_IDS)
+def test_a_table_that_no_longer_squares_to_zero_is_an_internal_error(monkeypatch, fresh_tables, name, module, builder,
+                                                                    change):
+    mutate(monkeypatch, module, builder, change)
+    for stage in (run_dr, run_qdr):
+        torus.koszul_tables_agree.cache_clear()
+        with pytest.raises(AssertionError, match=f"d o d != 0 in the {name} table"):
+            stage()
+
+
+@pytest.mark.parametrize("name,module,builder", TABLES, ids=TABLE_IDS)
+def test_tables_that_disagree_fail_both_stages(monkeypatch, fresh_tables, name, module, builder):
+    mutate(monkeypatch, module, builder, relabelled)
+    for stage in (run_dr, run_qdr):
+        torus.koszul_tables_agree.cache_clear()
+        rep = stage()
+        assert not rep["passed"] and "tables disagree" in rep["note"]
+
+
+def test_a_disagreement_exits_1_and_a_broken_square_exits_3(monkeypatch, capsys, fresh_tables):
+    argv = ["torus", "all", "--p", "2", "--dim", str(DIM), "--bound", str(BOUND), "--out", "-"]
+    real = qderham.wedge_table
+    monkeypatch.setattr(qderham, "wedge_table", lambda d: relabelled(real(d)))
+    assert main(argv) == 1
+    torus.koszul_tables_agree.cache_clear()
+    monkeypatch.setattr(qderham, "wedge_table", lambda d: flipped_sign(real(d)))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INTERNAL
+    assert "d o d != 0 in the wedge table" in capsys.readouterr().err
+
+
+def swapped_weight(res, grading):
+    """The result with the weights of one integral cell swapped: [a_0]_q
+    and [a_1]_q trade places."""
+    cell = res.cells[grading]
+    w = cell.weights
+    res.cells[grading] = dataclasses.replace(cell, weights=(w[1], w[0], *w[2:]))
+    return res
+
+
+def test_de_rham_fails_on_one_swapped_weight():
+    res = swapped_weight(ainf_omega_torus(MODEL, GradingBox(DIM, 1, BOUND)), (2, -2, 0))
+    rep = specialize_de_rham(res)
+    failed = [key for key, v in rep["cells"].items() if not v["passed"]]
+    assert not rep["passed"] and failed == ["1,-1,0"]
+
+
+def test_q_de_rham_fails_on_one_swapped_weight():
+    res = swapped_weight(ainf_omega_torus(MODEL, GradingBox(DIM, 1, BOUND)), (2, -2, 0))
+    rep = compare_with_torus_pipeline(MODEL, DIM, BOUND, res)
+    failed = [key for key, v in rep["cells"].items() if not v["passed"]]
+    assert not rep["passed"] and failed == ["1,-1,0"]
+    cell = rep["cells"]["1,-1,0"]
+    # both blocks rendered from their tables: d_0 is the column of weights
+    assert cell["pipeline_block"] != cell["q_block"]["diffs"]
+    assert cell["q_block"]["diffs"][0] == [w.to_json() for w in q_weights(MODEL, (1, -1, 0))]

@@ -6,8 +6,8 @@ import pytest
 
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement, q_analog
-from aomega import qderham
-from aomega.complexes import homology_snf, koszul_basis, koszul_matrices
+from aomega import complexes
+from aomega.complexes import LaurentRing, homology_snf, koszul_basis, table_matrices
 from aomega.qderham import (
     QLaurentFunction,
     compare_with_torus_pipeline,
@@ -15,7 +15,6 @@ from aomega.qderham import (
     q_de_rham_complex,
     q_to_one,
 )
-from aomega.torus import grading_key
 
 
 def finite_difference_oracle(exponent: int, p: int, depth: int):
@@ -153,30 +152,23 @@ def test_compare_with_pipeline():
         assert rep["passed"], [k for k, v in rep["cells"].items() if not v["passed"]]
 
 
-def test_compare_fails_when_an_entry_sits_in_the_wrong_row(monkeypatch):
-    # the summand's matrices with one entry of d_1 moved to the structurally
-    # zero row of its column: no longer a complex, reported, not raised;
-    # only the 3 gradings (a, 0, 0) have nothing to move
-    moved = []
+def test_compare_fails_when_an_entry_sits_in_the_wrong_row(monkeypatch, fresh_tables):
+    # the Koszul placement with the entries of rows 0 and 1 of d_0 swapped,
+    # and columns 0 and 1 of d_1 swapped to match: a relabelled basis, so it
+    # still squares to zero, but it is not the wedge table; reported, not
+    # raised, although every grading's weights agree
+    from test_mutations import relabelled
 
-    def misplaced(ring, elements):
-        diffs = koszul_matrices(ring, elements)
-        col = [row[0] for row in diffs[1]]
-        src = next((r for r, x in enumerate(col) if not ring.is_zero(x)), None)
-        if src is not None:
-            dst = next(r for r, x in enumerate(col) if ring.is_zero(x))
-            diffs[1][dst][0], diffs[1][src][0] = col[src], col[dst]
-            moved.append(grading_key([a.coefficient_sum() for a in elements], 1))
-        return diffs
-
-    monkeypatch.setattr(qderham, "koszul_matrices", misplaced)
+    real = complexes._koszul_placement
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: relabelled(real(d)))
     rep = compare_with_torus_pipeline(AinfModel(2, 1), 3, 1)
-    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
-    assert not rep["passed"] and failed == set(moved) and len(moved) == 24
-    for key in failed:
-        cell = rep["cells"][key]
-        assert cell["pipeline_block"] != cell["q_block"]["diffs"]
-        assert len(cell["pipeline_block"]) == len(cell["q_block"]["diffs"]) == 3
+    assert not rep["passed"] and "tables disagree" in rep["note"]
+    assert len(rep["cells"]) == 27 and all(v["passed"] for v in rep["cells"].values())
+    # the same relabelling over the q-weights of one block realizes another
+    # matrix, so equal weights alone would not make the complexes equal
+    block = q_de_rham_complex(AinfModel(2, 1), 3, 1)[(1, -1, 0)].diffs
+    weights = [block[0][j][0] for j in range(3)]
+    assert table_matrices(LaurentRing(2, 1), relabelled(real(3)), weights) != block
 
 
 def test_compare_d0_trivial():

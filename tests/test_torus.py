@@ -444,22 +444,19 @@ def test_de_rham_reads_the_pipeline_weights():
     assert not rep["passed"] and failed == {"1,2"}
 
 
-def test_de_rham_rejects_a_flipped_classical_sign(monkeypatch):
-    real = torus.classical_de_rham_matrices
+def test_de_rham_rejects_a_flipped_classical_sign(monkeypatch, fresh_tables):
+    from test_mutations import flipped_sign
 
-    def flipped(exponents):
-        mats = real(exponents)
-        mats[0][0][0] = -mats[0][0][0]
-        return mats
-
-    monkeypatch.setattr(torus, "classical_de_rham_matrices", flipped)
-    # dimension 1 has no d o d to break: the comparison fails where the
-    # flipped entry is nonzero
+    real = torus.classical_de_rham_table
+    monkeypatch.setattr(torus, "classical_de_rham_table", lambda d: flipped_sign(real(d)))
+    # dimension 1 has no d o d to break: the product-rule table no longer
+    # equals the Koszul placement, so the stage fails although every
+    # grading's weights still agree
     rep = specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(1, 1, 2)))
-    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
-    assert not rep["passed"] and failed == {"-2", "-1", "1", "2"}
-    # dimension 2: the classical matrices themselves fail d o d
-    with pytest.raises(AssertionError, match="d o d != 0"):
+    assert not rep["passed"] and "tables disagree" in rep["note"]
+    assert all(v["passed"] for v in rep["cells"].values())
+    # dimension 2: the product-rule table itself fails d o d
+    with pytest.raises(AssertionError, match="d o d != 0 in the product rule table"):
         specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 1)))
 
 
@@ -476,11 +473,12 @@ def test_de_rham_beta_is_multiplication_by_exponent():
 
 def test_de_rham_d2_matrix_example():
     # grading (1, 1): the degree-0 differential is (1, 1)^T
-    from aomega.torus import classical_de_rham_matrices
+    from aomega.complexes import table_matrices
+    from aomega.torus import classical_de_rham_table
 
-    mats = classical_de_rham_matrices((1, 1))
+    mats = table_matrices(ZRing(), classical_de_rham_table(2), (1, 1))
     assert mats[0] == [[1], [1]]
-    mats2 = classical_de_rham_matrices((2, 5))
+    mats2 = table_matrices(ZRing(), classical_de_rham_table(2), (2, 5))
     assert mats2[0] == [[2], [5]]
     assert mats2[1] == [[-5, 2]]
 
