@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, inf, lcm
 
 from .arith import (
@@ -211,7 +212,11 @@ class OCModelElement:
 
 @dataclass(frozen=True)
 class AinfModel:
-    """Prime p and depth n, with the distinguished elements and maps."""
+    """Prime p and depth n, with the distinguished elements and maps.
+
+    The distinguished elements are built once per model, on first use
+    (a frozen dataclass still has the instance dict `cached_property`
+    writes to)."""
 
     p: int
     depth: int
@@ -228,21 +233,21 @@ class AinfModel:
 
     # -- distinguished elements -------------------------------------------------
 
-    @property
+    @cached_property
     def mu(self) -> LaurentElement:
         return LaurentElement({self.p**self.depth: 1, 0: -1}, self.depth)
 
-    @property
+    @cached_property
     def phi_inv_mu(self) -> LaurentElement:
         """q^(1/p) - 1, an honest element of the depth-n carrier."""
         return LaurentElement({self.p ** (self.depth - 1): 1, 0: -1}, self.depth)
 
-    @property
+    @cached_property
     def xi(self) -> LaurentElement:
         step = self.p ** (self.depth - 1)
         return LaurentElement({i * step: 1 for i in range(self.p)}, self.depth)
 
-    @property
+    @cached_property
     def xi_tilde(self) -> LaurentElement:
         step = self.p**self.depth
         return LaurentElement({i * step: 1 for i in range(self.p)}, self.depth)

@@ -23,7 +23,10 @@ while the mod-(q-1) homology is a free module, the hypothesis under which
 decalage commutes with that reduction.  Each of these facts depends on one
 exponent and is decided once: the residual by `_residual_outcome`, the
 deeper kill by `_root_power_divides` (honest division on small rings,
-root-of-unity orders on large ones).
+root-of-unity orders on large ones).  They share one model per (p, n) and
+one memo of its exact quotients (`_carrier`), and the cells of one outcome
+share its read-only certificates, so that the stages reading them decide
+the dead-cell rule once per outcome.
 
 Large boxes are aggregated: gradings with the same per-component valuation
 pattern share their outcome, which is computed once per pattern on a
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
+from types import MappingProxyType
 
 from .ainf import AinfModel, OCModel
 from .arith import (
@@ -152,7 +156,11 @@ def _class_representative(cls, p: int, depth: int) -> int:
 # cells and results
 # ---------------------------------------------------------------------------
 
-@dataclass
+# the free ranks of every dead cell: none, in one read-only mapping
+NO_RANKS = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class TorusCell:
     """One grading's outcome in a pipeline stage."""
 
@@ -205,15 +213,19 @@ class TorusCohomologyResult:
     classes: list[ClassRow]
     aggregated: bool
     labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def key(self, grading) -> str:
-        """The report key of a grading of this box."""
-        return grading_key(grading, self.model.p**self.box.depth, self.labels)
+        """The report key of a grading of this box, formatted once per
+        result, so that the stages reading it share one string."""
+        key = self.keys.get(grading)
+        if key is None:
+            key = self.keys[grading] = grading_key(grading, self.model.p**self.box.depth, self.labels)
+        return key
 
     def all_cells(self):
         """Explicit cells plus one representative per aggregated class."""
-        for cell, _ in self.weighted_cells():
-            yield cell
+        return itertools.chain(self.cells.values(), (row.cell for row in self.classes))
 
     def weighted_cells(self):
         """(cell, number of gradings it stands for): 1 for an explicit
@@ -226,8 +238,9 @@ class TorusCohomologyResult:
     def rank_table(self) -> dict[int, int]:
         table: dict[int, int] = {}
         for cell, count in self.weighted_cells():
-            for i, r in cell.free_ranks.items():
-                table[i] = table.get(i, 0) + r * count
+            if cell.free_ranks:  # most cells are dead and have none
+                for i, r in cell.free_ranks.items():
+                    table[i] = table.get(i, 0) + r * count
         return {i: r for i, r in sorted(table.items()) if r}
 
     def to_json(self) -> dict:
@@ -383,12 +396,36 @@ def _multiset_permutations(pattern: tuple) -> int:
 # Laurent-side pipeline
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, repr=False)
+class QuotientMemo(LaurentRing):
+    """The Laurent carrier with every exact quotient it has computed kept,
+    None (no quotient) included: the fractional outcomes divide the same
+    weights u^s - 1, and their quotients, by the same divisors again and
+    again."""
+
+    quotients: dict = field(default_factory=dict, compare=False)
+
+    def exact_div(self, a, b):
+        try:
+            return self.quotients[a, b]
+        except KeyError:
+            q = self.quotients[a, b] = laurent_exact_div(a, b)
+            return q
+
+
+@lru_cache(maxsize=None)
+def _carrier(p: int, n: int) -> tuple[AinfModel, QuotientMemo]:
+    """The one model and the one quotient memo at (p, n) that the
+    per-exponent outcomes share."""
+    return AinfModel(p, n), QuotientMemo(p, n)
+
+
 @lru_cache(maxsize=None)
 def _verified_q_analog(p: int, depth: int, a: int) -> LaurentElement:
     """[a]_q, verified against both decalage routes for the single weight:
     dividing q^a - 1 by the p-th-root divisor and then the cyclotomic
     weight agrees with dividing by q - 1 directly, and both give [a]_q."""
-    model = AinfModel(p, depth)
+    model, _ = _carrier(p, depth)
     g = model.q_power_minus_one(a)
     expected = model.q_analog(a)
     if a == 0:
@@ -431,18 +468,27 @@ def _fractional_cell(model: AinfModel, grading) -> TorusCell:
     residue rings; otherwise certify the collapse one residue level deeper
     together with freeness of the mod-(q - 1) homology.  The outcome only
     depends on the multiset of absolute carrier exponents (all weights are
-    determined up to units by them), so it is cached on that key.
+    determined up to units by them), so it is cached on that key, and the
+    cells of one outcome share its read-only certificates.
     """
-    p, n = model.p, model.depth
-    key = tuple(sorted(abs(s) for s in grading))
-    status, divisor, certificates = _fractional_outcome(p, n, key)
-    return TorusCell(grading, status, residual_divisor=divisor, certificates=dict(certificates))
+    key = tuple(sorted(map(abs, grading)))
+    status, divisor, certificates = _fractional_outcome(model.p, model.depth, key)
+    return TorusCell(grading, status, residual_divisor=divisor, free_ranks=NO_RANKS, certificates=certificates)
 
 
 @lru_cache(maxsize=None)
 def _fractional_outcome(p: int, n: int, exps: tuple[int, ...]):
-    model = AinfModel(p, n)
-    ring = LaurentRing(p, n)
+    """(status, divisor, certificates) of the nonintegral summand with
+    absolute carrier exponents `exps`, its divisions asked of the shared
+    quotient memo; the certificates are a read-only mapping."""
+    status, divisor, certificates = _decide_fractional(*_carrier(p, n), exps)
+    return status, divisor, MappingProxyType(dict(certificates))
+
+
+def _decide_fractional(model: AinfModel, ring, exps: tuple[int, ...]):
+    """The kill, residual or unstructured verdict of `_fractional_outcome`,
+    every division of the decalage asked of `ring`."""
+    p, n = model.p, model.depth
     weights = tuple(
         LaurentElement({s: 1, 0: -1}, n) if s else LaurentElement.zero(n) for s in exps
     )
@@ -463,15 +509,14 @@ def _fractional_outcome(p: int, n: int, exps: tuple[int, ...]):
     if g_min_exp is not None:
         return ("residual", *_residual_outcome(p, n, g_min_exp))
 
-    cert = _deeper_collapse_certificate(model, exps)
-    return "unstructured", None, tuple(cert.items())
+    return "unstructured", None, _deeper_collapse_certificate(model, exps)
 
 
 @lru_cache(maxsize=None)
 def _residual_outcome(p: int, n: int, g_min_exp: int):
     """The two-term divisor of the divisibility-minimal weight u^g_min_exp - 1
     after dividing out its gcd with q - 1, and whether both residue maps send it to a unit."""
-    model = AinfModel(p, n)
+    model, _ = _carrier(p, n)
     g_min = LaurentElement({g_min_exp: 1, 0: -1}, n)
     residual = normalize_associate(leta_two_term(g_min, model.mu, LaurentRing(p, n)))
     theta_unit = OCModel(p, n).reduce(residual).is_unit()
@@ -513,9 +558,8 @@ def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult
         cells[grading] = _integral_cell(model, grading, step)
     if not aggregated:
         for grading in box.iter_gradings(p):
-            if all(s % step == 0 for s in grading):
-                continue
-            cells[grading] = _fractional_cell(model, grading)
+            if grading not in cells:  # the integral cells are in already
+                cells[grading] = _fractional_cell(model, grading)
     else:
         for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
             if all(c in INTEGRAL_CLASSES for c in pattern):
@@ -554,7 +598,8 @@ def _dead_cell_certified(cell: TorusCell) -> bool:
     """Whether the pipeline's certificates keep a dead cell dead in every
     specialization: a zero cell by its kill, a residual cell by its divisor
     mapping to a unit under both residue maps, an unstructured cell by a
-    computed deeper kill."""
+    computed deeper kill.  The stages decide it once per status and
+    certificate mapping, which the cells of one outcome share."""
     c = cell.certificates
     if cell.status == "zero":
         return "kill" in c
@@ -579,6 +624,10 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
 
     # (is_zero, is_unit) of each reduced weight, decided once per exponent
     reduced_by_exponent = {}
+    # per (status, certificate mapping): the dead-cell verdict and a plain
+    # copy of the certificates for the report
+    dead = {}
+    twist = p * step
     for cell in result.all_cells():
         key = result.key(cell.grading)
         if cell.status == "koszul":
@@ -602,15 +651,15 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             if not ok:
                 report["passed"] = False
         else:
-            # dead cells must stay dead after the reduction; a nonintegral
-            # grading divided by p stays nonintegral, so the twisted
-            # residue-side value is zero whether or not a/p is in the box
-            ok = _dead_cell_certified(cell) and twisted_tilde_ranks(cell.grading) == [0] * (d + 1)
-            report["cells"][key] = {
-                "passed": ok,
-                "status": cell.status,
-                "certificate": cell.certificates,
-            }
+            # dead cells must stay dead after the reduction; the twisted
+            # residue-side ranks are zero exactly when a/p is not integral,
+            # which holds for every nonintegral grading a
+            outcome = cell.status, id(cell.certificates)
+            if outcome not in dead:
+                dead[outcome] = _dead_cell_certified(cell), dict(cell.certificates)
+            certified, certificate = dead[outcome]
+            ok = certified and any(map(twist.__rmod__, cell.grading))  # some s % twist
+            report["cells"][key] = {"passed": ok, "status": cell.status, "certificate": certificate}
             if not ok:
                 report["passed"] = False
     return report
@@ -689,12 +738,16 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         if not ok:
             report["passed"] = False
     # dead cells contribute nothing; each needs the certificate the pipeline
-    # recorded for its death
+    # recorded for its death, read once per (status, certificate mapping)
+    verdicts = {}
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
-        ok = _dead_cell_certified(cell)
-        note = _DEAD_CELL_NOTES.get(cell.status, "outside the structured locus; no contribution recorded")
+        outcome = cell.status, id(cell.certificates)
+        if outcome not in verdicts:
+            note = _DEAD_CELL_NOTES.get(cell.status, "outside the structured locus; no contribution recorded")
+            verdicts[outcome] = _dead_cell_certified(cell), note
+        ok, note = verdicts[outcome]
         report["cells"][result.key(cell.grading)] = {"passed": ok, "status": cell.status, "note": note}
         if not ok:
             report["passed"] = False

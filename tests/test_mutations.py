@@ -9,6 +9,10 @@ zero and that the three are equal.  Each row below breaks one table or one
 weight, and both stages must refuse it: a table that no longer squares to
 zero raises AssertionError (exit 3 from the CLI), tables that disagree or a
 wrong weight fail the stage's check (exit 1).
+
+The last rows plant one wrong quotient in the memo of exact divisions that
+the fractional outcomes share (`torus._carrier`), and the oracle that
+compares every outcome with the unmemoized route must name it.
 """
 
 import dataclasses
@@ -17,6 +21,7 @@ import pytest
 
 from aomega import complexes, qderham, torus
 from aomega.ainf import AinfModel
+from aomega.arith import LaurentElement
 from aomega.cli import EXIT_INTERNAL, main
 from aomega.qderham import compare_with_torus_pipeline, q_weights
 from aomega.torus import GradingBox, ainf_omega_torus, specialize_de_rham
@@ -129,3 +134,24 @@ def test_q_de_rham_fails_on_one_swapped_weight():
     # both blocks rendered from their tables: d_0 is the column of weights
     assert cell["pipeline_block"] != cell["q_block"]["diffs"]
     assert cell["q_block"]["diffs"][0] == [w.to_json() for w in q_weights(MODEL, (1, -1, 0))]
+
+
+# at (3, 1): u - 1 divides q - 1 = u^3 - 1, and q - 1 does not divide u - 1
+U_MINUS_ONE = LaurentElement({1: 1, 0: -1}, 1)
+
+
+@pytest.mark.parametrize("pair,wrong", [
+    ((torus._carrier(3, 1)[0].mu, U_MINUS_ONE), None),
+    ((U_MINUS_ONE, torus._carrier(3, 1)[0].mu), LaurentElement.one(1)),
+], ids=["refused-division", "invented-quotient"])
+def test_a_memo_with_one_wrong_division_fails_the_oracle(memo_disagreements, pair, wrong):
+    quotients = torus._carrier(3, 1)[1].quotients
+    torus._fractional_outcome.cache_clear()
+    quotients[pair] = wrong
+    try:
+        _, bad = memo_disagreements([(3, 1, 1, 2)])
+    finally:
+        del quotients[pair]
+        torus._fractional_outcome.cache_clear()
+    assert (3, 1, (1,)) in bad
+    assert memo_disagreements([(3, 1, 1, 2)])[1] == []

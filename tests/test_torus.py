@@ -395,12 +395,23 @@ def test_de_rham_matrices_and_beta():
 
 def with_mutated_certificate(stage, status: str, mutate):
     """The `stage` report after `mutate` rewrote the certificates of the
-    first dead cell of `status`, and the key of that cell."""
+    first dead cell of `status`, the key of that cell, and the keys of the
+    other cells of its outcome, which share its certificates."""
     res = ainf_omega_torus(AinfModel(5, 1), GradingBox(2, 1, 1))
     assert stage(res)["passed"]
     grading, cell = next((g, c) for g, c in res.cells.items() if c.status == status)
+    siblings = [res.key(g) for g, c in res.cells.items() if g != grading and c.certificates is cell.certificates]
     res.cells[grading] = dataclasses.replace(cell, certificates=mutate(dict(cell.certificates)))
-    return stage(res), res.key(grading)
+    return stage(res), res.key(grading), siblings
+
+
+def fails_exactly(rep, key, siblings) -> bool:
+    """The mutated cell fails and nothing else, its siblings included: a
+    verdict remembered per outcome, not per certificate mapping, would
+    spread the failure or hide it."""
+    failed = {k for k, v in rep["cells"].items() if not v["passed"]}
+    siblings_pass = len(siblings) > 0 and all(rep["cells"][k]["passed"] for k in siblings)
+    return not rep["passed"] and failed == {key} and siblings_pass
 
 
 def without(name):
@@ -408,13 +419,12 @@ def without(name):
 
 
 def test_de_rham_zero_cell_needs_its_kill_certificate():
-    rep, key = with_mutated_certificate(specialize_de_rham, "zero", without("kill"))
-    assert not rep["passed"] and not rep["cells"][key]["passed"]
+    assert fails_exactly(*with_mutated_certificate(specialize_de_rham, "zero", without("kill")))
 
 
 def test_de_rham_unstructured_cell_needs_a_deeper_kill():
-    rep, key = with_mutated_certificate(specialize_de_rham, "unstructured", lambda c: {**c, "deeper_kill": "failed"})
-    assert not rep["passed"] and not rep["cells"][key]["passed"]
+    mutated = with_mutated_certificate(specialize_de_rham, "unstructured", lambda c: {**c, "deeper_kill": "failed"})
+    assert fails_exactly(*mutated)
 
 
 @pytest.mark.parametrize("status,mutate", [
@@ -426,9 +436,37 @@ def test_de_rham_unstructured_cell_needs_a_deeper_kill():
 @pytest.mark.parametrize("stage", [specialize_hodge_tate, specialize_de_rham], ids=["ht", "dr"])
 def test_both_stages_read_one_dead_cell_rule(stage, status, mutate):
     # a dead cell is dead in every specialization: one missing certificate
-    # fails Hodge-Tate and de Rham alike
-    rep, key = with_mutated_certificate(stage, status, mutate)
-    assert not rep["passed"] and not rep["cells"][key]["passed"]
+    # fails Hodge-Tate and de Rham alike, in that cell only
+    assert fails_exactly(*with_mutated_certificate(stage, status, mutate))
+
+
+def test_cells_of_one_outcome_share_read_only_certificates():
+    res = ainf_omega_torus(AinfModel(5, 1), GradingBox(2, 1, 1))
+    cell, sibling = res.cells[(1, 0)], res.cells[(0, -1)]
+    assert cell.certificates is sibling.certificates and cell.certificates["kill"]
+    with pytest.raises(TypeError):
+        cell.certificates["kill"] = "forged"
+    with pytest.raises(TypeError):
+        cell.free_ranks[0] = 1
+    assert sibling.certificates["kill"] != "forged" and not sibling.free_ranks
+
+
+def test_hodge_tate_fails_a_dead_cell_whose_twist_is_integral():
+    # the integer twist test stands for the twisted residue ranks: a dead
+    # cell at a = (3, 0), where a/3 = (1, 0) carries the exterior algebra,
+    # must fail however well certified; at a = (1, 0) a/3 is not integral
+    res = ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 3))
+    dead = next(c for c in res.cells.values() if c.status == "zero")
+    for grading in ((9, 0), (3, 0)):
+        res.cells[grading] = dataclasses.replace(dead, grading=grading)
+    rep = specialize_hodge_tate(res)
+    failed = {key for key, v in rep["cells"].items() if not v["passed"]}
+    assert not rep["passed"] and failed == {"3,0"} and rep["cells"]["1,0"]["status"] == "zero"
+
+
+def test_the_quotient_memo_agrees_with_the_unmemoized_route(memo_disagreements):
+    checked, bad = memo_disagreements()
+    assert checked > 2000 and bad == []
 
 
 def test_de_rham_reads_the_pipeline_weights():
