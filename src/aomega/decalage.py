@@ -56,29 +56,22 @@ def eta_subcomplex(K: ChainComplex, f: int) -> ChainComplex:
     if f == 0:
         raise ValueError("f must be nonzero")
     f = abs(f)
-    # columns of inclusions[k]: the basis of the degree lo + k lattice in K
-    inclusions = []
+    # the echelon basis of the degree lo + k lattice in K, as rows
+    bases = []
     for k in range(len(K.ranks)):
-        n = K.ranks[k]
-        rows = _divisibility_lattice(K, f, k) if n else []
         power = f**k
-        cols = [[power * rows[j][i] for j in range(len(rows))] for i in range(n)]
-        inclusions.append(cols)
+        rows = _divisibility_lattice(K, f, k) if K.ranks[k] else []
+        bases.append([[power * x for x in row] for row in rows])
     diffs = []
     for k in range(len(K.ranks) - 1):
         n, m = K.ranks[k], K.ranks[k + 1]
-        rk = len(inclusions[k][0]) if n and inclusions[k] else 0
-        rk1 = len(inclusions[k + 1][0]) if m and inclusions[k + 1] else 0
-        if rk == 0 or rk1 == 0:
-            diffs.append([[0] * rk for _ in range(rk1)])
-            continue
-        DC = la.mat_mul(K.diffs[k], inclusions[k], m, n, rk)
-        X = la.solve_matrix(inclusions[k + 1], DC, m, rk1, rk)
-        if X is None:
+        images = [la.mat_vec(K.diffs[k], v, m, n) for v in bases[k]]
+        # scaled rows of an echelon basis are echelon: back-substitution
+        coords = la.in_lattice(bases[k + 1], images, m)
+        if coords is None:
             raise AssertionError("induced differential failed to be integral")
-        diffs.append(X)
-    ranks = [len(c[0]) if c else 0 for c in inclusions]
-    return ChainComplex(_Z, K.lo, ranks, diffs)
+        diffs.append(la.transpose(coords, len(bases[k]), len(bases[k + 1])))
+    return ChainComplex(_Z, K.lo, [len(b) for b in bases], diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 The lattice routines (Hermite and Smith forms, kernels, solving) work over
 the integers: matrices are lists of rows of Python ints, and dimensions
 are passed explicitly so zero-row / zero-column matrices are unambiguous.
-`rank` works over any integral domain given as a ring of the
-`aomega.complexes` protocol, entries being that ring's elements.  The
-complexes met by this package have ranks in the tens, so everything here
-favours clarity over asymptotics; all arithmetic is exact.
+A lattice travels as the echelon basis its Hermite form gives
+(`lattice_basis`): `in_lattice` solves against such a basis by
+back-substitution, with no further Hermite form, and the one Hermite
+routine, `column_echelon`, works on a list of generator columns and builds
+its unimodular transform only when asked for it.  `rank` works over any
+integral domain given as a ring of the `aomega.complexes` protocol,
+entries being that ring's elements.  The complexes met by this package
+have ranks in the tens, so everything here favours clarity over
+asymptotics; all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -14,27 +19,8 @@ from __future__ import annotations
 from math import gcd
 
 
-def zeros(m: int, n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(m)]
-
-
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B, m: int, k: int, n: int) -> list[list[int]]:
-    """(m x k) @ (k x n)."""
-    C = zeros(m, n)
-    for i in range(m):
-        Ai = A[i]
-        Ci = C[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(n):
-                    Ci[j] += a * Bt[j]
-    return C
 
 
 def mat_vec(A, v, m: int, n: int) -> list[int]:
@@ -62,47 +48,43 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def column_echelon(A, m: int, n: int):
-    """Unimodular column reduction A @ U = H.
+def column_echelon(cols, m: int, n: int, transform: bool = False):
+    """Hermite form of the lattice spanned by n column vectors in Z^m.
 
-    Returns (H, U, rank).  H is in column echelon form: pivot columns
-    0..rank-1, each pivot entry positive and the first nonzero entry of
-    its row among the remaining columns; columns rank..n-1 are zero.
+    Returns (H, U, rank), H and U lists of columns.  H comes from the
+    columns by unimodular column operations and is in column echelon form:
+    pivot columns 0..rank-1, pivot rows strictly increasing, each pivot
+    entry positive and zero above it; columns rank..n-1 are zero.  U, the
+    transform with H[j] = sum_i U[j][i] cols[i], is built only when asked
+    for, and is None otherwise.
     """
-    H = [row[:] for row in A]
-    U = identity(n)
+    H = [c[:] for c in cols]
+    U = identity(n) if transform else None
     col = 0
     for row in range(m):
-        piv = None
-        for j in range(col, n):
-            if H[row][j]:
-                piv = j
-                break
+        piv = next((j for j in range(col, n) if H[j][row]), None)
         if piv is None:
             continue
         if piv != col:
-            for r in range(m):
-                H[r][col], H[r][piv] = H[r][piv], H[r][col]
-            for r in range(n):
-                U[r][col], U[r][piv] = U[r][piv], U[r][col]
+            H[col], H[piv] = H[piv], H[col]
+            if transform:
+                U[col], U[piv] = U[piv], U[col]
         for j in range(col + 1, n):
-            while H[row][j]:
-                a, b = H[row][col], H[row][j]
-                g, x, y = _xgcd(a, b)
-                aa, bb = a // g, b // g
-                for r in range(m):
-                    hc, hj = H[r][col], H[r][j]
-                    H[r][col] = x * hc + y * hj
-                    H[r][j] = -bb * hc + aa * hj
-                for r in range(n):
-                    uc, uj = U[r][col], U[r][j]
-                    U[r][col] = x * uc + y * uj
-                    U[r][j] = -bb * uc + aa * uj
-        if H[row][col] < 0:
-            for r in range(m):
-                H[r][col] = -H[r][col]
-            for r in range(n):
-                U[r][col] = -U[r][col]
+            b = H[j][row]
+            if not b:
+                continue
+            # one extended-gcd step clears the entry: -(b/g) a + (a/g) b = 0
+            a = H[col][row]
+            g, x, y = _xgcd(a, b)
+            aa, bb = a // g, b // g
+            for M in (H, U) if transform else (H,):
+                mc, mj = M[col], M[j]
+                M[col] = [x * s + y * t for s, t in zip(mc, mj)]
+                M[j] = [aa * t - bb * s for s, t in zip(mc, mj)]
+        if H[col][row] < 0:
+            H[col] = [-x for x in H[col]]
+            if transform:
+                U[col] = [-x for x in U[col]]
         col += 1
         if col == n:
             break
@@ -111,60 +93,55 @@ def column_echelon(A, m: int, n: int):
 
 def kernel_basis(A, m: int, n: int) -> list[list[int]]:
     """Basis of the saturated integer kernel {v : A v = 0}."""
-    _, U, rank = column_echelon(A, m, n)
-    return [[U[r][j] for r in range(n)] for j in range(rank, n)]
+    _, U, rank = column_echelon(transpose(A, m, n), m, n, transform=True)
+    return U[rank:]
 
 
 def solve_int(A, b, m: int, n: int) -> list[int] | None:
     """One integer solution of A x = b, or None.
 
     No command calls it; `bench/tracing.py` spans it by name."""
-    X = solve_matrix(A, [[x] for x in b], m, n, 1)
-    return None if X is None else [row[0] for row in X]
-
-
-def solve_matrix(A, B, m: int, n: int, k: int) -> list[list[int]] | None:
-    """X (n x k) with A X = B, or None if some column of B has no solution.
-
-    A is brought to Hermite form once; every column of B is then solved by
-    back-substitution against it.
-    """
-    H, U, rank = column_echelon(A, m, n)
-    pivots = [next(r for r in range(m) if H[r][j]) for j in range(rank)]
-    cols = []
-    for c in range(k):
-        res = [B[i][c] for i in range(m)]
-        y = [0] * n
-        for j, row in enumerate(pivots):
-            if res[row] % H[row][j]:
-                return None
-            q = res[row] // H[row][j]
-            y[j] = q
-            if q:
-                for r in range(m):
-                    res[r] -= q * H[r][j]
-        if any(res):
-            return None
-        cols.append(mat_vec(U, y, n, n))
-    return [[cols[j][i] for j in range(k)] for i in range(n)]
+    H, U, rank = column_echelon(transpose(A, m, n), m, n, transform=True)
+    y = in_lattice(H[:rank], [b], m)
+    if y is None:
+        return None
+    return [sum(c * u[i] for c, u in zip(y[0], U)) for i in range(n)]
 
 
 def lattice_basis(gens: list[list[int]], n: int) -> list[list[int]]:
     """Echelon basis (list of rows) of the lattice spanned by `gens` in Z^n."""
-    if not gens:
-        return []
-    A = transpose(gens, len(gens), n)
-    H, _, rank = column_echelon(A, n, len(gens))
-    return [[H[r][j] for r in range(n)] for j in range(rank)]
+    H, _, rank = column_echelon(gens, n, len(gens))
+    return H[:rank]
 
 
 def in_lattice(basis: list[list[int]], vectors: list[list[int]], n: int) -> list[list[int]] | None:
     """Coordinates of every vector in the lattice spanned by `basis`, or
-    None if some vector lies outside it.  With dependent generators in
-    place of a basis this is one integer combination per vector."""
-    b, k = len(basis), len(vectors)
-    X = solve_matrix(transpose(basis, b, n), transpose(vectors, k, n), n, b, k)
-    return None if X is None else transpose(X, b, k)
+    None if some vector lies outside it.
+
+    `basis` must be echelon, as every basis built here is: the first
+    nonzero entries (pivots) of its rows lie in strictly increasing
+    positions.  Each vector is solved by back-substitution: an exact
+    division at each pivot, then a zero residual.  A basis that is not
+    echelon, or has a zero row, raises AssertionError.
+    """
+    pivots = [next((i for i, x in enumerate(v) if x), n) for v in basis]
+    if n in pivots or any(p >= q for p, q in zip(pivots, pivots[1:])):
+        raise AssertionError("lattice basis is not in echelon form")
+    out = []
+    for v in vectors:
+        res = v[:]
+        coords = []
+        for w, p in zip(basis, pivots):
+            q, r = divmod(res[p], w[p])
+            if r:
+                return None
+            coords.append(q)
+            if q:
+                res = [s - q * t for s, t in zip(res, w)]
+        if any(res):
+            return None
+        out.append(coords)
+    return out
 
 
 def preimage_lattice(A, m: int, n: int, target_basis: list[list[int]]) -> list[list[int]]:
@@ -212,10 +189,13 @@ def snf_divisors(A, m: int, n: int) -> list[int]:
     so the loop ends.  The pivots split off are then put in chain order.
     """
     split = []
+    # the rows of A span the columns of its transpose, which has the same
+    # divisors
+    cols, m, n = A, n, m
     while True:
-        H, _, r = column_echelon(A, m, n)
+        H, _, r = column_echelon(cols, m, n)
         for j in range(r):
-            col = [H[i][j] for i in range(m)]
+            col = H[j]
             top = next(i for i, x in enumerate(col) if x)
             if any(x % col[top] for x in col[top + 1:]):
                 break
@@ -223,7 +203,7 @@ def snf_divisors(A, m: int, n: int) -> list[int]:
         else:
             chain = chain_normalize(split)
             return [1] * (len(split) - len(chain)) + chain
-        A, m, n = [[H[i][c] for i in range(m)] for c in range(j, r)], r - j, m
+        cols, m, n = [[H[c][i] for c in range(j, r)] for i in range(m)], r - j, m
 
 
 def chain_normalize(divisors: list[int]) -> list[int]:
@@ -277,14 +257,16 @@ def quotient_presentation(z_basis: list[list[int]], b_gens: list[list[int]], n: 
     """Presentation of (lattice Z) / (sublattice spanned by b_gens).
 
     Returns (free_rank, torsion) with torsion the elementary divisors > 1
-    in divisibility order.  Every generator in b_gens must lie in Z.
+    in divisibility order.  z_basis is echelon, and every generator in
+    b_gens must lie in Z: one outside it is a broken invariant of the
+    caller (AssertionError).
     """
     k = len(z_basis)
     if k == 0:
         return 0, []
     coords = in_lattice(z_basis, b_gens, n)
     if coords is None:
-        raise ValueError("generator not contained in the ambient lattice")
+        raise AssertionError("generator not contained in the ambient lattice")
     if not coords:
         return k, []
     divisors = snf_divisors(coords, len(coords), k)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from aomega import intlinalg as la
 from aomega.ainf import AinfModel, OCModelElement
 from aomega.arith import LaurentElement
 from aomega.complexes import (
@@ -29,6 +30,7 @@ from aomega.complexes import (
     koszul_to_diagonal,
     tensor_product,
 )
+from aomega.decalage import eta_subcomplex
 from aomega.suites import random_z_complex
 from aomega.torus import random_fp_complex
 
@@ -101,6 +103,56 @@ def test_homology_random_vs_oracle_free_ranks():
         assert H.free_rank(1) == n1 - rank
         divisors = snf_oracle(mat)
         assert H.torsion(1) == sorted(divisors) or sorted(H.torsion(1)) == sorted(divisors)
+
+
+def quotient_route_homology(K):
+    """Homology as `homology_snf` computed it before it read the Smith
+    divisors of each differential: per degree a kernel basis, the
+    boundaries' coordinates in it, and the Smith form of those."""
+    data = {}
+    for i in K.degrees():
+        n = K.rank(i)
+        if n == 0:
+            continue
+        cycles = la.lattice_basis(la.kernel_basis(K.diff(i), K.rank(i + 1), n), n)
+        boundaries = la.transpose(K.diff(i - 1), n, K.rank(i - 1))
+        data[i] = la.quotient_presentation(cycles, boundaries, n)
+    return HomologyPresentation(data)
+
+
+def sympy_homology(K):
+    """Free ranks and torsion from sympy's Smith forms of the differentials."""
+    def smith(i):
+        m, n = K.rank(i + 1), K.rank(i)
+        if not m or not n:
+            return []
+        M = smith_normal_form(sympy.Matrix(K.diff(i)), domain=sympy.ZZ)
+        return [abs(int(M[j, j])) for j in range(min(m, n)) if M[j, j] != 0]
+
+    data = {}
+    for i in K.degrees():
+        if K.rank(i):
+            incoming = smith(i - 1)
+            data[i] = (K.rank(i) - len(smith(i)) - len(incoming), sorted(d for d in incoming if d > 1))
+    return HomologyPresentation(data)
+
+
+def test_homology_snf_against_quotient_route_and_sympy():
+    rng = random.Random(73)
+    shapes = set()
+    for _ in range(300):
+        K = random_z_complex(rng)
+        ranks, diffs = K.ranks, K.diffs
+        # sometimes a zero term at both ends, and mostly shifted below degree 0
+        if rng.random() < 0.3:
+            ranks = [0] + ranks + [0]
+            diffs = [[[] for _ in range(K.ranks[0])]] + diffs + [[]]
+        K = ChainComplex(Z, rng.randint(-3, 1), ranks, diffs)
+        for C in [K] + [eta_subcomplex(K, f) for f in (2, 3, 4, 6)]:
+            H = homology_snf(C)
+            assert H == quotient_route_homology(C) == sympy_homology(C), C
+            shapes.add((C.lo < 0, 0 in C.ranks, any(H.torsion(i) for i in H.degrees())))
+    assert {(True, True, True), (True, False, True), (False, True, True)} <= shapes, shapes
 
 
 def test_diagonal_homology():

@@ -1,12 +1,15 @@
 """Decalage: lattice track, symbolic rules, and every checker."""
 
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
 from aomega import decalage, intlinalg
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
+from aomega.cli import main
 from aomega.complexes import (
     ChainComplex,
     HomologyPresentation,
@@ -209,6 +212,27 @@ def test_instance_builds_each_eta_once(monkeypatch):
             assert got_K is want_K and got_f == want_f
 
 
+# Hermite forms made by `leta verify --suite s5-leta --instances 100 --seed
+# 0`; the count is deterministic.  Lattices travel in echelon form and
+# homology reads the Smith divisors of each differential, so no query
+# builds a Hermite form of its own (21,039 when each did).
+S5_LETA_HERMITE_FORMS = 14_307
+
+
+def test_s5_leta_hermite_forms_stay_under_their_ceiling(monkeypatch):
+    calls = []
+    real = intlinalg.column_echelon
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "column_echelon", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["leta", "verify", "--suite", "s5-leta", "--instances", "100", "--seed", "0"]) == 0
+    assert len(calls) <= S5_LETA_HERMITE_FORMS
+
+
 def two_call_bockstein_homology(B):
     """BocksteinComplex.homology computing the cycle coordinates of degree
     i + 1 for the numerator and again for the denominator of i + 1."""
@@ -277,8 +301,10 @@ def _truncate(K: ChainComplex, j: int) -> ChainComplex:
     from aomega import intlinalg as la
 
     n = K.rank(j)
+    # `in_lattice` solves against an echelon basis: the kernel's own
+    # transform columns need not be one
     zbasis = (
-        la.kernel_basis(K.diff(j), K.rank(j + 1), n) if K.rank(j + 1) else la.identity(n)
+        la.lattice_basis(la.kernel_basis(K.diff(j), K.rank(j + 1), n), n) if K.rank(j + 1) else la.identity(n)
     )
     ranks = [K.rank(i) for i in range(K.lo, j)] + [len(zbasis)]
     diffs = [K.diff(i) for i in range(K.lo, j - 1)]

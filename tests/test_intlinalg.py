@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
@@ -18,18 +19,30 @@ def random_matrix(rng, m, n, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
 
 
+def mat_mul(A, B, m, k, n):
+    """(m x k) @ (k x n)."""
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
 def test_column_echelon_transform_is_unimodular():
     rng = random.Random(50)
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = random_matrix(rng, m, n)
-        H, U, rank = la.column_echelon(A, m, n)
-        assert la.mat_mul(A, U, m, n, n) == H
+        cols = la.transpose(A, m, n)
+        H, U, rank = la.column_echelon(cols, m, n, transform=True)
+        # H and U are lists of columns: A U = H
+        assert mat_mul(A, la.transpose(U, n, n), m, n, n) == la.transpose(H, n, m)
         det = sympy.Matrix(U).det()
         assert det in (1, -1)
+        # echelon: positive pivots in strictly increasing rows, zero above
+        pivots = [next(i for i, x in enumerate(H[j]) if x) for j in range(rank)]
+        assert pivots == sorted(set(pivots)) and all(H[j][p] > 0 for j, p in enumerate(pivots))
         # columns beyond the rank are zero
         for j in range(rank, n):
-            assert all(H[i][j] == 0 for i in range(m))
+            assert not any(H[j])
+        # the same form without the transform
+        assert la.column_echelon(cols, m, n) == (H, None, rank)
 
 
 def test_kernel_basis_spans_and_saturates():
@@ -46,7 +59,7 @@ def test_kernel_basis_spans_and_saturates():
             coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in kernel]
             combo = [sum(c * v[j] for c, v in zip(coeffs, kernel)) for j in range(n)]
             if all(x.denominator == 1 for x in combo):
-                assert la.in_lattice(kernel, [[int(x) for x in combo]], n) is not None
+                assert la.in_lattice(la.lattice_basis(kernel, n), [[int(x) for x in combo]], n) is not None
 
 
 def test_solve_int_round_trip_and_unsolvable():
@@ -64,68 +77,73 @@ def test_solve_int_round_trip_and_unsolvable():
 
 
 def oracle_solve_int(A, b, m, n):
-    """The one-column solver as it stood before `solve_matrix` took many
-    right-hand sides: a fresh Hermite form for every call."""
-    H, U, rank = la.column_echelon(A, m, n)
+    """A fresh Hermite form of A, with its transform, for every call, then
+    back-substitution against its pivot columns."""
+    H, U, rank = la.column_echelon(la.transpose(A, m, n), m, n, transform=True)
     res = list(b)
-    y = [0] * n
+    y = [0] * rank
     for j in range(rank):
-        row = next(r for r in range(m) if H[r][j])
-        if res[row] % H[row][j]:
+        row = next(r for r in range(m) if H[j][r])
+        if res[row] % H[j][row]:
             return None
-        c = res[row] // H[row][j]
+        c = res[row] // H[j][row]
         y[j] = c
         if c:
-            for r in range(m):
-                res[r] -= c * H[r][j]
+            res = [s - c * t for s, t in zip(res, H[j])]
     if any(res):
         return None
-    return la.mat_vec(U, y, n, n)
+    return [sum(y[j] * U[j][i] for j in range(rank)) for i in range(n)]
 
 
-def oracle_solve_matrix(A, B, m, n, k):
-    cols = [oracle_solve_int(A, [B[i][j] for i in range(m)], m, n) for j in range(k)]
-    if any(c is None for c in cols):
-        return None
-    return [[cols[j][i] for j in range(k)] for i in range(n)]
+def oracle_in_lattice(basis, vectors, n):
+    """`in_lattice` one vector at a time through `oracle_solve_int`."""
+    one_by_one = [oracle_solve_int(la.transpose(basis, len(basis), n), v, n, len(basis))
+                  if basis else ([] if not any(v) else None) for v in vectors]
+    return None if None in one_by_one else one_by_one
 
 
-def test_solve_matrix_matches_per_column_oracle():
+def test_echelon_solve_matches_per_column_oracle():
     rng = random.Random(57)
     seen = {"solved": 0, "unsolvable": 0}
     for _ in range(150):
         m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
         A = random_matrix(rng, m, n)
         X = random_matrix(rng, n, k, bound=4)
-        B = la.mat_mul(A, X, m, n, k)
+        B = mat_mul(A, X, m, n, k)
         # one random column among solvable ones: often outside the image
         if k and rng.random() < 0.5:
             bad = rng.randrange(k)
             for i in range(m):
                 B[i][bad] = rng.randint(-6, 6)
-        got = la.solve_matrix(A, B, m, n, k)
-        assert got == oracle_solve_matrix(A, B, m, n, k), (A, B)
+        # the echelon basis of the column lattice of A, and B's columns
+        basis = la.lattice_basis(la.transpose(A, m, n), m)
+        vectors = la.transpose(B, m, k)
+        got = la.in_lattice(basis, vectors, m)
+        assert got == oracle_in_lattice(basis, vectors, m), (A, B)
+        # the same lattice as A's columns: the same columns solve
+        assert (got is None) == any(oracle_solve_int(A, v, m, n) is None for v in vectors)
         if got is not None:
-            assert la.mat_mul(A, got, m, n, k) == B
+            assert [la.mat_vec(la.transpose(basis, len(basis), m), c, m, len(basis)) for c in got] == vectors
         seen["solved" if got is not None else "unsolvable"] += 1
-        # solve_int is the one-column call
+        # solve_int: a Hermite form of A, then the echelon solve
         if k:
-            col = [B[i][0] for i in range(m)]
-            assert la.solve_int(A, col, m, n) == oracle_solve_int(A, col, m, n)
+            assert la.solve_int(A, vectors[0], m, n) == oracle_solve_int(A, vectors[0], m, n)
     assert min(seen.values()) > 20, seen
 
 
-def test_solve_matrix_one_bad_column_among_good_ones():
-    # 2 x = b solves only for even b; the residue check sees the second row
-    A = [[2, 0], [0, 2], [2, 2]]
-    good = [[2, 4], [6, -2], [8, 2]]
-    assert la.solve_matrix(A, good, 3, 2, 2) == [[1, 2], [3, -1]]
-    for bad in ([[2, 4, 1], [6, -2, 0], [8, 2, 0]], [[2, 2, 4], [6, 0, -2], [8, 0, 2]]):
-        assert la.solve_matrix(A, bad, 3, 2, 3) is None
-        assert oracle_solve_matrix(A, bad, 3, 2, 3) is None
-    # consistent pivots, inconsistent last row: only the residue check sees it
-    assert la.solve_matrix(A, [[2, 2], [6, 6], [8, 9]], 3, 2, 2) is None
-    assert la.solve_matrix(A, [[2], [6], [8]], 3, 2, 0) == [[], []]
+def test_echelon_solve_one_bad_vector_among_good_ones():
+    # the columns of [[2, 0], [0, 2], [2, 2]]: 2 x = b solves only for even
+    # b, and the residue check sees the last entry
+    basis = [[2, 0, 2], [0, 2, 2]]
+    assert la.in_lattice(basis, [[2, 6, 8], [4, -2, 2]], 3) == [[1, 3], [2, -1]]
+    for bad in ([[2, 6, 8], [4, -2, 2], [1, 0, 0]], [[2, 6, 8], [2, 0, 0], [4, -2, 2]]):
+        assert la.in_lattice(basis, bad, 3) is None
+        assert oracle_in_lattice(basis, bad, 3) is None
+    # consistent pivots, inconsistent last entry: only the residue check sees it
+    assert la.in_lattice(basis, [[2, 6, 8], [2, 6, 9]], 3) is None
+    assert la.in_lattice(basis, [], 3) == []
+    # 2 x = 1 has no integer solution
+    assert la.in_lattice([[2]], [[1]], 1) is None
 
 
 def test_in_lattice_lists_against_per_vector_oracle():
@@ -138,16 +156,17 @@ def test_in_lattice_lists_against_per_vector_oracle():
                    for c in random_matrix(rng, rng.randint(0, 3), len(basis), bound=3)]
         vectors = members + random_matrix(rng, rng.randint(0, 1), n)
         rng.shuffle(vectors)
-        one_by_one = [oracle_solve_int(la.transpose(basis, len(basis), n), v, n, len(basis))
-                      if basis else ([] if not any(v) else None) for v in vectors]
-        expected = None if None in one_by_one else one_by_one
-        assert la.in_lattice(basis, vectors, n) == expected, (basis, vectors)
+        assert la.in_lattice(basis, vectors, n) == oracle_in_lattice(basis, vectors, n), (basis, vectors)
         assert la.in_lattice(basis, members, n) is not None
         assert la.in_lattice(basis, [], n) == []
     # empty basis: only zero vectors, each with no coordinates
     assert la.in_lattice([], [[0, 0], [0, 0]], 2) == [[], []]
     assert la.in_lattice([], [[0, 0], [0, 1]], 2) is None
     assert la.in_lattice([], [], 2) == []
+    # the echelon contract: pivots in strictly increasing positions, no zero row
+    for basis in ([[0, 1], [1, 0]], [[1, 0], [2, 1]], [[1, 0], [0, 0]], [[0, 0]]):
+        with pytest.raises(AssertionError, match="echelon"):
+            la.in_lattice(basis, [[0, 0]], 2)
 
 
 def oracle_kernel_mod_p(A, m, n, p):

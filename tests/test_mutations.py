@@ -10,16 +10,27 @@ weight, and both stages must refuse it: a table that no longer squares to
 zero raises AssertionError (exit 3 from the CLI), tables that disagree or a
 wrong weight fail the stage's check (exit 1).
 
-The last rows plant one wrong quotient in the memo of exact divisions that
+Further rows plant one wrong quotient in the memo of exact divisions that
 the fractional outcomes share (`torus._carrier`), and the oracle that
 compares every outcome with the unmemoized route must name it.
+
+The last rows mutate the lattice routines of `aomega.intlinalg` and
+`homology_snf` in their source text, one replaced expression each, and
+recompile the function in its module's namespace.
 """
 
 import dataclasses
+import inspect
+import io
+import json
+import textwrap
+from contextlib import redirect_stdout
 
 import pytest
+import test_intlinalg
 
-from aomega import complexes, qderham, torus
+from aomega import complexes, decalage, qderham, suites, torus
+from aomega import intlinalg as la
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
 from aomega.cli import EXIT_INTERNAL, main
@@ -155,3 +166,58 @@ def test_a_memo_with_one_wrong_division_fails_the_oracle(memo_disagreements, pai
         torus._fractional_outcome.cache_clear()
     assert (3, 1, (1,)) in bad
     assert memo_disagreements([(3, 1, 1, 2)])[1] == []
+
+
+def mutant(module, name, old, new):
+    """`module.name` recompiled from its source with the one occurrence of
+    `old` replaced by `new`, its globals a copy of the module's."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    code = compile("from __future__ import annotations\n" + source.replace(old, new), module.__file__, "exec")
+    exec(code, namespace)
+    return namespace[name]
+
+
+def run_cli(argv):
+    """Exit code and failed check names of one command run in process."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["passed"]]
+
+
+S5_LETA = ["leta", "verify", "--suite", "s5-leta", "--instances", "50"]
+
+
+def test_back_substitution_off_by_one_is_refused(monkeypatch, capsys):
+    # the first coordinate of every solved vector one too large: the
+    # induced differentials of eta_f(K) stop squaring to zero, and the
+    # construction-time d o d check refuses them before any check compares
+    monkeypatch.setattr(la, "in_lattice", mutant(la, "in_lattice", "coords.append(q)",
+                                                 "coords.append(q if coords else q + 1)"))
+    with pytest.raises(SystemExit) as exc:
+        main(S5_LETA)
+    assert exc.value.code == EXIT_INTERNAL
+    assert "d o d != 0" in capsys.readouterr().err
+
+
+def test_torsion_read_from_the_outgoing_differential_fails(monkeypatch):
+    wrong = mutant(complexes, "homology_snf", "[d for d in incoming if d > 1]", "[d for d in divisors[i] if d > 1]")
+    for module in (complexes, decalage, suites):
+        monkeypatch.setattr(module, "homology_snf", wrong)
+    assert run_cli(S5_LETA) == (1, ["square-torsion-model"])
+    assert run_cli(["suite", "run", "--suite", "s4-torus-decomp"]) == (1, ["diagonal-vs-oracle",
+                                                                          "koszul-to-diagonal-vs-oracle"])
+
+
+def test_unnormalised_transform_signs_fail_the_transform_tests(monkeypatch):
+    # the pivot column of H negated without its column of U: A U = H breaks
+    # at that column, and solve_int reads a wrong sign from it.  The kernel
+    # columns lie past the rank, where no sign is normalised, so
+    # kernel_basis, and its test, do not see this mutation.
+    monkeypatch.setattr(la, "column_echelon", mutant(la, "column_echelon", "U[col] = [-x for x in U[col]]", "pass"))
+    for test in (test_intlinalg.test_column_echelon_transform_is_unimodular,
+                 test_intlinalg.test_solve_int_round_trip_and_unsolvable):
+        with pytest.raises(AssertionError):
+            test()
