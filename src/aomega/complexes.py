@@ -22,7 +22,8 @@ with subset bases enumerated in (size, lexicographic) order; the cells it
 fills are tabled once per number of weights, on first use.  A table lists,
 per degree k, the (row, column, weight index, sign) of every cell of d_k;
 `check_koszul_tables` proves d o d = 0 for a table once, over generic
-weights, and `table_matrices` realizes it on given weights.
+weights, and the contraction identity d iota_j + iota_j d = x_j id for the
+placement; `table_matrices` realizes a table on given weights.
 """
 
 from __future__ import annotations
@@ -421,13 +422,33 @@ def koszul_matrices(ring, elements: Sequence[Any]) -> list:
     return table_matrices(ring, _koszul_placement(len(elements)), elements)
 
 
+def _check_contraction(d: int, placement) -> None:
+    """d iota_j + iota_j d = x_j id in every degree of the placement on d
+    generic weights, iota_j its weight-j cells transposed: where some weight
+    is a unit, the complex is exact.  Each product pairs two cells of one d_k
+    through a common row or column; the signed x_i must sum to x_j on the
+    diagonal and cancel elsewhere.  A term left over raises AssertionError."""
+    for j in range(d):
+        terms = Counter({(k, c, c, j): -1 for k in range(d + 1) for c in range(comb(d, k))})
+        for k, cells in enumerate(placement):
+            for (row, col, i, sign), (row2, col2, j2, sign2) in itertools.product(cells, cells):
+                if j2 == j and row == row2:  # iota_j d_k, through a basis vector of degree k + 1
+                    terms[k, col2, col, i] += sign * sign2
+                if j2 == j and col == col2:  # d_k iota_j, through a basis vector of degree k
+                    terms[k + 1, row, row2, i] += sign * sign2
+        left = [key for key, c in terms.items() if c]
+        if left:
+            raise AssertionError(f"d iota_{j} + iota_{j} d != x_{j} id in the Koszul placement at degree {left[0][0]}")
+
+
 def check_koszul_tables(d: int, tables: dict) -> bool:
     """Whether the named tables on d weights equal the Koszul placement, once
-    each table and the placement are proved to square to zero.
+    each table and the placement are proved to square to zero, and the
+    placement to satisfy the contraction identity (`_check_contraction`).
 
     The proof is over generic weights x_0..x_(d-1): every entry of
     d_(k+1) d_k is a sum of signed pairs x_i x_j, and they must cancel.  Any
-    ring map x_j -> w_j into a commutative ring carries this to every complex
+    ring map x_j -> w_j into a commutative ring carries both to every complex
     a table realizes, and equal tables realize equal complexes from equal
     weights.  A pair left over raises AssertionError, as `ChainComplex` does.
     """
@@ -443,6 +464,7 @@ def check_koszul_tables(d: int, tables: dict) -> bool:
                     pairs[row, col, min(i, j), max(i, j)] += sign * sign2
             if any(pairs.values()):
                 raise AssertionError(f"d o d != 0 in the {name} table at degree {k}")
+    _check_contraction(d, tables["Koszul placement"])
     placement = [sorted(cells) for cells in tables["Koszul placement"]]
     return all([sorted(cells) for cells in table] == placement for table in tables.values())
 

@@ -31,9 +31,6 @@ the dead-cell rule once per outcome.
 Large boxes are aggregated: gradings with the same per-component valuation
 pattern share their outcome, which is computed once per pattern on a
 representative and counted combinatorially; small boxes enumerate cells.
-The fibre comparison computes ranks once per orbit of weight tuples under
-permutation, on the sorted tuple; every other order is tied to it by the
-signed permutation of Koszul bases, checked entry by entry.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from .complexes import (
     ZModRing,
     check_koszul_tables,
     homology_diagonal,
-    koszul,
     koszul_basis,
     koszul_matrices,
     koszul_to_diagonal,
@@ -72,8 +68,8 @@ from .decalage import ZERO_COMPLEX, leta_koszul, leta_two_term
 from .intlinalg import rank
 
 EXPLICIT_CELL_LIMIT = 20000
-# surviving cells per etale stage re-checked by elimination over the carrier
-ETALE_VERIFY_LIMIT = 200
+# distinct weight tuples per etale or semicont stage re-checked by elimination
+ELIMINATION_LIMIT = 200
 HONEST_DIVISION_DEGREE_LIMIT = 48
 
 
@@ -637,11 +633,8 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
                     weight = _q_analog_mod_p_th_root(a, p)
                     reduced_by_exponent[a] = (weight.is_zero(), weight.is_unit())
             reduced = [reduced_by_exponent[a] for a in exps]
-            if all(zero for zero, _ in reduced):
-                ht = [comb(d, i) for i in range(d + 1)]
-            elif any(unit for _, unit in reduced):
-                ht = [0] * (d + 1)
-            else:
+            ht = _koszul_ranks(d, all(zero for zero, _ in reduced), any(unit for _, unit in reduced))
+            if ht is None:
                 report["cells"][key] = {"passed": False, "note": "reduced weight neither zero nor unit"}
                 report["passed"] = False
                 continue
@@ -703,6 +696,33 @@ def koszul_tables_agree(d: int) -> bool:
     return check_koszul_tables(d, {"product rule": classical_de_rham_table(d), "wedge": wedge_table(d)})
 
 
+def _koszul_ranks(k: int, zero: bool, unit: bool) -> list[int] | None:
+    """The ranks of a Koszul complex on k weights in a fibre where all are
+    zero (binomial), or some is a unit (none, by the contraction identity
+    `koszul_tables_agree(k)` proves); None otherwise."""
+    koszul_tables_agree(k)
+    if zero:
+        return [comb(k, i) for i in range(k + 1)]
+    if unit:
+        return [0] * (k + 1)
+    return None
+
+
+def _eliminated_ranks(ring, elements) -> list[int]:
+    """The fraction-field homology ranks of the Koszul complex on `elements`,
+    by elimination on the matrices of the placement, whose d o d = 0 is proved."""
+    k = len(elements)
+    r = [0, *(rank(mat, ring) for mat in koszul_matrices(ring, elements)), 0]
+    return [comb(k, i) - r[i] - r[i + 1] for i in range(k + 1)]
+
+
+def _elimination_order(rule_ranks: dict) -> list:
+    """Up to ELIMINATION_LIMIT keys of `rule_ranks` (weight tuple -> its ranks
+    per fibre) for elimination: those with a nonzero rank first, then in order."""
+    order = sorted(rule_ranks.items(), key=lambda item: not any(map(any, item[1])))
+    return [key for key, _ in order[:ELIMINATION_LIMIT]]
+
+
 _DEAD_CELL_NOTES = {"residual": "residual divisor is a unit in the residue ring", "zero": "killed by divisibility"}
 TABLES_DISAGREE = "the Koszul placement, product-rule and wedge tables disagree"
 
@@ -755,34 +775,33 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
 
 
 def etale_rank_torus(result: TorusCohomologyResult) -> dict:
-    """Fraction-field ranks: only the zero grading survives, with the
-    exterior-algebra ranks.  Small summands are re-checked by honest
-    fraction-free elimination over the Laurent carrier."""
+    """Fraction-field ranks by `_koszul_ranks`: only the zero grading
+    survives, with the exterior-algebra ranks.  Up to ELIMINATION_LIMIT
+    distinct weight tuples are re-checked by elimination over the carrier."""
     model, box = result.model, result.box
     ring = LaurentRing(model.p, model.depth)
     d = box.dim
     table = {i: 0 for i in range(d + 1)}
-    verified = 0
+    by_weights = {}  # weight tuple -> its ranks per fibre, here one
     report_cells = {}
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
-            ranks = [0 if any(cell.grading) else comb(d, i) for i in range(d + 1)]
-            if verified < ETALE_VERIFY_LIMIT and cell.weights is not None:
-                got = generic_fibre_ranks(koszul(ring, cell.weights))
-                got = [got.get(i, 0) for i in range(d + 1)]
-                if got != ranks:
-                    raise AssertionError(f"fraction-field rank mismatch at {cell.grading}")
-                verified += 1
+            zero = [g.is_zero() for g in cell.weights]
+            ranks = by_weights.setdefault(cell.weights, (_koszul_ranks(len(zero), all(zero), not all(zero)),))[0]
         else:
             ranks = [0] * (d + 1)
         report_cells[result.key(cell.grading)] = ranks
         for i, r in enumerate(ranks):
             table[i] += r * count
+    checked = _elimination_order(by_weights)
+    for weights in checked:
+        if _eliminated_ranks(ring, weights) != by_weights[weights][0]:
+            raise AssertionError(f"fraction-field ranks of the weights {[str(g) for g in weights]} differ by elimination")
     return {
         "stage": "etale",
         "rank_table": {i: r for i, r in table.items() if r},
         "cells": report_cells,
-        "verified_by_elimination": verified,
+        "verified_by_elimination": len(checked),
     }
 
 
@@ -830,59 +849,24 @@ def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
     return ring.reduce(out)
 
 
-def _orbit_representative(elements: tuple) -> tuple[tuple, tuple]:
-    """The sorted weights rep and the permutation sigma with elements[j] == rep[sigma[j]]."""
-    order = sorted(range(len(elements)), key=elements.__getitem__)
-    return tuple(elements[j] for j in order), tuple(sorted(range(len(order)), key=order.__getitem__))
-
-
-def _signed_permutation(sigma: tuple) -> list:
-    """Per degree, for each subset S in `koszul_basis` order: the index of
-    sigma(S) and the sign of e_S -> +-e_sigma(S), by counting inversions."""
-    d = len(sigma)
-    images = [[[sigma[s] for s in S] for S in koszul_basis(d, k)] for k in range(d + 1)]
-    return [[(koszul_basis(d, k).index(tuple(sorted(im))), (-1) ** sum(a > b for a, b in itertools.combinations(im, 2)))
-             for im in row] for k, row in enumerate(images)]
-
-
-def _check_signed_permutation(ring, elements: tuple, rep_diffs, table) -> None:
-    """P d = d' P entry by entry, d and d' the Koszul differentials on `elements`
-    and on their orbit representative, P the signed permutation `table`.  P has
-    entries +-1, so it commutes with u = 0 and carries d o d = 0 and both fibre ranks."""
-    for k, mat in enumerate(koszul_matrices(ring, elements)):
-        for t, row in enumerate(mat):
-            t2, sign_t = table[k + 1][t]
-            for c, x in enumerate(row):
-                c2, sign_c = table[k][c]
-                y = rep_diffs[k][t2][c2]
-                if x != (y if sign_t == sign_c else ring.neg(y)):
-                    raise AssertionError(f"weights {elements} are not a signed permutation of their representative")
-
-
 def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
-    """Feed the mod-p summand complexes of the ainf result to the fibre
-    comparison.
+    """Compare the fibre ranks of the mod-p summand complexes of the ainf
+    result, over the fraction field of F_p[u] and at u = 0.
 
-    Every nonzero grading dies on both fibres (its normalized weight is a
-    unit at the origin and nonzero generically); the zero grading carries
-    the exterior algebra on both, so the totals agree with the binomial
-    pattern on the nose.
+    Each distinct weight tuple is ranked once per fibre by `_koszul_ranks`:
+    a weight is zero generically when its reduction is, and at the origin
+    when its constant term is.  Every nonzero grading dies on both fibres;
+    the zero grading carries the exterior algebra on both, so the totals
+    agree with the binomial pattern on the nose.  Up to ELIMINATION_LIMIT
+    distinct tuples are re-checked by elimination in both fibres.
     """
     model = result.model
     ring = FpPolyRing(model.p)
     d = result.box.dim
-    totals_generic = {i: 0 for i in range(d + 1)}
-    totals_special = {i: 0 for i in range(d + 1)}
+    totals = ([0] * (d + 1), [0] * (d + 1))  # generic, special
     all_hold = True
-    # each distinct weight is reduced once, the fibre ranks are computed once per
-    # orbit (the sorted weights), and each other ordered tuple is checked isomorphic
-    reduced, by_weights, orbits, permutations = {}, {}, {}, {}
-
-    def fp(g):
-        if g not in reduced:
-            reduced[g] = _laurent_to_fp_poly(g, ring)
-        return reduced[g]
-
+    fp = lru_cache(maxsize=None)(lambda g: _laurent_to_fp_poly(g, ring))  # each distinct weight reduced once
+    by_weights = {}  # each distinct ordered tuple -> its (generic, special) ranks
     for cell, count in result.weighted_cells():
         if cell.status == "koszul":
             elements = [fp(g) for g in cell.weights]
@@ -895,35 +879,28 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
             # the fibre ranks vanish regardless of decalage bookkeeping
             elements = [fp(LaurentElement({s: 1, 0: -1}, model.depth)) for s in cell.grading if s]
         key = tuple(elements)
-        if key not in by_weights:
-            rep, sigma = _orbit_representative(key)
-            if rep not in orbits:
-                K = koszul(ring, rep)
-                orbits[rep] = K.diffs, semicontinuity_demo(K)
-            rep_diffs, by_weights[key] = orbits[rep]
-            if key != rep:
-                if sigma not in permutations:
-                    permutations[sigma] = _signed_permutation(sigma)
-                _check_signed_permutation(ring, key, rep_diffs, permutations[sigma])
-        generic, special, verdict = by_weights[key]
-        if not verdict["holds"]:
-            all_hold = False
-        for i, r in generic.items():
-            totals_generic[i] = totals_generic.get(i, 0) + r * count
-        for i, r in special.items():
-            totals_special[i] = totals_special.get(i, 0) + r * count
+        fibres = by_weights.get(key)
+        if fibres is None:
+            at_origin = [not x or x[0] == 0 for x in key]
+            fibres = by_weights[key] = (_koszul_ranks(len(key), not any(key), any(key)),
+                                        _koszul_ranks(len(key), all(at_origin), not all(at_origin)))
+            all_hold = all_hold and all(g <= s for g, s in zip(*fibres))
+        for total, ranks in zip(totals, fibres):
+            for i, r in enumerate(ranks):
+                total[i] += r * count
+    for key in _elimination_order(by_weights):
+        constants = [ring.evaluate(x, 0) for x in key]
+        if (_eliminated_ranks(ring, key), _eliminated_ranks(ZModRing(model.p), constants)) != by_weights[key]:
+            raise AssertionError(f"fibre ranks of the weights {key} differ by elimination")
+    generic, special = ({i: r for i, r in enumerate(total) if r} for total in totals)
     expected = {i: comb(d, i) for i in range(d + 1)}
-    equal = (
-        {i: r for i, r in totals_generic.items() if r} == {i: r for i, r in expected.items() if r}
-        and {i: r for i, r in totals_special.items() if r} == {i: r for i, r in expected.items() if r}
-    )
     return {
         "stage": "semicontinuity",
-        "generic_totals": {i: r for i, r in totals_generic.items() if r},
-        "special_totals": {i: r for i, r in totals_special.items() if r},
+        "generic_totals": generic,
+        "special_totals": special,
         "expected": expected,
         "inequality_holds": all_hold,
-        "equality_with_binomials": equal,
+        "equality_with_binomials": generic == special == expected,
     }
 
 

@@ -173,22 +173,16 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_semicont_exits_3_when_a_tuple_is_not_isomorphic_to_its_orbit(monkeypatch, capsys):
-    # every ordered weight tuple is mapped to the representative of another
-    # orbit: the signed-permutation check is an invariant of the library
-    real = torus._orbit_representative
-
-    def wrong(elements):
-        rep, sigma = real(elements)
-        return (rep[-1],) + rep[1:] if len(set(elements)) > 1 else rep, sigma
-
-    monkeypatch.setattr(torus, "_orbit_representative", wrong)
+def test_etale_exits_3_when_the_rank_rule_and_elimination_disagree(monkeypatch, capsys):
+    # a rule that gives every Koszul cell zero ranks: elimination, which
+    # takes the zero-weight tuple first, finds the exterior ranks there
+    monkeypatch.setattr(torus, "_koszul_ranks", lambda k, zero, unit: [0] * (k + 1))
     with pytest.raises(SystemExit) as exc:
-        main(["torus", "run", "--stage", "semicont", "--p", "3", "--depth", "2", "--dim", "2", "--bound", "2",
+        main(["torus", "run", "--stage", "etale", "--p", "3", "--depth", "2", "--dim", "2", "--bound", "2",
               "--out", "-"])
     assert exc.value.code == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "signed permutation" in err
+    assert err.startswith("internal error:") and "differ by elimination" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Chain complexes, Koszul builders, and the two homology paths."""
 
 import random
+from functools import reduce
 from math import comb
 
 import pytest
@@ -26,6 +27,7 @@ from aomega.complexes import (
     homology_snf,
     koszul,
     koszul_basis,
+    koszul_matrices,
     koszul_sign,
     koszul_to_diagonal,
     tensor_product,
@@ -501,3 +503,48 @@ def test_laurent_dd_rejects_mixed_depths():
         ring.dot_is_zero([(u1, u1), (u2, u2)])
     with pytest.raises(ValueError, match="depth"):
         ChainComplex(ring, 0, [1, 2, 1], [[[u1], [u1]], [[u1, -u2]]])
+
+
+def contraction(d, j, k):
+    """The dense matrix of iota_j from degree k + 1 to degree k: e_T goes to
+    (-1)^#{t in T : t < j} e_(T - j) when j is in T, to zero otherwise."""
+    tgt = {S: i for i, S in enumerate(koszul_basis(d, k))}
+    mat = [[0] * comb(d, k + 1) for _ in tgt]
+    for col, T in enumerate(koszul_basis(d, k + 1)):
+        if j in T:
+            mat[tgt[tuple(t for t in T if t != j)]][col] = koszul_sign(j, T)
+    return mat
+
+
+@pytest.mark.parametrize("ring", [Z, FP], ids=repr)
+def test_contraction_identity_on_dense_matrices(ring):
+    # d iota_j + iota_j d = w_j id in every degree, with iota_j built from
+    # subsets, not from the placement, and every product taken densely
+    rng = random.Random(75)
+    entry = RANDOM_ENTRY[ring.tag]
+    scalar = {1: ring.one(), 0: ring.zero(), -1: ring.neg(ring.one())}
+
+    def product(A, B):
+        return [[reduce(ring.add, [ring.mul(a, B[t][c]) for t, a in enumerate(row)], ring.zero())
+                 for c in range(len(B[0]))] for row in A]
+
+    for d in range(5):
+        for _ in range(4):
+            weights = [entry(rng) for _ in range(d)]
+            diffs = koszul_matrices(ring, weights)
+            for j in range(d):
+                iota = [[[scalar[x] for x in row] for row in contraction(d, j, k)] for k in range(d)]
+                for k in range(d + 1):
+                    n = comb(d, k)
+                    total = [[ring.zero()] * n for _ in range(n)]
+                    parts = []
+                    if k < d:
+                        parts.append(product(iota[k], diffs[k]))  # iota_j d
+                    if k > 0:
+                        parts.append(product(diffs[k - 1], iota[k - 1]))  # d iota_j
+                    for part in parts:
+                        total = [[ring.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(total, part)]
+                    for r in range(n):
+                        for c in range(n):
+                            expected = weights[j] if r == c else ring.zero()
+                            assert ring.is_zero(ring.add(total[r][c], ring.neg(expected))), (d, j, k, r, c)

@@ -113,9 +113,10 @@ def test_torus_stage_reports_match_recorded_digest(config, stage, digest):
     assert hashlib.sha256(cli_stdout(argv)).hexdigest() == digest
 
 
-# Commands whose bytes the per-exponent kill certificates, the per-orbit
-# fibre ranks and the Koszul placement tables must leave alone: the q-de Rham
-# table and comparison, the dim-3 fibre comparison (orbits merge there), and
+# Commands whose bytes the per-exponent kill certificates, the fibre ranks
+# (per orbit, later by the contraction rule) and the Koszul placement tables
+# must leave alone: the q-de Rham table and comparison, the dim-3 fibre
+# comparison (many orderings of one weight multiset occur there), and
 # the Hodge-Tate and de Rham stages at (5,2,2,2), where the residue ring one
 # level deeper is too large for honest division and every unstructured cell
 # carries an order-calculus certificate.  Recorded before those changes.

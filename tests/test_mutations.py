@@ -16,7 +16,11 @@ compares every outcome with the unmemoized route must name it.
 
 The last rows mutate the lattice routines of `aomega.intlinalg` and
 `homology_snf` in their source text, one replaced expression each, and
-recompile the function in its module's namespace.
+recompile the function in its module's namespace.  In the same way they
+break the rank track of the etale and semicont stages: a sign in the proof
+of the contraction identity, the constant terms the special-fibre rule
+reads, and the elimination that re-checks the rule; each is an internal
+error (exit 3).
 """
 
 import dataclasses
@@ -29,7 +33,7 @@ from contextlib import redirect_stdout
 import pytest
 import test_intlinalg
 
-from aomega import complexes, decalage, qderham, suites, torus
+from aomega import cli, complexes, decalage, qderham, suites, torus
 from aomega import intlinalg as la
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
@@ -221,3 +225,36 @@ def test_unnormalised_transform_signs_fail_the_transform_tests(monkeypatch):
                  test_intlinalg.test_solve_int_round_trip_and_unsolvable):
         with pytest.raises(AssertionError):
             test()
+
+
+SMALL_BOX = ["--p", "3", "--depth", "2", "--dim", "2", "--bound", "2", "--out", "-"]
+
+
+def exits_internal(capsys, stage, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["torus", "run", "--stage", stage, *SMALL_BOX])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_INTERNAL and err.startswith("internal error:") and message in err
+
+
+@pytest.mark.parametrize("stage", ["etale", "semicont"])
+def test_a_flipped_sign_in_the_contraction_proof_is_an_internal_error(monkeypatch, capsys, fresh_tables, stage):
+    monkeypatch.setattr(complexes, "_check_contraction", mutant(
+        complexes, "_check_contraction",
+        "terms[k + 1, row, row2, i] += sign * sign2", "terms[k + 1, row, row2, i] -= sign * sign2"))
+    exits_internal(capsys, stage, "d iota_0 + iota_0 d != x_0 id")
+
+
+def test_weights_given_nonzero_constant_terms_are_an_internal_error(monkeypatch, capsys):
+    # the special-fibre rule reads every weight as a unit at u = 0, so it
+    # gives the zero-weight tuple no ranks; elimination at u = 0 finds them
+    wrong = mutant(torus, "torus_semicontinuity", "[not x or x[0] == 0 for x in key]", "[False for x in key]")
+    monkeypatch.setattr(cli, "torus_semicontinuity", wrong)
+    exits_internal(capsys, "semicont", "differ by elimination")
+
+
+@pytest.mark.parametrize("stage", ["etale", "semicont"])
+def test_elimination_off_by_one_in_one_degree_is_an_internal_error(monkeypatch, capsys, stage):
+    monkeypatch.setattr(torus, "_eliminated_ranks", mutant(
+        torus, "_eliminated_ranks", "comb(k, i) - r[i] - r[i + 1]", "comb(k, i) - r[i] - r[i + 1] + (i == 1)"))
+    exits_internal(capsys, stage, "differ by elimination")

@@ -1,6 +1,8 @@
 """Graded pipelines: ranks, kills, certificates, specializations, fibres."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -535,8 +537,9 @@ def test_etale_ranks():
 def test_etale_ranks_weight_aggregated_classes_by_count():
     # a synthetic class of five surviving zero-grading cells counts five times
     model, box = AinfModel(3, 1), GradingBox(2, 1, 2)
-    explicit = TorusCell((0, 0), "koszul")
-    row = ClassRow(("Z0", "Z0"), 5, TorusCell((0, 0), "koszul"))
+    weights = (LaurentElement.zero(1),) * 2
+    explicit = TorusCell((0, 0), "koszul", weights)
+    row = ClassRow(("Z0", "Z0"), 5, TorusCell((0, 0), "koszul", weights))
     res = TorusCohomologyResult("ainf", model, box, {explicit.grading: explicit}, [row], True)
     assert etale_rank_torus(res)["rank_table"] == {0: 6, 1: 12, 2: 6}
 
@@ -661,87 +664,98 @@ def test_torus_semicontinuity_matches_per_cell_oracle(p, depth, dim, bound, aggr
     assert rep["equality_with_binomials"]
 
 
-def count_orbit_work(monkeypatch):
-    """Counters of the Koszul complexes built for orbit representatives and
-    of the ordered tuples checked against theirs."""
-    counts = {"representatives": 0, "isomorphisms": 0}
-    real_koszul, real_check = torus.koszul, torus._check_signed_permutation
+def per_cell_etale(result):
+    """Each cell's fraction-field ranks by full elimination on its own
+    Koszul complex over the carrier, no sharing and no limit; dead cells
+    none.  Returns the per-key ranks and the table weighted by count."""
+    ring = LaurentRing(result.model.p, result.model.depth)
+    d = result.box.dim
+    cells, table = {}, {}
+    for cell, count in result.weighted_cells():
+        ranks = [0] * (d + 1)
+        if cell.status == "koszul":
+            got = generic_fibre_ranks(koszul(ring, cell.weights))
+            ranks = [got.get(i, 0) for i in range(d + 1)]
+        cells[result.key(cell.grading)] = ranks
+        for i, r in enumerate(ranks):
+            table[i] = table.get(i, 0) + r * count
+    return cells, {i: r for i, r in table.items() if r}
 
-    def koszul_spy(ring, elements):
-        counts["representatives"] += 1
-        return real_koszul(ring, elements)
 
-    def check_spy(*args):
-        counts["isomorphisms"] += 1
-        return real_check(*args)
+@pytest.mark.parametrize(
+    "p,depth,dim,bound,aggregated",
+    [(3, 2, 2, 2, False), (3, 2, 3, 2, True), (5, 1, 2, 2, False), (2, 1, 3, 2, False)],
+)
+def test_etale_matches_per_cell_oracle(p, depth, dim, bound, aggregated):
+    res = ainf_omega_torus(AinfModel(p, depth), GradingBox(dim, depth, bound))
+    assert res.aggregated is aggregated
+    cells, table = per_cell_etale(res)
+    rep = etale_rank_torus(res)
+    assert rep["cells"] == cells
+    assert rep["rank_table"] == table
 
-    monkeypatch.setattr(torus, "koszul", koszul_spy)
-    monkeypatch.setattr(torus, "_check_signed_permutation", check_spy)
-    return counts
 
-
-def test_semicontinuity_computes_fibre_ranks_once_per_orbit(monkeypatch):
-    # (3,2,3,6): 345 distinct ordered weight tuples fall into 86 orbits under
-    # permutation; each other ordered tuple passes its isomorphism check
+def test_both_stages_eliminate_the_zero_weight_tuple_first(monkeypatch):
+    # (3,2,3,6): 2,197 Koszul cells, and only the zero grading has nonzero
+    # ranks; it comes 1,099th in cell order, past the limit, so elimination
+    # reaches it only because tuples with a nonzero rule rank go first
     res = ainf_omega_torus(AinfModel(3, 2), GradingBox(3, 2, 6))
-    counts = count_orbit_work(monkeypatch)
-    rep = torus_semicontinuity(res)
-    assert rep["inequality_holds"] and rep["equality_with_binomials"]
-    assert counts == {"representatives": 86, "isomorphisms": 345 - 86}
+    assert list(res.cells).index((0, 0, 0)) == 1098
+    seen = []
+    real = torus.koszul_matrices
+
+    def spy(ring, elements):
+        seen.append(tuple(elements))
+        return real(ring, elements)
+
+    monkeypatch.setattr(torus, "koszul_matrices", spy)
+    assert etale_rank_torus(res)["verified_by_elimination"] == torus.ELIMINATION_LIMIT == 200
+    assert len(seen) == 200 and seen[0] == (LaurentElement.zero(2),) * 3
+    seen.clear()
+    assert torus_semicontinuity(res)["equality_with_binomials"]
+    # one generic and one special elimination per tuple
+    assert len(seen) == 400 and seen[:2] == [((),) * 3, (0, 0, 0)]
 
 
-def test_signed_permutation_is_a_chain_isomorphism():
-    # P d = d' P, checked here with the dense product of the matrices
-    ring = FpPolyRing(5)
-    elements = ((1, 1), (0, 2), (3,), (2, 0, 1))
-    rep, sigma = torus._orbit_representative(elements)
-    assert sorted(elements) == list(rep) and all(elements[j] == rep[sigma[j]] for j in range(4))
-    table = torus._signed_permutation(sigma)
-    d, d_rep = koszul(ring, elements).diffs, koszul(ring, rep).diffs
-
-    def P(k):
-        mat = [[0] * comb(4, k) for _ in range(comb(4, k))]
-        for col, (row, sign) in enumerate(table[k]):
-            mat[row][col] = sign
-        return mat
-
-    def times(A, B, scalar_left):
-        # A B where one side holds +-1 integers and the other ring elements
-        out = []
-        for i in range(len(A)):
-            out.append([])
-            for j in range(len(B[0])):
-                acc = ring.zero()
-                for t in range(len(B)):
-                    a, b = A[i][t], B[t][j]
-                    scalar, x = (a, b) if scalar_left else (b, a)
-                    acc = ring.add(acc, ring.mul((scalar % 5,), x))
-                out[-1].append(acc)
-        return out
-
-    for k in range(4):
-        assert times(P(k + 1), d[k], True) == times(d_rep[k], P(k), False)
-    torus._check_signed_permutation(ring, elements, d_rep, table)
+# `torus all` at (3,2,3,6) and (3,2,2,4): the parent of the contraction
+# rule made 2,960 and 6,558 rank calls
+RANK_CALL_CEILINGS = {(3, 2, 3, 6): 1800, (3, 2, 2, 4): 932}
 
 
-def test_semicontinuity_rejects_a_tuple_mapped_to_a_wrong_representative(monkeypatch):
-    # the first unsorted tuple of distinct weights gets the representative
-    # of another orbit: its first weight swapped for its last
-    real = torus._orbit_representative
-    mutated = []
+@pytest.mark.parametrize("config", list(RANK_CALL_CEILINGS))
+def test_torus_all_rank_calls_stay_under_their_ceiling(monkeypatch, config):
+    from aomega import cli
 
-    def wrong(elements):
-        rep, sigma = real(elements)
-        if not mutated and rep != elements and len(set(elements)) > 1:
-            mutated.append(elements)
-            rep = (rep[-1],) + rep[1:]
-        return rep, sigma
+    counts = {"rank": 0, "complexes": 0}
+    real_rank, real_init = torus.rank, ChainComplex.__init__
+    inside = []
 
-    monkeypatch.setattr(torus, "_orbit_representative", wrong)
-    res = ainf_omega_torus(AinfModel(3, 2), GradingBox(2, 2, 2))
-    with pytest.raises(AssertionError, match="signed permutation"):
-        torus_semicontinuity(res)
-    assert len(mutated) == 1
+    def rank_spy(*args):
+        counts["rank"] += 1
+        return real_rank(*args)
+
+    def init_spy(self, *args):
+        counts["complexes"] += bool(inside)
+        real_init(self, *args)
+
+    def scoped(stage):
+        def run(result):
+            inside.append(stage)
+            try:
+                return stage(result)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(torus, "rank", rank_spy)
+    monkeypatch.setattr(ChainComplex, "__init__", init_spy)
+    monkeypatch.setattr(cli, "etale_rank_torus", scoped(torus.etale_rank_torus))
+    monkeypatch.setattr(cli, "torus_semicontinuity", scoped(torus.torus_semicontinuity))
+    p, depth, dim, bound = config
+    argv = ["torus", "all", "--p", str(p), "--depth", str(depth), "--dim", str(dim), "--bound", str(bound)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert counts["rank"] <= RANK_CALL_CEILINGS[config] and counts["complexes"] == 0
 
 
 def test_composite_decalage_one_step_equals_two_step():
