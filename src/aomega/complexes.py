@@ -5,25 +5,27 @@ methods its callers use: `ZRing` (Smith-normal-form homology, the decalage
 lattice track, complexes read from JSON), `ZModRing` (the special fibre
 u = 0 of the semicontinuity family), `LaurentRing` (the cyclotomic carrier
 of the torus pipeline and the q-de Rham blocks), `OCRing` (the residue ring
-the de Rham specialization compares in) and `FpPolyRing` (the
-semicontinuity family).  `dot_is_zero(pairs)` is the sum of products the
-d o d check asks for, once per entry: Laurent and F_p[u] sum into one
-accumulator, Z in plain ints, the other rings fold `mul` and `add`.  Over
-the non-principal rings, homology is only offered for divisibility-structured
-complexes through the diagonal decomposition; that is all the graded
-pipelines need.
+Z[zeta_{p^n}]; no command builds a complex over it, the d o d tests do) and
+`FpPolyRing` (the semicontinuity family).  `dot_is_zero(pairs)` is the sum
+of products the d o d check asks for, once per entry: Laurent and F_p[u] sum
+into one accumulator, Z in plain ints, the other rings fold `mul` and `add`.
+Over the non-principal rings, homology is only offered for
+divisibility-structured complexes through the diagonal decomposition; that
+is all the graded pipelines need.
 
 Differential matrices are stored row-major, d_i of shape rank(i+1) x rank(i),
 acting on column vectors.  The Koszul sign convention is fixed once:
 
     d(e_S) = sum over j not in S of (-1)^(#{s in S : s < j}) g_j e_(S u {j})
 
-with subset bases enumerated in (size, lexicographic) order; the cells it
-fills are tabled once per number of weights, on first use.  A table lists,
-per degree k, the (row, column, weight index, sign) of every cell of d_k;
-`check_koszul_tables` proves d o d = 0 for a table once, over generic
-weights, and the contraction identity d iota_j + iota_j d = x_j id for the
-placement; `table_matrices` realizes a table on given weights.
+with subset bases enumerated in (size, lexicographic) order.  The cells it
+fills are placed once per number of weights, on first use: per degree k, the
+(row, column, weight index, sign) of every cell of d_k.  `koszul_matrices`
+realizes the placement on given weights.  `check_koszul_placement` proves
+once, over generic weights, that the placement squares to zero and satisfies
+the contraction identity d iota_j + iota_j d = x_j id, then compares it with
+the Kunneth tensor product of one-weight complexes R --g--> R
+(`kunneth_koszul`), which `tensor_product` builds without the placement.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import enum
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import comb, gcd
 from typing import Any, Sequence
 
 from . import intlinalg as la
 from . import poly
-from .arith import LaurentElement, laurent_exact_div, normalize_associate
+from .arith import LaurentElement, laurent_exact_div, normalize_associate, prime_base
 from .ainf import OCModel
 
 
@@ -209,16 +211,12 @@ class OCRing(Ring):
     p: int
     depth: int
 
-    @cached_property
-    def model(self) -> OCModel:
-        return OCModel(self.p, self.depth)
-
     @property
     def tag(self):
         return f"OC(p={self.p},depth={self.depth})"
 
     def zero(self):
-        return self.model.zero()
+        return OCModel(self.p, self.depth).zero()
 
 
 @dataclass(frozen=True, repr=False)
@@ -398,28 +396,23 @@ def _koszul_placement(d: int) -> tuple:
     )
 
 
-def table_matrices(ring, table, elements: Sequence[Any]) -> list:
-    """The differentials a table places on the given elements, unchecked.
+def koszul_matrices(ring, elements: Sequence[Any]) -> list:
+    """The Koszul differentials on the given elements, unchecked.
 
-    Each cell holds a weight or its negation, or the one shared zero; each
-    weight is normalized once by adding it to zero.
+    Each cell of the placement holds a weight or its negation, or the one
+    shared zero; each weight is normalized once by adding it to zero.
     """
     d = len(elements)
     zero = ring.zero()
     weights = [ring.add(zero, g) for g in elements]
     signed = {1: weights, -1: [ring.neg(g) for g in weights]}
     diffs = []
-    for k, cells in enumerate(table):
+    for k, cells in enumerate(_koszul_placement(d)):
         mat = [[zero] * comb(d, k) for _ in range(comb(d, k + 1))]
         for row, col, j, sign in cells:
             mat[row][col] = signed[sign][j]
         diffs.append(mat)
     return diffs
-
-
-def koszul_matrices(ring, elements: Sequence[Any]) -> list:
-    """The Koszul differentials on the given elements, unchecked."""
-    return table_matrices(ring, _koszul_placement(len(elements)), elements)
 
 
 def _check_contraction(d: int, placement) -> None:
@@ -439,34 +432,6 @@ def _check_contraction(d: int, placement) -> None:
         left = [key for key, c in terms.items() if c]
         if left:
             raise AssertionError(f"d iota_{j} + iota_{j} d != x_{j} id in the Koszul placement at degree {left[0][0]}")
-
-
-def check_koszul_tables(d: int, tables: dict) -> bool:
-    """Whether the named tables on d weights equal the Koszul placement, once
-    each table and the placement are proved to square to zero, and the
-    placement to satisfy the contraction identity (`_check_contraction`).
-
-    The proof is over generic weights x_0..x_(d-1): every entry of
-    d_(k+1) d_k is a sum of signed pairs x_i x_j, and they must cancel.  Any
-    ring map x_j -> w_j into a commutative ring carries both to every complex
-    a table realizes, and equal tables realize equal complexes from equal
-    weights.  A pair left over raises AssertionError, as `ChainComplex` does.
-    """
-    tables = {"Koszul placement": _koszul_placement(d), **tables}
-    for name, table in tables.items():
-        for k in range(len(table) - 1):
-            into = {}
-            for row, col, j, sign in table[k + 1]:
-                into.setdefault(col, []).append((row, j, sign))
-            pairs = Counter()
-            for mid, col, i, sign in table[k]:
-                for row, j, sign2 in into.get(mid, ()):
-                    pairs[row, col, min(i, j), max(i, j)] += sign * sign2
-            if any(pairs.values()):
-                raise AssertionError(f"d o d != 0 in the {name} table at degree {k}")
-    _check_contraction(d, tables["Koszul placement"])
-    placement = [sorted(cells) for cells in tables["Koszul placement"]]
-    return all([sorted(cells) for cells in table] == placement for table in tables.values())
 
 
 def koszul(ring, elements: Sequence[Any], lo: int = 0) -> ChainComplex:
@@ -520,6 +485,66 @@ def tensor_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
                     mat[row][col] = R.add(mat[row][col], v)
         diffs.append(mat)
     return ChainComplex(R, lo, ranks, diffs)
+
+
+def kunneth_koszul(ring, elements: Sequence[Any]) -> tuple[ChainComplex, dict]:
+    """The iterated tensor product of the one-weight complexes R --g--> R,
+    built without the Koszul placement, and per degree the weight subset of
+    each of its basis vectors.  A tensor basis lists the left factor's degree
+    first, so in degree k the vectors that carry the new weight come first."""
+    T, subsets = ChainComplex(ring, 0, [1], []), {0: [()]}  # the empty product
+    for j, g in enumerate(elements):
+        factor = ChainComplex(ring, 0, [1, 1], [[[g]]])
+        T = tensor_product(T, factor) if j else factor
+        subsets = {k: [S + (j,) for S in subsets.get(k - 1, [])] + subsets.get(k, []) for k in range(j + 2)}
+    return T, subsets
+
+
+def koszul_matches_kunneth(ring, elements: Sequence[Any]) -> bool:
+    """Whether the Koszul differentials on `elements` equal those of
+    `kunneth_koszul` entry by entry, each tensor basis vector read as its
+    subset."""
+    d = len(elements)
+    diffs = koszul_matrices(ring, elements)
+    T, subsets = kunneth_koszul(ring, elements)
+    if T.ranks != [comb(d, k) for k in range(d + 1)]:
+        return False
+    index = {k: [koszul_basis(d, k).index(S) for S in subsets[k]] for k in range(d + 1)}
+    return all(
+        x == diffs[k][index[k + 1][row]][index[k][col]]
+        for k, mat in enumerate(T.diffs) for row, entries in enumerate(mat) for col, x in enumerate(entries)
+    )
+
+
+def check_koszul_placement(d: int) -> bool:
+    """Whether the Koszul placement on d weights realizes the Kunneth tensor
+    product of d one-weight complexes, once the placement is proved to square
+    to zero and to satisfy the contraction identity (`_check_contraction`).
+
+    The proofs are over generic weights x_0..x_(d-1): every entry of
+    d_(k+1) d_k is a sum of signed pairs x_i x_j, and they must cancel.  Any
+    ring map x_j -> w_j into a commutative ring carries both to every complex
+    the placement realizes.  A pair left over raises AssertionError, as
+    `ChainComplex` does.  The comparison (`koszul_matches_kunneth`) realizes
+    the placement on the first d primes over Z, so that each entry names its
+    weight and its sign.
+    """
+    placement = _koszul_placement(d)
+    for k in range(len(placement) - 1):
+        into = {}
+        for row, col, j, sign in placement[k + 1]:
+            into.setdefault(col, []).append((row, j, sign))
+        pairs = Counter()
+        for mid, col, i, sign in placement[k]:
+            for row, j, sign2 in into.get(mid, ()):
+                pairs[row, col, min(i, j), max(i, j)] += sign * sign2
+        if any(pairs.values()):
+            raise AssertionError(f"d o d != 0 in the Koszul placement table at degree {k}")
+    _check_contraction(d, placement)
+    if d == 0:  # both sides are the rank-1 complex
+        return True
+    primes = list(itertools.islice((q for q in itertools.count(2) if prime_base(q) == q), d))
+    return koszul_matches_kunneth(ZRing(), primes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The q-de Rham complex of the torus, built from the q-derivative alone.
+"""The q-de Rham complex of the torus, its weights read off the q-derivative.
 
 Functions on the truncated torus are finite sums of monomials t^m with
 Laurent coefficients; the q-derivative in direction j acts on a monomial by
@@ -6,17 +6,18 @@ Laurent coefficients; the q-derivative in direction j acts on a monomial by
     nabla_q(t^m) = [m_j]_q t^(m - e_j) dt_j
 
 so in the dlog normalization (dt_j / t_j) the differential is plain
-multiplication by the q-analog [m_j]_q.  The full complex is assembled per
-monomial degree by literally applying the operators to basis functions,
-which keeps this construction independent of the graded Koszul pipeline it
-is later compared against.
+multiplication by the q-analog [m_j]_q.  The weights of the block at m come
+from applying `nabla_q` to t^m alone, never from the graded pipeline they
+are later compared with.  The shape is the one Koszul placement: the
+commuting q-derivatives make the block the tensor product of the
+one-direction complexes, which the placement is certified to equal once per
+dimension (`torus.koszul_tables_agree`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .ainf import AinfModel
 from .arith import LaurentElement, q_analog
@@ -24,11 +25,9 @@ from .complexes import (
     ChainComplex,
     LaurentRing,
     ZRing,
-    koszul_basis,
+    koszul,
     koszul_matrices,
-    koszul_sign,
     matrices_to_json,
-    table_matrices,
 )
 from .torus import (
     TABLES_DISAGREE,
@@ -120,16 +119,6 @@ def nabla_q(f: QLaurentFunction, direction: int) -> QLaurentFunction:
     return QLaurentFunction(f.p, f.depth, f.dim, tuple(terms))
 
 
-def wedge_table(dim: int) -> tuple:
-    """Per degree k: the (row, column, direction, sign) of every wedge
-    dlog(t_j) ^ dlog(t_S), the same for every monomial."""
-    return tuple(
-        tuple((koszul_basis(dim, k + 1).index(tuple(sorted(S + (j,)))), col, j, koszul_sign(j, S))
-              for col, S in enumerate(koszul_basis(dim, k)) for j in range(dim) if j not in S)
-        for k in range(dim)
-    )
-
-
 def q_weights(model: AinfModel, m: tuple) -> tuple:
     """Per direction j, the dlog coefficient of the q-derivative at the
     monomial t^m: the single term of nabla_q(t^m) at m - e_j, or zero."""
@@ -147,23 +136,16 @@ def q_weights(model: AinfModel, m: tuple) -> tuple:
     return tuple(weights)
 
 
-def _q_block(ring: LaurentRing, table, weights: tuple) -> ChainComplex:
-    """The q-de Rham block of a monomial: the wedge table on its q-weights."""
-    d = len(weights)
-    return ChainComplex(ring, 0, [comb(d, k) for k in range(d + 1)], table_matrices(ring, table, weights))
-
-
 def q_de_rham_complex(model: AinfModel, dim: int, bound: int) -> dict[tuple, ChainComplex]:
     """The complex of the commuting q-derivatives, block per monomial degree.
 
     Degree-k term has one basis form t^m dlog(t_S) per size-k subset S; the
-    block at m places the coefficients `q_weights` reads off the operators
-    applied to t^m by the wedge signs of `wedge_table`.
+    block at m is the Koszul complex on the coefficients `q_weights` reads
+    off the operators applied to t^m.
     """
     ring = LaurentRing(model.p, model.depth)
-    table = wedge_table(dim)
     monomials = itertools.product(range(-bound, bound + 1), repeat=dim)
-    return {m: _q_block(ring, table, q_weights(model, m)) for m in monomials}
+    return {m: koszul(ring, q_weights(model, m)) for m in monomials}
 
 
 def q_to_one(K: ChainComplex) -> ChainComplex:
@@ -177,11 +159,11 @@ def q_to_one(K: ChainComplex) -> ChainComplex:
 def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
                                 torus_result: TorusCohomologyResult | None = None) -> dict:
     """Per monomial degree m: the pipeline's weight in each direction equals
-    the coefficient nabla_q gives at m.  The pipeline's Koszul placement and
-    the wedge table are certified once per dimension (`koszul_tables_agree`),
-    so equal weights make equal complexes, and d o d = 0 holds on both.  On a
-    mismatch the q-block and the summand's matrices are rendered from their
-    tables and reported, never raised."""
+    the coefficient nabla_q gives at m.  Both complexes take the Koszul
+    placement, certified once per dimension against the Kunneth tensor
+    product (`koszul_tables_agree`), so equal weights make equal complexes.
+    On a mismatch the q-block and the summand's matrices are reported, never
+    raised."""
     if torus_result is None:
         box = GradingBox(dim, model.depth, bound)
         torus_result = ainf_omega_torus(model, box)
@@ -204,6 +186,6 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
         report["cells"][key] = {"passed": ok}
         if not ok:
             report["passed"] = False
-            report["cells"][key]["q_block"] = _q_block(ring, wedge_table(dim), weights).to_json()
+            report["cells"][key]["q_block"] = koszul(ring, weights).to_json()
             report["cells"][key]["pipeline_block"] = matrices_to_json(ring, koszul_matrices(ring, cell.weights))
     return report

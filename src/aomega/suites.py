@@ -26,9 +26,8 @@ from .complexes import (
     homology_diagonal,
     homology_snf,
     koszul,
-    koszul_basis,
+    koszul_matches_kunneth,
     koszul_to_diagonal,
-    tensor_product,
 )
 from .decalage import (
     ZERO_COMPLEX,
@@ -282,11 +281,7 @@ def suite_torus_decomposition(config: SessionConfig) -> VerificationReport:
     for _ in range(20):
         d = rng.randint(2, 3)
         gs = [rng.randint(-6, 6) for _ in range(d)]
-        K = koszul(_Z, gs)
-        T = koszul(_Z, [gs[0]])
-        for g in gs[1:]:
-            T = tensor_product(T, koszul(_Z, [g]))
-        if not _tensor_matches_koszul(K, T, d):
+        if not koszul_matches_kunneth(_Z, gs):
             kun_fail.append({"weights": gs})
         report.instances += 1
     report.add("kunneth-splitting", not kun_fail, {"failures": kun_fail[:3]})
@@ -344,43 +339,6 @@ def _realize_diagonal(D: DiagonalComplex) -> ChainComplex:
     for k, i, j, g in entries:
         diffs[k][j][i] = g
     return ChainComplex(_Z, lo, ranks, diffs)
-
-
-def _tensor_matches_koszul(K: ChainComplex, T: ChainComplex, d: int) -> bool:
-    """Compare under the bijection subset <-> tensor slot occupancy."""
-    if K.ranks != T.ranks:
-        return False
-    # tensor basis enumeration: left fold, X-degree ascending; reconstruct
-    # each tensor basis element's subset of occupied slots
-    def tensor_subsets(depth: int):
-        if depth == 1:
-            return {0: [()], 1: [(0,)]}
-        prev = tensor_subsets(depth - 1)
-        # X = fold of first depth-1 factors, Y = last factor
-        combined = {}
-        for k in range(depth + 1):
-            lst = []
-            for i in sorted(prev):
-                for j in (0, 1):
-                    if i + j == k:
-                        for sub in prev[i]:
-                            lst.append(sub + ((depth - 1,) if j else ()))
-            combined[k] = lst
-        return combined
-
-    subsets = tensor_subsets(d)
-    for k in range(d + 1):
-        order = koszul_basis(d, k)
-        perm = [order.index(tuple(sorted(s))) for s in subsets[k]]
-        if k < d:
-            tgt_perm = [koszul_basis(d, k + 1).index(tuple(sorted(s))) for s in subsets[k + 1]]
-            dK = K.diffs[k]
-            dT = T.diffs[k]
-            for col, pc in enumerate(perm):
-                for row, pr in enumerate(tgt_perm):
-                    if dT[row][col] != dK[pr][pc]:
-                        return False
-    return True
 
 
 def suite_tilde_omega(config: SessionConfig) -> VerificationReport:

@@ -56,11 +56,9 @@ from .complexes import (
     FpPolyRing,
     HomologyPresentation,
     LaurentRing,
-    OCRing,
     ZModRing,
-    check_koszul_tables,
+    check_koszul_placement,
     homology_diagonal,
-    koszul_basis,
     koszul_matrices,
     koszul_to_diagonal,
 )
@@ -658,42 +656,14 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     return report
 
 
-def classical_de_rham_table(d: int) -> tuple:
-    """The de Rham differential of a monomial t^a on the d-dimensional torus,
-    in log-coordinate bases dlog(t_S), as a table: per degree k the (row,
-    column, weight index, sign) of every cell of d_k, the weight of index j
-    being a_j.
-
-    Built from the product rule d(t^a w) = sum_j a_j t^a dlog(t_j) ^ w, with
-    wedge reordering signs counted directly; independent of the Koszul
-    constructor.
-    """
-    table = []
-    for k in range(d):
-        tgt = {S: i for i, S in enumerate(koszul_basis(d, k + 1))}
-        cells = []
-        for col, S in enumerate(koszul_basis(d, k)):
-            for j in range(d):
-                if j in S:
-                    continue
-                # dlog(t_j) ^ dlog(t_S): move j past the smaller indices of S
-                swaps = sum(1 for s in S if s < j)
-                cells.append((tgt[tuple(sorted(S + (j,)))], col, j, -1 if swaps % 2 else 1))
-        table.append(tuple(cells))
-    return tuple(table)
-
-
 @lru_cache(maxsize=None)
 def koszul_tables_agree(d: int) -> bool:
-    """Whether the three constructions of the d-dimensional Koszul shape
-    agree: the pipeline's placement, the product-rule table of the classical
-    de Rham complex and the wedge table of the q-de Rham complex.  Each is
-    first proved to square to zero over generic weights
-    (`check_koszul_tables`, AssertionError otherwise).  Decided once per
-    dimension, on first use."""
-    from .qderham import wedge_table  # qderham is built on this module
-
-    return check_koszul_tables(d, {"product rule": classical_de_rham_table(d), "wedge": wedge_table(d)})
+    """Whether the Koszul placement on d weights, proved to square to zero
+    and to satisfy the contraction identity, equals the Kunneth tensor
+    product of d one-weight complexes (`check_koszul_placement`,
+    AssertionError when a proof fails).  Decided once per dimension, on
+    first use."""
+    return check_koszul_placement(d)
 
 
 def _koszul_ranks(k: int, zero: bool, unit: bool) -> list[int] | None:
@@ -724,20 +694,20 @@ def _elimination_order(rule_ranks: dict) -> list:
 
 
 _DEAD_CELL_NOTES = {"residual": "residual divisor is a unit in the residue ring", "zero": "killed by divisibility"}
-TABLES_DISAGREE = "the Koszul placement, product-rule and wedge tables disagree"
+TABLES_DISAGREE = "the Koszul placement disagrees with the Kunneth tensor product"
 
 
 def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     """Per integral grading a: theta (reduction modulo xi) of each of the
-    pipeline's weights equals the constant a_j, the weight the product rule
-    gives the classical de Rham complex of t^a.  The Koszul placement and the
-    product-rule table are certified once per dimension
-    (`koszul_tables_agree`), so equal weights make equal complexes, and
-    d o d = 0 holds on both.  "beta" records the exponents, the values theta
-    must produce."""
+    pipeline's weights equals the constant a_j.  The classical de Rham
+    complex of t^a is the Kunneth tensor product of the one-dimensional
+    complexes R --a_j--> R, and the Koszul placement is certified once per
+    dimension to equal that product (`koszul_tables_agree`), so equal weights
+    make equal complexes, and d o d = 0 holds on both.  "beta" records the
+    exponents, the values theta must produce."""
     model, box = result.model, result.box
     d, step = box.dim, model.p**box.depth
-    constant = OCRing(model.p, model.depth).model.constant
+    constant = model.oc_model().constant
     report = {"stage": "de-rham", "cells": {}, "passed": True}
     if not koszul_tables_agree(d):
         report["passed"] = False

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from aomega import cli, suites, torus
+from aomega import cli, complexes, suites, torus
 from aomega.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, build_parser, main
 from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
@@ -71,18 +71,18 @@ def test_leta_apply_stream():
 
 
 def test_dd_failure_inside_a_stage_is_an_internal_error(monkeypatch, capsys, fresh_tables):
-    # one sign flipped in the product-rule table of the classical de Rham
-    # complex: in dimension 2 its d o d check fails inside the dr stage,
-    # which is neither a failed check nor a usage error
+    # one sign flipped in the Koszul placement: in dimension 2 its d o d
+    # proof fails inside the dr stage, which is neither a failed check nor a
+    # usage error
     from test_mutations import flipped_sign
 
-    real = torus.classical_de_rham_table
-    monkeypatch.setattr(torus, "classical_de_rham_table", lambda d: flipped_sign(real(d)))
+    real = complexes._koszul_placement
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: flipped_sign(real(d)))
     with pytest.raises(SystemExit) as exc:
         main(["torus", "run", "--stage", "dr", "--p", "3", "--dim", "2", "--bound", "1", "--out", "-"])
     assert exc.value.code == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "d o d != 0 in the product rule table" in err
+    assert err.startswith("internal error:") and "d o d != 0 in the Koszul placement table" in err
     assert "Traceback" not in err
 
 
@@ -111,6 +111,9 @@ def test_unreadable_input_file_is_usage_error(args, tmp_path):
     # read over Z only, and d o d = 0 is part of being a complex
     (["leta", "apply", "--f", "3"], {"ring": "Z/5", "lo": 0, "ranks": [1, 1], "diffs": [["9"]]}),
     (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": 0, "ranks": [1, 1, 1], "diffs": [["2"], ["3"]]}),
+    # JSON true is no integer, although Python's bool is an int
+    (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": True, "ranks": [1, 1], "diffs": [["9"]]}),
+    (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": 0, "ranks": [1, 1], "diffs": [[True]]}),
 ])
 def test_wrong_input_shape_is_usage_error(args, payload, tmp_path):
     path = tmp_path / "in.json"
@@ -118,6 +121,16 @@ def test_wrong_input_shape_is_usage_error(args, payload, tmp_path):
     for proc in (run_cli(args + ["--in", str(path)]), run_cli(args, stdin_text=json.dumps(payload))):
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--suite", "witt"], ["--suite", "s4"], ["--suite", "s5-leta", "--instances", "-1"]],
+                         ids=["suite-without-instances", "alias-without-instances", "negative-instances"])
+def test_leta_verify_refuses_what_it_cannot_run(args):
+    # only suites that take a number of instances run under `leta verify`,
+    # and that number cannot be negative
+    proc = run_cli(["leta", "verify", *args])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_torus_run_stages():

@@ -8,8 +8,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from aomega import complexes
 from aomega import intlinalg as la
-from aomega.ainf import AinfModel, OCModelElement
+from aomega.ainf import AinfModel, OCModel, OCModelElement
 from aomega.arith import LaurentElement
 from aomega.complexes import (
     NOT_STRUCTURED,
@@ -23,6 +24,7 @@ from aomega.complexes import (
     Ring,
     ZModRing,
     ZRing,
+    check_koszul_placement,
     homology_diagonal,
     homology_snf,
     koszul,
@@ -30,6 +32,7 @@ from aomega.complexes import (
     koszul_matrices,
     koszul_sign,
     koszul_to_diagonal,
+    kunneth_koszul,
     tensor_product,
 )
 from aomega.decalage import eta_subcomplex
@@ -225,6 +228,21 @@ def test_tensor_product_matches_koszul_up_to_basis_bijection():
     assert [T.diffs[1][0][0], T.diffs[1][1 - 1][1]] == [K.diffs[1][0][perm[0]], K.diffs[1][0][perm[1]]]
 
 
+def test_the_placement_is_certified_against_kunneth_in_dimensions_0_to_4():
+    assert all(check_koszul_placement(d) for d in range(5))
+
+
+def test_kunneth_koszul_reads_no_placement(monkeypatch):
+    def refuse(d):
+        raise RuntimeError("the Kunneth side read the placement")
+
+    monkeypatch.setattr(complexes, "_koszul_placement", refuse)
+    T, subsets = kunneth_koszul(Z, [2, 3, 5])
+    assert T.ranks == [1, 3, 3, 1] and subsets[1] == [(2,), (1,), (0,)]
+    # e_0 -> 2 e_{0} + 3 e_{1} + 5 e_{2}, the new weight's vector first
+    assert T.diffs[0] == [[5], [3], [2]]
+
+
 def test_diagonal_specializes_at_u_equals_one():
     # a Laurent two-term piece evaluated at u = 1 matches the integer piece
     # on the nose, including through the normal-form oracle
@@ -269,10 +287,8 @@ def test_rings_compare_hash_and_print_by_parameters():
     rings = [ZRing(), ZModRing(4), LaurentRing(3, 1), OCRing(3, 2), FpPolyRing(5)]
     assert [repr(R) for R in rings] == ["Z", "Z/4", "A(p=3,depth=1)", "OC(p=3,depth=2)", "F5[u]"]
     assert [R.tag for R in rings] == [repr(R) for R in rings]
-    R = OCRing(3, 2)
-    assert R.model is R.model and (R.model.p, R.model.depth) == (3, 2)
     with pytest.raises(AttributeError):
-        R.p = 5
+        OCRing(3, 2).p = 5
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +342,7 @@ def per_entry_koszul_diffs(ring, elements):
 
 FP = FpPolyRing(5)
 OC = OCRing(3, 2)
+OC_MODEL = OCModel(3, 2)
 UNTRIMMED_ONE = (1, 0, 0)
 
 
@@ -342,7 +359,7 @@ RANDOM_ENTRY = {
         {rng.randint(-2, 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}, 1
     ),
     "OC(p=3,depth=2)": lambda rng: OCModelElement(
-        OC.model, tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(OC.model.degree))
+        OC_MODEL, tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(OC_MODEL.degree))
     ),
     "F5[u]": random_fp_poly,
 }
@@ -403,7 +420,7 @@ def test_dd_check_matches_dense_oracle_on_koszul_complexes(ring):
 
 
 def _oc(terms):
-    return OC.model.reduce(LaurentElement(terms, 2))
+    return OC_MODEL.reduce(LaurentElement(terms, 2))
 
 
 MUTATION_WEIGHTS = [

@@ -1,14 +1,14 @@
-"""Mutation rows for the once-per-dimension certificate of the Koszul tables.
+"""Mutation rows for the once-per-dimension certificate of the Koszul shape.
 
 The de Rham and q-de Rham stages compare weights, not matrices, per grading:
-the shape of every complex they compare comes from one of three tables, the
-pipeline's Koszul placement, the product-rule table of the classical de
-Rham complex and the wedge table of the q-de Rham complex, and
-`torus.koszul_tables_agree` proves once per dimension that each squares to
-zero and that the three are equal.  Each row below breaks one table or one
-weight, and both stages must refuse it: a table that no longer squares to
-zero raises AssertionError (exit 3 from the CLI), tables that disagree or a
-wrong weight fail the stage's check (exit 1).
+the shape of every complex they compare is the pipeline's Koszul placement,
+and `torus.koszul_tables_agree` proves once per dimension that it squares to
+zero and equals the Kunneth tensor product of one-weight complexes, which
+`complexes.tensor_product` builds without reading the placement.  Each row
+below breaks the placement, the tensor product's sign rule or one weight,
+and both stages must refuse it: a placement that no longer squares to zero
+raises AssertionError (exit 3 from the CLI), a placement that differs from
+the tensor product or a wrong weight fails the stage's check (exit 1).
 
 Further rows plant one wrong quotient in the memo of exact divisions that
 the fractional outcomes share (`torus._carrier`), and the oracle that
@@ -27,27 +27,20 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import textwrap
 from contextlib import redirect_stdout
 
 import pytest
 import test_intlinalg
 
-from aomega import cli, complexes, decalage, qderham, suites, torus
+from aomega import cli, complexes, decalage, suites, torus
 from aomega import intlinalg as la
 from aomega.ainf import AinfModel
 from aomega.arith import LaurentElement
 from aomega.cli import EXIT_INTERNAL, main
 from aomega.qderham import compare_with_torus_pipeline, q_weights
 from aomega.torus import GradingBox, ainf_omega_torus, specialize_de_rham
-
-# (name in the certificate's messages, module, builder)
-TABLES = [
-    ("Koszul placement", complexes, "_koszul_placement"),
-    ("product rule", torus, "classical_de_rham_table"),
-    ("wedge", qderham, "wedge_table"),
-]
-TABLE_IDS = ["placement", "product-rule", "wedge"]
 
 MODEL = AinfModel(2, 1)
 DIM, BOUND = 3, 1
@@ -86,42 +79,57 @@ def run_qdr():
     return compare_with_torus_pipeline(MODEL, DIM, BOUND)
 
 
-def mutate(monkeypatch, module, builder, change):
-    real = getattr(module, builder)
-    monkeypatch.setattr(module, builder, lambda d: change(real(d)))
+def mutate_placement(monkeypatch, change):
+    real = complexes._koszul_placement
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: change(real(d)))
 
 
-@pytest.mark.parametrize("change", [moved_entry, flipped_sign], ids=["moved-entry", "flipped-sign"])
-@pytest.mark.parametrize("name,module,builder", TABLES, ids=TABLE_IDS)
-def test_a_table_that_no_longer_squares_to_zero_is_an_internal_error(monkeypatch, fresh_tables, name, module, builder,
-                                                                    change):
-    mutate(monkeypatch, module, builder, change)
+@pytest.mark.parametrize("change", [moved_entry, flipped_sign], ids=["placement-moved-entry", "placement-flipped-sign"])
+def test_a_table_that_no_longer_squares_to_zero_is_an_internal_error(monkeypatch, fresh_tables, change):
+    mutate_placement(monkeypatch, change)
     for stage in (run_dr, run_qdr):
         torus.koszul_tables_agree.cache_clear()
-        with pytest.raises(AssertionError, match=f"d o d != 0 in the {name} table"):
+        with pytest.raises(AssertionError, match="d o d != 0 in the Koszul placement table"):
             stage()
 
 
-@pytest.mark.parametrize("name,module,builder", TABLES, ids=TABLE_IDS)
-def test_tables_that_disagree_fail_both_stages(monkeypatch, fresh_tables, name, module, builder):
-    mutate(monkeypatch, module, builder, relabelled)
+def right_factor_sign_rule(monkeypatch):
+    """`tensor_product` with d(x@y) = (-1)^|y| dx@y + x@dy: still a complex,
+    but adding a weight below one already present flips its sign."""
+    monkeypatch.setattr(complexes, "tensor_product", mutant(
+        complexes, "tensor_product",
+        ("v = dX[a2][a]", "v = dX[a2][a] if j % 2 == 0 else R.neg(dX[a2][a])"),
+        ("v = v if i % 2 == 0 else R.neg(v)", "pass")))
+
+
+@pytest.mark.parametrize("disagree", [lambda mp: mutate_placement(mp, relabelled), right_factor_sign_rule],
+                         ids=["placement", "kunneth-sign-rule"])
+def test_tables_that_disagree_fail_both_stages(monkeypatch, fresh_tables, disagree):
+    disagree(monkeypatch)
     for stage in (run_dr, run_qdr):
         torus.koszul_tables_agree.cache_clear()
         rep = stage()
-        assert not rep["passed"] and "tables disagree" in rep["note"]
+        assert not rep["passed"] and rep["note"] == torus.TABLES_DISAGREE
+
+
+def test_the_right_factor_sign_rule_fails_torus_all_and_the_kunneth_check(monkeypatch, fresh_tables):
+    right_factor_sign_rule(monkeypatch)
+    code = main(["torus", "all", "--p", "2", "--dim", str(DIM), "--bound", str(BOUND), "--out", os.devnull])
+    assert code == 1
+    assert run_cli(["suite", "run", "--suite", "s4-torus-decomp"]) == (1, ["kunneth-splitting"])
 
 
 def test_a_disagreement_exits_1_and_a_broken_square_exits_3(monkeypatch, capsys, fresh_tables):
     argv = ["torus", "all", "--p", "2", "--dim", str(DIM), "--bound", str(BOUND), "--out", "-"]
-    real = qderham.wedge_table
-    monkeypatch.setattr(qderham, "wedge_table", lambda d: relabelled(real(d)))
+    real = complexes._koszul_placement
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: relabelled(real(d)))
     assert main(argv) == 1
     torus.koszul_tables_agree.cache_clear()
-    monkeypatch.setattr(qderham, "wedge_table", lambda d: flipped_sign(real(d)))
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: flipped_sign(real(d)))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_INTERNAL
-    assert "d o d != 0 in the wedge table" in capsys.readouterr().err
+    assert "d o d != 0 in the Koszul placement table" in capsys.readouterr().err
 
 
 def swapped_weight(res, grading):
@@ -146,7 +154,7 @@ def test_q_de_rham_fails_on_one_swapped_weight():
     failed = [key for key, v in rep["cells"].items() if not v["passed"]]
     assert not rep["passed"] and failed == ["1,-1,0"]
     cell = rep["cells"]["1,-1,0"]
-    # both blocks rendered from their tables: d_0 is the column of weights
+    # both blocks realized on their weights: d_0 is the column of weights
     assert cell["pipeline_block"] != cell["q_block"]["diffs"]
     assert cell["q_block"]["diffs"][0] == [w.to_json() for w in q_weights(MODEL, (1, -1, 0))]
 
@@ -172,13 +180,16 @@ def test_a_memo_with_one_wrong_division_fails_the_oracle(memo_disagreements, pai
     assert memo_disagreements([(3, 1, 1, 2)])[1] == []
 
 
-def mutant(module, name, old, new):
-    """`module.name` recompiled from its source with the one occurrence of
-    `old` replaced by `new`, its globals a copy of the module's."""
+def mutant(module, name, *edits):
+    """`module.name` recompiled from its source with, for each (old, new)
+    pair of `edits`, the one occurrence of old replaced by new, its globals a
+    copy of the module's."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, (name, old)
+    for old, new in edits:
+        assert source.count(old) == 1, (name, old)
+        source = source.replace(old, new)
     namespace = dict(vars(module))
-    code = compile("from __future__ import annotations\n" + source.replace(old, new), module.__file__, "exec")
+    code = compile("from __future__ import annotations\n" + source, module.__file__, "exec")
     exec(code, namespace)
     return namespace[name]
 
@@ -198,8 +209,8 @@ def test_back_substitution_off_by_one_is_refused(monkeypatch, capsys):
     # the first coordinate of every solved vector one too large: the
     # induced differentials of eta_f(K) stop squaring to zero, and the
     # construction-time d o d check refuses them before any check compares
-    monkeypatch.setattr(la, "in_lattice", mutant(la, "in_lattice", "coords.append(q)",
-                                                 "coords.append(q if coords else q + 1)"))
+    monkeypatch.setattr(la, "in_lattice", mutant(la, "in_lattice", ("coords.append(q)",
+                                                                         "coords.append(q if coords else q + 1)")))
     with pytest.raises(SystemExit) as exc:
         main(S5_LETA)
     assert exc.value.code == EXIT_INTERNAL
@@ -207,7 +218,8 @@ def test_back_substitution_off_by_one_is_refused(monkeypatch, capsys):
 
 
 def test_torsion_read_from_the_outgoing_differential_fails(monkeypatch):
-    wrong = mutant(complexes, "homology_snf", "[d for d in incoming if d > 1]", "[d for d in divisors[i] if d > 1]")
+    wrong = mutant(complexes, "homology_snf",
+                   ("[d for d in incoming if d > 1]", "[d for d in divisors[i] if d > 1]"))
     for module in (complexes, decalage, suites):
         monkeypatch.setattr(module, "homology_snf", wrong)
     assert run_cli(S5_LETA) == (1, ["square-torsion-model"])
@@ -220,7 +232,7 @@ def test_unnormalised_transform_signs_fail_the_transform_tests(monkeypatch):
     # at that column, and solve_int reads a wrong sign from it.  The kernel
     # columns lie past the rank, where no sign is normalised, so
     # kernel_basis, and its test, do not see this mutation.
-    monkeypatch.setattr(la, "column_echelon", mutant(la, "column_echelon", "U[col] = [-x for x in U[col]]", "pass"))
+    monkeypatch.setattr(la, "column_echelon", mutant(la, "column_echelon", ("U[col] = [-x for x in U[col]]", "pass")))
     for test in (test_intlinalg.test_column_echelon_transform_is_unimodular,
                  test_intlinalg.test_solve_int_round_trip_and_unsolvable):
         with pytest.raises(AssertionError):
@@ -241,14 +253,14 @@ def exits_internal(capsys, stage, message):
 def test_a_flipped_sign_in_the_contraction_proof_is_an_internal_error(monkeypatch, capsys, fresh_tables, stage):
     monkeypatch.setattr(complexes, "_check_contraction", mutant(
         complexes, "_check_contraction",
-        "terms[k + 1, row, row2, i] += sign * sign2", "terms[k + 1, row, row2, i] -= sign * sign2"))
+        ("terms[k + 1, row, row2, i] += sign * sign2", "terms[k + 1, row, row2, i] -= sign * sign2")))
     exits_internal(capsys, stage, "d iota_0 + iota_0 d != x_0 id")
 
 
 def test_weights_given_nonzero_constant_terms_are_an_internal_error(monkeypatch, capsys):
     # the special-fibre rule reads every weight as a unit at u = 0, so it
     # gives the zero-weight tuple no ranks; elimination at u = 0 finds them
-    wrong = mutant(torus, "torus_semicontinuity", "[not x or x[0] == 0 for x in key]", "[False for x in key]")
+    wrong = mutant(torus, "torus_semicontinuity", ("[not x or x[0] == 0 for x in key]", "[False for x in key]"))
     monkeypatch.setattr(cli, "torus_semicontinuity", wrong)
     exits_internal(capsys, "semicont", "differ by elimination")
 
@@ -256,5 +268,5 @@ def test_weights_given_nonzero_constant_terms_are_an_internal_error(monkeypatch,
 @pytest.mark.parametrize("stage", ["etale", "semicont"])
 def test_elimination_off_by_one_in_one_degree_is_an_internal_error(monkeypatch, capsys, stage):
     monkeypatch.setattr(torus, "_eliminated_ranks", mutant(
-        torus, "_eliminated_ranks", "comb(k, i) - r[i] - r[i + 1]", "comb(k, i) - r[i] - r[i + 1] + (i == 1)"))
+        torus, "_eliminated_ranks", ("comb(k, i) - r[i] - r[i + 1]", "comb(k, i) - r[i] - r[i + 1] + (i == 1)")))
     exits_internal(capsys, stage, "differ by elimination")

@@ -41,8 +41,10 @@ ALLOWED = {
     "complexes.LaurentRing.tag",
     "complexes.OCRing.tag",
     "complexes.FpPolyRing.tag",
-    # the residue ring: the de Rham stage compares single elements in it and
-    # builds no complex over it, but the d o d tests of tests/test_complexes.py do
+    # the residue ring as a coefficient ring: no command builds a complex
+    # over it (the de Rham stage compares single elements of `OCModel`), but
+    # the d o d tests of tests/test_complexes.py do, and bench/tracing.py
+    # counts `OCRing.mul`
     "complexes.OCRing.zero",
     "ainf.OCModel.zero",
     # dunders: Python calls them for operators, hashing and printing

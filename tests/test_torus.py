@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from aomega import torus
+from aomega import complexes, torus
 from aomega.ainf import AinfModel, OCModel
 from aomega.arith import LaurentElement
 from aomega.complexes import ChainComplex, FpPolyRing, LaurentRing, ZRing, homology_snf, koszul
@@ -487,16 +487,16 @@ def test_de_rham_reads_the_pipeline_weights():
 def test_de_rham_rejects_a_flipped_classical_sign(monkeypatch, fresh_tables):
     from test_mutations import flipped_sign
 
-    real = torus.classical_de_rham_table
-    monkeypatch.setattr(torus, "classical_de_rham_table", lambda d: flipped_sign(real(d)))
-    # dimension 1 has no d o d to break: the product-rule table no longer
-    # equals the Koszul placement, so the stage fails although every
-    # grading's weights still agree
+    real = complexes._koszul_placement
+    monkeypatch.setattr(complexes, "_koszul_placement", lambda d: flipped_sign(real(d)))
+    # dimension 1 has no d o d to break: the placement no longer equals the
+    # Kunneth tensor product, so the stage fails although every grading's
+    # weights still agree
     rep = specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(1, 1, 2)))
-    assert not rep["passed"] and "tables disagree" in rep["note"]
+    assert not rep["passed"] and rep["note"] == torus.TABLES_DISAGREE
     assert all(v["passed"] for v in rep["cells"].values())
-    # dimension 2: the product-rule table itself fails d o d
-    with pytest.raises(AssertionError, match="d o d != 0 in the product rule table"):
+    # dimension 2: the placement itself fails d o d
+    with pytest.raises(AssertionError, match="d o d != 0 in the Koszul placement table"):
         specialize_de_rham(ainf_omega_torus(AinfModel(3, 1), GradingBox(2, 1, 1)))
 
 
@@ -513,12 +513,11 @@ def test_de_rham_beta_is_multiplication_by_exponent():
 
 def test_de_rham_d2_matrix_example():
     # grading (1, 1): the degree-0 differential is (1, 1)^T
-    from aomega.complexes import table_matrices
-    from aomega.torus import classical_de_rham_table
+    from aomega.complexes import koszul_matrices
 
-    mats = table_matrices(ZRing(), classical_de_rham_table(2), (1, 1))
+    mats = koszul_matrices(ZRing(), (1, 1))
     assert mats[0] == [[1], [1]]
-    mats2 = table_matrices(ZRing(), classical_de_rham_table(2), (2, 5))
+    mats2 = koszul_matrices(ZRing(), (2, 5))
     assert mats2[0] == [[2], [5]]
     assert mats2[1] == [[-5, 2]]
 
