@@ -99,12 +99,12 @@ def _check_complex_json(obj) -> None:
 def _check_witt_json(obj) -> None:
     """Refuse JSON that is neither {"value": n} nor of the shape `TruncatedWittElement.to_json` writes."""
     if isinstance(obj, dict) and "terms" not in obj:
-        ok = isinstance(obj.get("value"), (int, str))
+        ok = _is_int(obj.get("value")) or isinstance(obj.get("value"), str)
     else:
         terms = obj.get("terms") if isinstance(obj, dict) else None
-        ok = isinstance(terms, list) and isinstance(obj.get("p"), int) and isinstance(obj.get("precision"), int) and all(
+        ok = isinstance(terms, list) and _is_int(obj.get("p")) and _is_int(obj.get("precision")) and all(
             isinstance(t, list) and len(t) == 2 and _is_list(t[0], int) and len(t[0]) == 2 and t[0][1] > 0
-            and isinstance(t[1], (int, str))
+            and (_is_int(t[1]) or isinstance(t[1], str))
             for t in terms
         )
     if not ok:
@@ -119,7 +119,6 @@ def _config_from_args(args) -> SessionConfig:
         bound=getattr(args, "bound", 2),
         precision=getattr(args, "precision", 2),
         seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
     )
 
 
@@ -217,12 +216,7 @@ def cmd_torus_run(args) -> int:
         payload = specialize_hodge_tate(ainf_omega_torus(model, box))
         passed = payload["passed"]
     elif stage == "etale":
-        payload = etale_rank_torus(ainf_omega_torus(model, box))
-        payload = {
-            "stage": "etale",
-            "rank_table": {str(i): r for i, r in payload["rank_table"].items()},
-            "verified_by_elimination": payload["verified_by_elimination"],
-        }
+        payload = _jsonable(etale_rank_torus(ainf_omega_torus(model, box)))
     elif stage == "semicont":
         payload = _jsonable(torus_semicontinuity(ainf_omega_torus(model, box)))
         passed = payload["inequality_holds"]

@@ -76,19 +76,17 @@ class SessionConfig:
     bound: int = 2
     precision: int = 2
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
-        if prime_base(self.p) != self.p or self.p > LIMITS["p"]:
+        if self.p > LIMITS["p"] or prime_base(self.p) != self.p:  # no trial division of a huge p
             raise ValueError(f"p must be a prime <= {LIMITS['p']}")
         for name in ("depth", "dim", "bound", "precision"):
             v = getattr(self, name)
             if not 0 <= v <= LIMITS.get(name, v):
                 raise ValueError(f"{name} must lie in [0, {LIMITS[name]}]")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+        for name in ("depth", "bound", "precision"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 

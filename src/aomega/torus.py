@@ -678,19 +678,42 @@ def _koszul_ranks(k: int, zero: bool, unit: bool) -> list[int] | None:
     return None
 
 
-def _eliminated_ranks(ring, elements) -> list[int]:
-    """The fraction-field homology ranks of the Koszul complex on `elements`,
-    by elimination on the matrices of the placement, whose d o d = 0 is proved."""
-    k = len(elements)
-    r = [0, *(rank(mat, ring) for mat in koszul_matrices(ring, elements)), 0]
-    return [comb(k, i) - r[i] - r[i + 1] for i in range(k + 1)]
+def _homology_ranks(sizes, diffs, ring) -> list[int]:
+    """n_i - rk d^i - rk d^(i-1) per degree i: the fraction-field homology
+    ranks of the complex with free modules of ranks `sizes` and
+    differentials `diffs`, by elimination."""
+    r = [0, *(rank(mat, ring) for mat in diffs), 0]
+    return [n - r[i] - r[i + 1] for i, n in enumerate(sizes)]
 
 
-def _elimination_order(rule_ranks: dict) -> list:
-    """Up to ELIMINATION_LIMIT keys of `rule_ranks` (weight tuple -> its ranks
-    per fibre) for elimination: those with a nonzero rank first, then in order."""
-    order = sorted(rule_ranks.items(), key=lambda item: not any(map(any, item[1])))
-    return [key for key, _ in order[:ELIMINATION_LIMIT]]
+def _fibre_ranks(weighted, fibres, d: int):
+    """The fibre ranks of the Koszul complexes on the weight tuples of
+    `weighted`, (tuple, count) pairs, in each of `fibres`, (ring, image of a
+    weight in it, zero test of a weight) triples.  Every fibre is a field,
+    where a nonzero weight is a unit, so `_koszul_ranks` ranks each distinct
+    tuple once per fibre.  Up to
+    ELIMINATION_LIMIT tuples, those with a nonzero rank first and the rest in
+    order, are re-checked by elimination on the placement's matrices.
+    Returns the ranks per distinct tuple, the totals per fibre weighted by
+    count, and the number of tuples eliminated."""
+    by_tuple = {}  # weight tuple -> its ranks per fibre
+    totals = [[0] * (d + 1) for _ in fibres]
+    for key, count in weighted:
+        ranks = by_tuple.setdefault(key, [])  # one hash of the tuple; filled on first sight
+        if not ranks:
+            for _, _, zero in fibres:
+                z = [zero(x) for x in key]
+                ranks.append(_koszul_ranks(len(key), all(z), not all(z)))
+        for total, fibre_ranks in zip(totals, ranks):
+            for i, r in enumerate(fibre_ranks):
+                total[i] += r * count
+    checked = sorted(by_tuple.items(), key=lambda item: not any(map(any, item[1])))[:ELIMINATION_LIMIT]
+    for key, ranks in checked:
+        sizes = [comb(len(key), i) for i in range(len(key) + 1)]
+        for (ring, image, _), fibre_ranks in zip(fibres, ranks):
+            if _homology_ranks(sizes, koszul_matrices(ring, [image(x) for x in key]), ring) != fibre_ranks:
+                raise AssertionError(f"fibre ranks of the weights {[str(x) for x in key]} differ by elimination")
+    return by_tuple, [{i: r for i, r in enumerate(total) if r} for total in totals], len(checked)
 
 
 _DEAD_CELL_NOTES = {"residual": "residual divisor is a unit in the residue ring", "zero": "killed by divisibility"}
@@ -748,31 +771,11 @@ def etale_rank_torus(result: TorusCohomologyResult) -> dict:
     """Fraction-field ranks by `_koszul_ranks`: only the zero grading
     survives, with the exterior-algebra ranks.  Up to ELIMINATION_LIMIT
     distinct weight tuples are re-checked by elimination over the carrier."""
-    model, box = result.model, result.box
-    ring = LaurentRing(model.p, model.depth)
-    d = box.dim
-    table = {i: 0 for i in range(d + 1)}
-    by_weights = {}  # weight tuple -> its ranks per fibre, here one
-    report_cells = {}
-    for cell, count in result.weighted_cells():
-        if cell.status == "koszul":
-            zero = [g.is_zero() for g in cell.weights]
-            ranks = by_weights.setdefault(cell.weights, (_koszul_ranks(len(zero), all(zero), not all(zero)),))[0]
-        else:
-            ranks = [0] * (d + 1)
-        report_cells[result.key(cell.grading)] = ranks
-        for i, r in enumerate(ranks):
-            table[i] += r * count
-    checked = _elimination_order(by_weights)
-    for weights in checked:
-        if _eliminated_ranks(ring, weights) != by_weights[weights][0]:
-            raise AssertionError(f"fraction-field ranks of the weights {[str(g) for g in weights]} differ by elimination")
-    return {
-        "stage": "etale",
-        "rank_table": {i: r for i, r in table.items() if r},
-        "cells": report_cells,
-        "verified_by_elimination": len(checked),
-    }
+    model = result.model
+    weighted = ((cell.weights, count) for cell, count in result.weighted_cells() if cell.status == "koszul")
+    fibre = LaurentRing(model.p, model.depth), lambda g: g, LaurentElement.is_zero
+    _, (table,), checked = _fibre_ranks(weighted, [fibre], result.box.dim)
+    return {"stage": "etale", "rank_table": table, "verified_by_elimination": checked}
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +784,7 @@ def etale_rank_torus(result: TorusCohomologyResult) -> dict:
 
 def generic_fibre_ranks(K: ChainComplex) -> dict[int, int]:
     """dim over the fraction field of each homology group of K."""
-    ranks = {}
-    for i in K.degrees():
-        val = K.rank(i) - rank(K.diff(i), K.ring) - rank(K.diff(i - 1), K.ring)
-        if val:
-            ranks[i] = val
-    return ranks
+    return {K.lo + i: r for i, r in enumerate(_homology_ranks(K.ranks, K.diffs, K.ring)) if r}
 
 
 def semicontinuity_demo(K: ChainComplex):
@@ -804,8 +802,7 @@ def semicontinuity_demo(K: ChainComplex):
     degrees = sorted(set(generic) | set(special) | set(K.degrees()))
     ok = all(generic.get(i, 0) <= special.get(i, 0) for i in degrees)
     strict = any(generic.get(i, 0) < special.get(i, 0) for i in degrees)
-    verdict = {"holds": ok, "strict_somewhere": strict, "equal": ok and not strict}
-    return generic, special, verdict
+    return generic, special, {"holds": ok, "strict_somewhere": strict}
 
 
 def _laurent_to_fp_poly(x: LaurentElement, ring: FpPolyRing):
@@ -833,43 +830,29 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     model = result.model
     ring = FpPolyRing(model.p)
     d = result.box.dim
-    totals = ([0] * (d + 1), [0] * (d + 1))  # generic, special
-    all_hold = True
     fp = lru_cache(maxsize=None)(lambda g: _laurent_to_fp_poly(g, ring))  # each distinct weight reduced once
-    by_weights = {}  # each distinct ordered tuple -> its (generic, special) ranks
-    for cell, count in result.weighted_cells():
-        if cell.status == "koszul":
-            elements = [fp(g) for g in cell.weights]
-        elif cell.status == "residual":
-            elements = [fp(cell.residual_divisor)]
-        elif cell.status == "zero":
-            continue
-        else:
-            # unstructured summands: feed the raw normalized weights u^s - 1;
-            # the fibre ranks vanish regardless of decalage bookkeeping
-            elements = [fp(LaurentElement({s: 1, 0: -1}, model.depth)) for s in cell.grading if s]
-        key = tuple(elements)
-        fibres = by_weights.get(key)
-        if fibres is None:
-            at_origin = [not x or x[0] == 0 for x in key]
-            fibres = by_weights[key] = (_koszul_ranks(len(key), not any(key), any(key)),
-                                        _koszul_ranks(len(key), all(at_origin), not all(at_origin)))
-            all_hold = all_hold and all(g <= s for g, s in zip(*fibres))
-        for total, ranks in zip(totals, fibres):
-            for i, r in enumerate(ranks):
-                total[i] += r * count
-    for key in _elimination_order(by_weights):
-        constants = [ring.evaluate(x, 0) for x in key]
-        if (_eliminated_ranks(ring, key), _eliminated_ranks(ZModRing(model.p), constants)) != by_weights[key]:
-            raise AssertionError(f"fibre ranks of the weights {key} differ by elimination")
-    generic, special = ({i: r for i, r in enumerate(total) if r} for total in totals)
+
+    def weighted():
+        for cell, count in result.weighted_cells():
+            if cell.status == "koszul":
+                yield tuple(map(fp, cell.weights)), count
+            elif cell.status == "residual":
+                yield (fp(cell.residual_divisor),), count
+            elif cell.status != "zero":
+                # unstructured summands: feed the raw normalized weights u^s - 1;
+                # the fibre ranks vanish regardless of decalage bookkeeping
+                yield tuple([fp(LaurentElement({s: 1, 0: -1}, model.depth)) for s in cell.grading if s]), count
+
+    fibres = [(ring, lambda x: x, lambda x: not x),
+              (ZModRing(model.p), lambda x: ring.evaluate(x, 0), lambda x: not x or x[0] == 0)]
+    by_tuple, (generic, special), _ = _fibre_ranks(weighted(), fibres, d)
     expected = {i: comb(d, i) for i in range(d + 1)}
     return {
         "stage": "semicontinuity",
         "generic_totals": generic,
         "special_totals": special,
         "expected": expected,
-        "inequality_holds": all_hold,
+        "inequality_holds": all(g <= s for ranks in by_tuple.values() for g, s in zip(*ranks)),
         "equality_with_binomials": generic == special == expected,
     }
 

@@ -114,6 +114,9 @@ def test_unreadable_input_file_is_usage_error(args, tmp_path):
     # JSON true is no integer, although Python's bool is an int
     (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": True, "ranks": [1, 1], "diffs": [["9"]]}),
     (["leta", "apply", "--f", "3"], {"ring": "Z", "lo": 0, "ranks": [1, 1], "diffs": [[True]]}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], {"value": True}),
+    (["witt", "digits", "--p", "3", "--precision", "1"], {"p": 3, "precision": True, "terms": [[[1, 3], True]]}),
+    (["witt", "digits", "--p", "3", "--precision", "2"], {"p": 3, "precision": 2, "terms": [[[1, 3], True]]}),
 ])
 def test_wrong_input_shape_is_usage_error(args, payload, tmp_path):
     path = tmp_path / "in.json"
