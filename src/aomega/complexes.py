@@ -516,6 +516,7 @@ def koszul_matches_kunneth(ring, elements: Sequence[Any]) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def check_koszul_placement(d: int) -> bool:
     """Whether the Koszul placement on d weights realizes the Kunneth tensor
     product of d one-weight complexes, once the placement is proved to square

@@ -11,7 +11,7 @@ from applying `nabla_q` to t^m alone, never from the graded pipeline they
 are later compared with.  The shape is the one Koszul placement: the
 commuting q-derivatives make the block the tensor product of the
 one-direction complexes, which the placement is certified to equal once per
-dimension (`torus.koszul_tables_agree`).
+dimension (`complexes.check_koszul_placement`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .complexes import (
     ChainComplex,
     LaurentRing,
     ZRing,
+    check_koszul_placement,
     koszul,
     koszul_matrices,
     matrices_to_json,
@@ -35,7 +36,6 @@ from .torus import (
     TorusCohomologyResult,
     ainf_omega_torus,
     grading_key,
-    koszul_tables_agree,
 )
 
 
@@ -161,14 +161,14 @@ def compare_with_torus_pipeline(model: AinfModel, dim: int, bound: int,
     """Per monomial degree m: the pipeline's weight in each direction equals
     the coefficient nabla_q gives at m.  Both complexes take the Koszul
     placement, certified once per dimension against the Kunneth tensor
-    product (`koszul_tables_agree`), so equal weights make equal complexes.
+    product (`check_koszul_placement`), so equal weights make equal complexes.
     On a mismatch the q-block and the summand's matrices are reported, never
     raised."""
     if torus_result is None:
         box = GradingBox(dim, model.depth, bound)
         torus_result = ainf_omega_torus(model, box)
     report = {"stage": "q-de-rham-compare", "cells": {}, "passed": True}
-    if not koszul_tables_agree(dim):
+    if not check_koszul_placement(dim):
         report["passed"] = False
         report["note"] = TABLES_DISAGREE
     step = model.p**model.depth  # the pipeline keys a cell by its carrier exponents

@@ -80,13 +80,9 @@ class SessionConfig:
     def __post_init__(self):
         if self.p > LIMITS["p"] or prime_base(self.p) != self.p:  # no trial division of a huge p
             raise ValueError(f"p must be a prime <= {LIMITS['p']}")
-        for name in ("depth", "dim", "bound", "precision"):
-            v = getattr(self, name)
-            if not 0 <= v <= LIMITS.get(name, v):
-                raise ValueError(f"{name} must lie in [0, {LIMITS[name]}]")
-        for name in ("depth", "bound", "precision"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, lo in (("depth", 1), ("dim", 0), ("bound", 1), ("precision", 1)):
+            if not lo <= getattr(self, name) <= LIMITS[name]:
+                raise ValueError(f"{name} must lie in [{lo}, {LIMITS[name]}]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 

@@ -20,13 +20,14 @@ divided-weight residue is a unit under both reduction maps, or (for cells
 without a divisibility-minimal weight) some weight divides the image of
 q - 1 one residue level deeper, so the reduced complex collapses there,
 while the mod-(q-1) homology is a free module, the hypothesis under which
-decalage commutes with that reduction.  Each of these facts depends on one
-exponent and is decided once: the residual by `_residual_outcome`, the
-deeper kill by `_root_power_divides` (honest division on small rings,
-root-of-unity orders on large ones).  They share one model per (p, n) and
-one memo of its exact quotients (`_carrier`), and the cells of one outcome
-share its read-only certificates, so that the stages reading them decide
-the dead-cell rule once per outcome.
+decalage commutes with that reduction.  One route rule, `_residue_route`,
+decides every residue certificate (these two and the residue pipeline's
+kills): honest arithmetic in Z[zeta_{p^j}] up to degree
+HONEST_DIVISION_DEGREE_LIMIT, root-of-unity orders (`_root_power_divides`)
+above it.  Each fact depends on one exponent and is decided once, on one
+model and quotient memo per (p, n) (`_carrier`); the cells of one outcome
+share its read-only certificates.  The Koszul shape the stages read is
+certified once per dimension by `complexes.check_koszul_placement`.
 
 Large boxes are aggregated: gradings with the same per-component valuation
 pattern share their outcome, which is computed once per pattern on a
@@ -277,14 +278,21 @@ def _presentation_json(pres):
 # residue-side pipeline
 # ---------------------------------------------------------------------------
 
+def _residue_route(p: int, depth: int) -> str:
+    """How every residue certificate in Z[zeta_{p^depth}] is decided: by
+    honest arithmetic ("division") while the ring's degree is at most
+    HONEST_DIVISION_DEGREE_LIMIT, by root-of-unity orders above it."""
+    return "division" if OCModel(p, depth).degree <= HONEST_DIVISION_DEGREE_LIMIT else "order-calculus"
+
+
 @lru_cache(maxsize=None)
 def _root_power_divides(p: int, depth: int, s_div: int, s_num: int) -> bool:
     """Whether zeta^s_div - 1 divides zeta^s_num - 1 in Z[zeta_{p^depth}].
 
-    Decided by honest exact division while the ring is small; for large
-    rings by comparing root-of-unity orders, which agrees with division
-    because both elements generate powers of the unique prime over p
-    (cross-checked against division in the test suite).
+    Decided on the `_residue_route`: by exact division, or by comparing
+    root-of-unity orders, which agrees with division because both elements
+    generate powers of the unique prime over p (cross-checked against
+    division in the test suite).
     """
     period = p**depth
     s_div %= period
@@ -293,16 +301,12 @@ def _root_power_divides(p: int, depth: int, s_div: int, s_num: int) -> bool:
         return True
     if s_div == 0:
         return False
-    if _division_honest(p, depth):
+    if _residue_route(p, depth) == "division":
         oc = OCModel(p, depth)
         return oc.zeta_power_minus_one(s_num).exact_div(oc.zeta_power_minus_one(s_div)) is not None
     order_div = period // gcd(s_div, period)
     order_num = period // gcd(s_num, period)
     return order_div >= order_num
-
-
-def _division_honest(p: int, depth: int) -> bool:
-    return OCModel(p, depth).degree <= HONEST_DIVISION_DEGREE_LIMIT
 
 
 def _check_box_depth(model: AinfModel, box: GradingBox) -> None:
@@ -331,7 +335,7 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
             free_ranks={i: comb(d, i) for i in range(d + 1)},
             certificates={"weights": "all zero"},
         )
-    how = "division" if _division_honest(p, n) else "order-calculus"
+    how = _residue_route(p, n)
     if all(x == 0 or _root_power_divides(p, n, s_f, x) for x in s):
         # divided weights are zero or mutual-divisibility units; a unit is
         # present because some component is fractional
@@ -508,14 +512,23 @@ def _decide_fractional(model: AinfModel, ring, exps: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _residual_outcome(p: int, n: int, g_min_exp: int):
-    """The two-term divisor of the divisibility-minimal weight u^g_min_exp - 1
-    after dividing out its gcd with q - 1, and whether both residue maps send it to a unit."""
+    """The two-term divisor of the divisibility-minimal weight u^g - 1, its
+    quotient by the gcd u^d - 1 with q - 1 (checked, p^n not dividing g), and
+    whether both residue maps send it to a unit.  At each level j = n, n + 1
+    its `_residue_route` asks Euclid for the inverse of its image, or whether
+    zeta^g - 1 and the nonzero zeta^d - 1 divide each other (are associates)."""
     model, _ = _carrier(p, n)
     g_min = LaurentElement({g_min_exp: 1, 0: -1}, n)
     residual = normalize_associate(leta_two_term(g_min, model.mu, LaurentRing(p, n)))
-    theta_unit = OCModel(p, n).reduce(residual).is_unit()
-    theta_tilde_unit = OCModel(p, n + 1).reduce(residual.with_depth(n + 1)).is_unit()
-    if theta_unit and theta_tilde_unit:
+    d = gcd(g_min_exp, p**n)
+    if d == p**n or residual * LaurentElement({d: 1, 0: -1}, n) != g_min:
+        raise AssertionError(f"residual of u^{g_min_exp} - 1 is not a quotient by a nonzero u^{d} - 1")
+    units = [
+        OCModel(p, j).reduce(residual.with_depth(j)).is_unit() if _residue_route(p, j) == "division"
+        else _root_power_divides(p, j, g_min_exp, d) and _root_power_divides(p, j, d, g_min_exp)
+        for j in (n, n + 1)
+    ]
+    if all(units):
         return residual, (
             ("residual", "two-term divisor after dividing out gcd with q - 1"),
             ("theta_image", "unit"),
@@ -532,7 +545,7 @@ def _deeper_collapse_certificate(model: AinfModel, exps: tuple[int, ...]) -> dic
     zeta^(p^n) - 1 of q - 1 there, decided by `_root_power_divides`.  (a)
     licenses commuting the decalage with the deeper reduction; (b) computes it."""
     p, n = model.p, model.depth
-    route = "division" if _division_honest(p, n + 1) else "order-calculus"
+    route = _residue_route(p, n + 1)
     killed = any(_root_power_divides(p, n + 1, s, p**n) for s in exps if s % p**n)
     return {"mod_mu_free": "p-power ideal chain", "deeper_kill": route if killed else "failed"}
 
@@ -656,21 +669,11 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
     return report
 
 
-@lru_cache(maxsize=None)
-def koszul_tables_agree(d: int) -> bool:
-    """Whether the Koszul placement on d weights, proved to square to zero
-    and to satisfy the contraction identity, equals the Kunneth tensor
-    product of d one-weight complexes (`check_koszul_placement`,
-    AssertionError when a proof fails).  Decided once per dimension, on
-    first use."""
-    return check_koszul_placement(d)
-
-
 def _koszul_ranks(k: int, zero: bool, unit: bool) -> list[int] | None:
     """The ranks of a Koszul complex on k weights in a fibre where all are
     zero (binomial), or some is a unit (none, by the contraction identity
-    `koszul_tables_agree(k)` proves); None otherwise."""
-    koszul_tables_agree(k)
+    `check_koszul_placement(k)` proves); None otherwise."""
+    check_koszul_placement(k)
     if zero:
         return [comb(k, i) for i in range(k + 1)]
     if unit:
@@ -725,14 +728,14 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
     pipeline's weights equals the constant a_j.  The classical de Rham
     complex of t^a is the Kunneth tensor product of the one-dimensional
     complexes R --a_j--> R, and the Koszul placement is certified once per
-    dimension to equal that product (`koszul_tables_agree`), so equal weights
+    dimension to equal that product (`check_koszul_placement`), so equal weights
     make equal complexes, and d o d = 0 holds on both.  "beta" records the
     exponents, the values theta must produce."""
     model, box = result.model, result.box
     d, step = box.dim, model.p**box.depth
     constant = model.oc_model().constant
     report = {"stage": "de-rham", "cells": {}, "passed": True}
-    if not koszul_tables_agree(d):
+    if not check_koszul_placement(d):
         report["passed"] = False
         report["note"] = TABLES_DISAGREE
     # whether theta of a weight is the constant of an exponent, decided once per pair

@@ -2,7 +2,7 @@
 
 import pytest
 
-from aomega import torus
+from aomega import complexes, torus
 from aomega.ainf import AinfModel
 from aomega.complexes import LaurentRing
 from aomega.torus import GradingBox, ainf_omega_torus
@@ -12,9 +12,21 @@ from aomega.torus import GradingBox, ainf_omega_torus
 def fresh_tables():
     """The once-per-dimension certificate of the Koszul tables, decided
     afresh inside the test (which may mutate a table) and forgotten after it."""
-    torus.koszul_tables_agree.cache_clear()
+    complexes.check_koszul_placement.cache_clear()
     yield
-    torus.koszul_tables_agree.cache_clear()
+    complexes.check_koszul_placement.cache_clear()
+
+
+@pytest.fixture
+def cold_fractional_caches():
+    """Empty the per-exponent memos before and after a test that mutates
+    what they remember."""
+    caches = (torus._fractional_outcome, torus._residual_outcome, torus._root_power_divides)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 # (p, depth, dim, bound): the 18 boxes of the s7-specializations suite at

@@ -169,10 +169,20 @@ def test_a_numeric_flag_out_of_range_is_a_usage_error(infile, data, command, fla
 
 
 def test_precision_below_one_is_refused():
-    with pytest.raises(ValueError, match="precision must be >= 1"):
+    with pytest.raises(ValueError, match=r"precision must lie in \[1, 4\]"):
         SessionConfig(p=3, precision=0)
     code, err = run(["suite", "run", "--suite", "witt", "--precision", "0"])
-    assert code == 2 and err == "error: precision must be >= 1\n"
+    assert code == 2 and err == "error: precision must lie in [1, 4]\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["torus", "all", "--depth", "-1"], "depth must lie in [1, 3]"),
+    (["torus", "all", "--bound", "-2"], "bound must lie in [1, 8]"),
+    (["suite", "run", "--suite", "witt", "--precision", "-1"], "precision must lie in [1, 4]"),
+    (["torus", "all", "--dim", "-1"], "dim must lie in [0, 4]"),
+], ids=["depth", "bound", "precision", "dim"])
+def test_a_negative_value_is_refused_with_its_true_range(argv, message):
+    assert run(argv) == (2, f"error: {message}\n")
 
 
 def test_a_huge_p_is_refused_without_trial_division():

@@ -2,7 +2,7 @@
 
 The de Rham and q-de Rham stages compare weights, not matrices, per grading:
 the shape of every complex they compare is the pipeline's Koszul placement,
-and `torus.koszul_tables_agree` proves once per dimension that it squares to
+and `complexes.check_koszul_placement` proves once per dimension that it squares to
 zero and equals the Kunneth tensor product of one-weight complexes, which
 `complexes.tensor_product` builds without reading the placement.  Each row
 below breaks the placement, the tensor product's sign rule or one weight,
@@ -36,7 +36,7 @@ import test_intlinalg
 
 from aomega import cli, complexes, decalage, suites, torus
 from aomega import intlinalg as la
-from aomega.ainf import AinfModel
+from aomega.ainf import AinfModel, OCModelElement
 from aomega.arith import LaurentElement
 from aomega.cli import EXIT_INTERNAL, main
 from aomega.qderham import compare_with_torus_pipeline, q_weights
@@ -88,7 +88,7 @@ def mutate_placement(monkeypatch, change):
 def test_a_table_that_no_longer_squares_to_zero_is_an_internal_error(monkeypatch, fresh_tables, change):
     mutate_placement(monkeypatch, change)
     for stage in (run_dr, run_qdr):
-        torus.koszul_tables_agree.cache_clear()
+        complexes.check_koszul_placement.cache_clear()
         with pytest.raises(AssertionError, match="d o d != 0 in the Koszul placement table"):
             stage()
 
@@ -107,7 +107,7 @@ def right_factor_sign_rule(monkeypatch):
 def test_tables_that_disagree_fail_both_stages(monkeypatch, fresh_tables, disagree):
     disagree(monkeypatch)
     for stage in (run_dr, run_qdr):
-        torus.koszul_tables_agree.cache_clear()
+        complexes.check_koszul_placement.cache_clear()
         rep = stage()
         assert not rep["passed"] and rep["note"] == torus.TABLES_DISAGREE
 
@@ -124,7 +124,7 @@ def test_a_disagreement_exits_1_and_a_broken_square_exits_3(monkeypatch, capsys,
     real = complexes._koszul_placement
     monkeypatch.setattr(complexes, "_koszul_placement", lambda d: relabelled(real(d)))
     assert main(argv) == 1
-    torus.koszul_tables_agree.cache_clear()
+    complexes.check_koszul_placement.cache_clear()
     monkeypatch.setattr(complexes, "_koszul_placement", lambda d: flipped_sign(real(d)))
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -271,3 +271,36 @@ def test_elimination_off_by_one_in_one_degree_is_an_internal_error(monkeypatch, 
     monkeypatch.setattr(torus, "_homology_ranks", mutant(
         torus, "_homology_ranks", ("n - r[i] - r[i + 1]", "n - r[i] - r[i + 1] + (i == 1)")))
     exits_internal(capsys, stage, "differ by elimination")
+
+
+def torus_argv(command, p, depth, dim, bound):
+    return ["torus", *command, "--p", str(p), "--depth", str(depth), "--dim", str(dim), "--bound", str(bound),
+            "--out", os.devnull]
+
+
+@pytest.mark.parametrize("box", [(3, 1, 1, 2), (13, 2, 1, 1)], ids=["division-route", "order-route"])
+def test_a_residual_left_undivided_is_an_internal_error(monkeypatch, capsys, cold_fractional_caches, box):
+    # the two-term decalage returns u^g - 1 itself: the divisor no longer
+    # times u^d - 1 gives u^g - 1, on either route of the unit verdict
+    monkeypatch.setattr(torus, "leta_two_term", mutant(decalage, "leta_two_term", ("return q", "return g")))
+    with pytest.raises(SystemExit) as exc:
+        main(torus_argv(["all"], *box))
+    assert exc.value.code == EXIT_INTERNAL and "is not a quotient" in capsys.readouterr().err
+
+
+def fails_ht_and_dr(box):
+    return [main(torus_argv(["run", "--stage", stage], *box)) for stage in ("ht", "dr")] == [1, 1]
+
+
+def test_residue_units_denied_by_euclid_fail_ht_and_dr(monkeypatch, cold_fractional_caches):
+    # at (3,2) both residue rings are on the division route
+    monkeypatch.setattr(OCModelElement, "is_unit", lambda self: False)
+    assert fails_ht_and_dr((3, 2, 1, 2))
+
+
+def test_a_strict_order_comparison_fails_ht_and_dr(monkeypatch, cold_fractional_caches):
+    # at (13,2) both residue rings are on the order route: a unit image is
+    # now refused wherever zeta^g - 1 and zeta^d - 1 have the same order
+    monkeypatch.setattr(torus, "_root_power_divides", mutant(
+        torus, "_root_power_divides", ("order_div >= order_num", "order_div > order_num")))
+    assert fails_ht_and_dr((13, 2, 1, 1))

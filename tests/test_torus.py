@@ -6,12 +6,12 @@ import io
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from aomega import complexes, torus
-from aomega.ainf import AinfModel, OCModel
+from aomega.ainf import AinfModel, OCModel, OCModelElement
 from aomega.arith import LaurentElement
 from aomega.complexes import ChainComplex, FpPolyRing, LaurentRing, ZRing, homology_snf, koszul
 from aomega.torus import (
@@ -261,33 +261,85 @@ def test_deeper_collapse_certificate_matches_the_honest_division_loop(p, n):
         assert cert == {"mod_mu_free": "p-power ideal chain", "deeper_kill": honest_deeper_kill(p, n, exps)}, exps
 
 
-@pytest.fixture
-def cold_fractional_caches():
-    """Empty the per-exponent memos before and after a test that mutates
-    what they remember."""
-    for cache in (torus._fractional_outcome, torus._residual_outcome):
-        cache.cache_clear()
-    yield
-    for cache in (torus._fractional_outcome, torus._residual_outcome):
-        cache.cache_clear()
-
-
 def test_order_calculus_deeper_kill_is_computed(monkeypatch, cold_fractional_caches):
     # at (5,2,2,2) the residue ring one level deeper has degree 100, above
     # the honest-division limit; the kill target there answers no for every
-    # weight, so each unstructured cell loses its deeper kill and both
-    # specializations must report it
+    # weight, so each unstructured cell loses its deeper kill, each residual
+    # cell its unit image one level deeper, and both specializations must
+    # report every one of them
     real = torus._root_power_divides
     monkeypatch.setattr(
         torus, "_root_power_divides", lambda p, depth, s_div, s_num: depth != 3 and real(p, depth, s_div, s_num)
     )
     res = ainf_omega_torus(AinfModel(5, 2), GradingBox(2, 2, 2))
     unstructured = {res.key(g) for g, cell in res.cells.items() if cell.status == "unstructured"}
-    assert len(unstructured) == 7864
+    residual = {res.key(g) for g, cell in res.cells.items() if cell.status == "residual"}
+    assert len(unstructured) == 7864 and residual
     assert all(res.cells[g].certificates["deeper_kill"] == "failed" for g in res.cells if res.key(g) in unstructured)
+    assert all(res.cells[g].certificates.get("specializations") == "unverified"
+               for g in res.cells if res.key(g) in residual)
     for rep in (specialize_hodge_tate(res), specialize_de_rham(res)):
         failed = {key for key, v in rep["cells"].items() if not v["passed"]}
-        assert not rep["passed"] and failed == unstructured
+        assert not rep["passed"] and failed == unstructured | residual
+
+
+# the residue rings Z[zeta_{p^j}] of the CLI's models (j <= depth + 1 <= 4)
+# on which the honest track runs next to the order calculus
+HONEST_RINGS = [(p, j) for p in (2, 3, 5, 7, 11, 13) for j in range(1, 5)
+                if OCModel(p, j).degree <= torus.HONEST_DIVISION_DEGREE_LIMIT]
+
+
+def residual_verdicts(p: int, j: int) -> dict:
+    """(n, g) -> (divisor, unit verdict) of `_residual_outcome`, for both
+    model depths n that read the ring Z[zeta_{p^j}] and every residual
+    exponent g, prime to p^n, over two periods of p^(n+1)."""
+    verdicts = {}
+    for n in (j - 1, j):
+        if not 1 <= n <= 3:
+            continue
+        for g in range(1, 2 * p ** (n + 1) + 1):
+            if g % p**n:
+                divisor, certificates = torus._residual_outcome(p, n, g)
+                verdicts[n, g] = divisor, dict(certificates).get("theta_image" if n == j else "theta_tilde_image")
+    return verdicts
+
+
+@pytest.mark.parametrize("p,j", HONEST_RINGS)
+def test_residual_units_by_orders_match_euclid(monkeypatch, cold_fractional_caches, p, j):
+    # the residual's unit verdict in Z[zeta_{p^j}] by Euclid's inverse (the
+    # ring's own route), and again with that ring alone sent down the
+    # order-calculus route
+    honest = residual_verdicts(p, j)
+    real = torus._residue_route
+    monkeypatch.setattr(torus, "_residue_route", lambda p_, j_: "order-calculus" if j_ == j else real(p_, j_))
+    for cache in (torus._residual_outcome, torus._root_power_divides):
+        cache.cache_clear()
+    by_orders = residual_verdicts(p, j)
+    assert by_orders.keys() == honest.keys() and honest
+    for (n, g), (divisor, verdict) in honest.items():
+        d = gcd(g, p**n)
+        # the divisor is the quotient of u^g - 1 by its gcd u^d - 1 with q - 1
+        assert divisor * LaurentElement({d: 1, 0: -1}, n) == LaurentElement({g: 1, 0: -1}, n)
+        # cyclotomic units: every image is a unit, and both tracks say so
+        assert verdict == by_orders[n, g][1] == "unit", (n, g)
+
+
+def test_an_integral_residual_exponent_is_refused(cold_fractional_caches):
+    # u^d - 1 vanishes in Z[zeta_{p^n}] when p^n divides g: its unit verdict
+    # would not follow from the orders
+    with pytest.raises(AssertionError, match="nonzero u\\^9 - 1"):
+        torus._residual_outcome(3, 2, 18)
+
+
+def test_no_residue_inversion_above_the_honest_limit(monkeypatch, cold_fractional_caches):
+    # at (13,2): both residue rings (degrees 156 and 2028) are on the order route
+    calls = []
+    real = OCModelElement.inverse_rational
+    monkeypatch.setattr(OCModelElement, "inverse_rational", lambda self: calls.append(self) or real(self))
+    res = ainf_omega_torus(AinfModel(13, 2), GradingBox(1, 2, 2))
+    residual = [cell for cell in res.cells.values() if cell.status == "residual"]
+    assert residual and all(cell.certificates["theta_tilde_image"] == "unit" for cell in residual)
+    assert calls == []
 
 
 def realize_group_ring_koszul(p: int, n: int, exps: list[int]) -> ChainComplex:
