@@ -276,8 +276,9 @@ def laurent_gcd(a: LaurentElement, b: LaurentElement) -> LaurentElement:
 
 
 def normalize_associate(x: LaurentElement) -> LaurentElement:
-    """Canonical representative of x up to units: min exponent 0, leading coefficient > 0."""
-    if x.is_zero():
+    """Canonical representative of x up to units: min exponent 0, leading
+    coefficient > 0.  An element already in that form is returned as it is."""
+    if not x._terms or (x._terms[0][0] == 0 and x._terms[-1][1] > 0):
         return x
     shifted = x.shift(-x.min_exponent())
     if shifted._terms[-1][1] < 0:

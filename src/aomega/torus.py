@@ -25,8 +25,10 @@ decides every residue certificate (these two and the residue pipeline's
 kills): honest arithmetic in Z[zeta_{p^j}] up to degree
 HONEST_DIVISION_DEGREE_LIMIT, root-of-unity orders (`_root_power_divides`)
 above it.  Each fact depends on one exponent and is decided once, on one
-model and quotient memo per (p, n) (`_carrier`); the cells of one outcome
-share its read-only certificates.  The Koszul shape the stages read is
+model and quotient memo per (p, n) (`_carrier`).  The cells of one outcome
+share one record that is never written: a read-only certificate mapping and
+free-rank mapping (`_shared`), and in ht and dr one report row per verdict
+for the dead gradings of that outcome.  The Koszul shape the stages read is
 certified once per dimension by `complexes.check_koszul_placement`.
 
 Large boxes are aggregated: gradings with the same per-component valuation
@@ -153,6 +155,18 @@ def _class_representative(cls, p: int, depth: int) -> int:
 
 # the free ranks of every dead cell: none, in one read-only mapping
 NO_RANKS = MappingProxyType({})
+
+
+@lru_cache(maxsize=None)
+def _shared(*items) -> MappingProxyType:
+    """The one read-only mapping of the (key, value) pairs `items`, which
+    every cell of that outcome shares and no stage writes."""
+    return MappingProxyType(dict(items))
+
+
+def _exterior_ranks(d: int) -> MappingProxyType:
+    """binomial(d, i) in degree i, one shared mapping per dimension."""
+    return _shared(*((i, comb(d, i)) for i in range(d + 1)))
 
 
 @dataclass(slots=True)
@@ -282,7 +296,8 @@ def _residue_route(p: int, depth: int) -> str:
     """How every residue certificate in Z[zeta_{p^depth}] is decided: by
     honest arithmetic ("division") while the ring's degree is at most
     HONEST_DIVISION_DEGREE_LIMIT, by root-of-unity orders above it."""
-    return "division" if OCModel(p, depth).degree <= HONEST_DIVISION_DEGREE_LIMIT else "order-calculus"
+    degree = p**depth - p ** (depth - 1)  # the degree phi(p^depth) of `OCModel(p, depth)`
+    return "division" if degree <= HONEST_DIVISION_DEGREE_LIMIT else "order-calculus"
 
 
 @lru_cache(maxsize=None)
@@ -330,11 +345,7 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
     s = [x % period for x in grading]
     s_f = p ** (n - 1)
     if all(x == 0 for x in s):
-        return TorusCell(
-            grading, "exterior",
-            free_ranks={i: comb(d, i) for i in range(d + 1)},
-            certificates={"weights": "all zero"},
-        )
+        return TorusCell(grading, "exterior", free_ranks=_exterior_ranks(d), certificates=_shared(("weights", "all zero")))
     how = _residue_route(p, n)
     if all(x == 0 or _root_power_divides(p, n, s_f, x) for x in s):
         # divided weights are zero or mutual-divisibility units; a unit is
@@ -342,12 +353,11 @@ def _oc_cell_outcome(model: AinfModel, grading) -> TorusCell:
         unit_present = any(x != 0 and _root_power_divides(p, n, x, s_f) for x in s)
         if not unit_present:
             raise AssertionError(f"expected a unit divided weight at grading {grading}")
-        return TorusCell(grading, "zero", certificates={"kill": "unit divided weight", "verified": how})
-    killer = next(x for x in s if x != 0 and _root_power_divides(p, n, x, s_f))
-    return TorusCell(
-        grading, "zero",
-        certificates={"kill": f"weight zeta^{killer}-1 divides the divisor", "verified": how},
-    )
+        kill = "unit divided weight"
+    else:
+        killer = next(x for x in s if x != 0 and _root_power_divides(p, n, x, s_f))
+        kill = f"weight zeta^{killer}-1 divides the divisor"
+    return TorusCell(grading, "zero", free_ranks=NO_RANKS, certificates=_shared(("kill", kill), ("verified", how)))
 
 
 def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult:
@@ -445,17 +455,10 @@ def _integral_cell(model: AinfModel, grading, step: int) -> TorusCell:
     agreement certifies the composition law for the whole summand.
     """
     weights = tuple(_verified_q_analog(model.p, model.depth, s // step) for s in grading)
-    d = len(grading)
-    if not any(grading):
-        ranks = {i: comb(d, i) for i in range(d + 1)}
-    else:
-        ranks = {}  # generically acyclic; torsion only
-    return TorusCell(
-        grading, "koszul",
-        weights=weights,
-        free_ranks=ranks,
-        certificates={"q_analog_weights": "verified", "composition": "one-step equals two-step"},
-    )
+    # nonzero gradings are generically acyclic; torsion only
+    ranks = NO_RANKS if any(grading) else _exterior_ranks(len(grading))
+    certificates = _shared(("q_analog_weights", "verified"), ("composition", "one-step equals two-step"))
+    return TorusCell(grading, "koszul", weights=weights, free_ranks=ranks, certificates=certificates)
 
 
 def _fractional_cell(model: AinfModel, grading) -> TorusCell:
@@ -478,9 +481,9 @@ def _fractional_cell(model: AinfModel, grading) -> TorusCell:
 def _fractional_outcome(p: int, n: int, exps: tuple[int, ...]):
     """(status, divisor, certificates) of the nonintegral summand with
     absolute carrier exponents `exps`, its divisions asked of the shared
-    quotient memo; the certificates are a read-only mapping."""
+    quotient memo; the certificates are the `_shared` mapping of their pairs."""
     status, divisor, certificates = _decide_fractional(*_carrier(p, n), exps)
-    return status, divisor, MappingProxyType(dict(certificates))
+    return status, divisor, _shared(*dict(certificates).items())
 
 
 def _decide_fractional(model: AinfModel, ring, exps: tuple[int, ...]):
@@ -631,8 +634,8 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
 
     # (is_zero, is_unit) of each reduced weight, decided once per exponent
     reduced_by_exponent = {}
-    # per (status, certificate mapping): the dead-cell verdict and a plain
-    # copy of the certificates for the report
+    # per (status, certificate mapping): the dead-cell verdict and the
+    # report row of each cell verdict, which the gradings of that outcome share
     dead = {}
     twist = p * step
     for cell in result.all_cells():
@@ -660,10 +663,12 @@ def specialize_hodge_tate(result: TorusCohomologyResult) -> dict:
             # which holds for every nonintegral grading a
             outcome = cell.status, id(cell.certificates)
             if outcome not in dead:
-                dead[outcome] = _dead_cell_certified(cell), dict(cell.certificates)
-            certified, certificate = dead[outcome]
+                certificate = dict(cell.certificates)
+                rows = [{"passed": ok, "status": cell.status, "certificate": certificate} for ok in (False, True)]
+                dead[outcome] = _dead_cell_certified(cell), rows
+            certified, rows = dead[outcome]
             ok = certified and any(map(twist.__rmod__, cell.grading))  # some s % twist
-            report["cells"][key] = {"passed": ok, "status": cell.status, "certificate": certificate}
+            report["cells"][key] = rows[ok]
             if not ok:
                 report["passed"] = False
     return report
@@ -754,18 +759,18 @@ def specialize_de_rham(result: TorusCohomologyResult) -> dict:
         if not ok:
             report["passed"] = False
     # dead cells contribute nothing; each needs the certificate the pipeline
-    # recorded for its death, read once per (status, certificate mapping)
-    verdicts = {}
+    # recorded for its death, read once per (status, certificate mapping),
+    # whose one report row the gradings of that outcome share
+    rows = {}
     for cell in result.all_cells():
         if cell.status == "koszul":
             continue
         outcome = cell.status, id(cell.certificates)
-        if outcome not in verdicts:
+        if outcome not in rows:
             note = _DEAD_CELL_NOTES.get(cell.status, "outside the structured locus; no contribution recorded")
-            verdicts[outcome] = _dead_cell_certified(cell), note
-        ok, note = verdicts[outcome]
-        report["cells"][result.key(cell.grading)] = {"passed": ok, "status": cell.status, "note": note}
-        if not ok:
+            rows[outcome] = {"passed": _dead_cell_certified(cell), "status": cell.status, "note": note}
+        row = report["cells"][result.key(cell.grading)] = rows[outcome]
+        if not row["passed"]:
             report["passed"] = False
     return report
 

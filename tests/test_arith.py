@@ -267,6 +267,35 @@ def test_normalize_associate():
     assert n.min_exponent() == 0 and n.terms[n.max_exponent()] > 0
 
 
+def rebuilt_associate(x: LaurentElement) -> LaurentElement:
+    """The associate rebuilt unconditionally: shift to min exponent 0, then
+    negate if the leading coefficient is negative."""
+    if x.is_zero():
+        return x
+    shifted = x.shift(-x.min_exponent())
+    return -shifted if shifted.terms[shifted.max_exponent()] < 0 else shifted
+
+
+def test_normalize_associate_matches_the_rebuild():
+    rng = random.Random(7)
+    normalized = 0
+    for _ in range(400):
+        terms = {rng.randint(-6, 6): rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(rng.randint(0, 5))}
+        if rng.random() < 0.5 and terms:  # already in normal form
+            low = min(terms)
+            terms = {e - low: c for e, c in terms.items()}
+            top = max(terms)
+            terms[top] = abs(terms[top])
+        x = LaurentElement(terms, rng.randint(0, 2))
+        want = rebuilt_associate(x)
+        got = normalize_associate(x)
+        assert got == want and got.depth == want.depth == x.depth, x
+        if want == x:
+            normalized += 1
+            assert got is x
+    assert 150 < normalized < 400
+
+
 def test_json_round_trip_bit_exact():
     big = 10**40 + 7
     a = LaurentElement({-5: -big, 3: 1}, 2)

@@ -141,6 +141,13 @@ def test_build_graded_sum():
     assert model.oc_model().reduce(weights[(3,)]).is_zero()
 
 
+def test_residue_route_reads_the_residue_ring_degree():
+    for p in (2, 3, 5, 7, 11, 13):
+        for j in (1, 2, 3, 4):
+            honest = OCModel(p, j).degree <= torus.HONEST_DIVISION_DEGREE_LIMIT
+            assert torus._residue_route(p, j) == ("division" if honest else "order-calculus"), (p, j)
+
+
 def test_root_divisibility_calculus_matches_division():
     # anchor the order comparison with honest division on small rings
     for p, depth in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
@@ -183,6 +190,30 @@ def test_tilde_aggregated_equals_explicit():
     assert aggregated.rank_table() == explicit.rank_table()
     total = sum(row.count for row in aggregated.classes) + len(aggregated.cells)
     assert total == box.cell_count(3)
+
+
+@pytest.mark.parametrize("p,n,d,bound", [(3, 2, 2, 4), (2, 2, 2, 3), (5, 1, 2, 3), (3, 1, 3, 2)])
+def test_ainf_aggregated_equals_explicit(monkeypatch, p, n, d, bound):
+    # every stage that reads the ainf result says the same of the box on
+    # both paths: the aggregated one weights a representative per class
+    model, box = AinfModel(p, n), GradingBox(d, n, bound)
+
+    def verdicts(res):
+        semicont = torus_semicontinuity(res)
+        return (
+            specialize_hodge_tate(res)["passed"],
+            specialize_de_rham(res)["passed"],
+            etale_rank_torus(res)["rank_table"],
+            semicont["generic_totals"],
+            semicont["special_totals"],
+            semicont["inequality_holds"],
+        )
+
+    explicit = ainf_omega_torus(model, box)
+    monkeypatch.setattr(torus, "EXPLICIT_CELL_LIMIT", 1)
+    aggregated = ainf_omega_torus(model, box)
+    assert not explicit.aggregated and aggregated.aggregated
+    assert verdicts(aggregated) == verdicts(explicit)
 
 
 def test_ainf_integral_cells():
@@ -503,6 +534,77 @@ def test_cells_of_one_outcome_share_read_only_certificates():
     with pytest.raises(TypeError):
         cell.free_ranks[0] = 1
     assert sibling.certificates["kill"] != "forged" and not sibling.free_ranks
+
+
+def test_tilde_cells_share_one_record_per_outcome():
+    res = tilde_omega_torus(AinfModel(3, 2), GradingBox(2, 2, 4))
+    by_kill = {}
+    for cell in res.cells.values():
+        if cell.status == "zero":
+            assert cell.free_ranks is torus.NO_RANKS
+            by_kill.setdefault((cell.certificates["kill"], cell.certificates["verified"]), set()).add(id(cell.certificates))
+    assert len(by_kill) > 1 and all(len(ids) == 1 for ids in by_kill.values())
+    exterior = [cell for cell in res.cells.values() if cell.status == "exterior"]
+    assert len(exterior) == 81
+    assert len({id(cell.free_ranks) for cell in exterior}) == len({id(cell.certificates) for cell in exterior}) == 1
+
+
+def _shared_mappings():
+    """(name, mapping) of each kind of shared record the two pipelines give
+    their cells, except the ainf dead cells' certificates, which
+    `test_cells_of_one_outcome_share_read_only_certificates` covers."""
+    model, box = AinfModel(3, 1), GradingBox(2, 1, 1)
+    tilde, ares = tilde_omega_torus(model, box), ainf_omega_torus(model, box)
+    dead, exterior = tilde.cells[(1, 0)], tilde.cells[(0, 0)]
+    zero, integral = ares.cells[(0, 0)], ares.cells[(3, 0)]
+    return [
+        ("tilde-dead-certificates", dead.certificates),
+        ("tilde-dead-ranks", dead.free_ranks),
+        ("tilde-exterior-certificates", exterior.certificates),
+        ("tilde-exterior-ranks", exterior.free_ranks),
+        ("ainf-integral-certificates", integral.certificates),
+        ("ainf-integral-ranks", integral.free_ranks),
+        ("ainf-zero-grading-ranks", zero.free_ranks),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _shared_mappings()])
+def test_shared_records_are_read_only(name):
+    mapping = dict(_shared_mappings())[name]
+    before = dict(mapping)
+    with pytest.raises(TypeError):
+        mapping[0] = "forged"
+    with pytest.raises(TypeError):
+        del mapping[next(iter(before), 0)]
+    assert dict(mapping) == before
+
+
+@pytest.mark.parametrize("p,n,d,bound", [(3, 2, 2, 4), (5, 2, 2, 2)])
+def test_dead_report_rows_are_one_per_outcome(p, n, d, bound):
+    res = ainf_omega_torus(AinfModel(p, n), GradingBox(d, n, bound))
+    dead = [cell for cell in res.cells.values() if cell.status != "koszul"]
+    outcomes = {(cell.status, id(cell.certificates)) for cell in dead}
+    for rep in (specialize_hodge_tate(res), specialize_de_rham(res)):
+        rows = [rep["cells"][res.key(cell.grading)] for cell in dead]
+        assert len(rows) > 1000 and all(row["status"] == cell.status for row, cell in zip(rows, dead))
+        assert len({id(row) for row in rows}) <= 2 * len(outcomes)
+
+
+@pytest.mark.parametrize("stage", [specialize_hodge_tate, specialize_de_rham], ids=["ht", "dr"])
+def test_a_failed_outcome_fails_its_rows_only(monkeypatch, stage):
+    # one outcome's certificates refused: the stage fails, every row of that
+    # outcome fails, and every row of the other outcomes still passes, so
+    # no shared row carries one outcome's verdict into another
+    res = ainf_omega_torus(AinfModel(3, 2), GradingBox(2, 2, 4))
+    dead = [cell.certificates for cell in res.cells.values() if cell.status != "koszul"]
+    target = next(c for c in dead if "theta_image" in c)  # the residual outcome, of three
+    assert len({id(c) for c in dead}) == 3
+    real = torus._dead_cell_certified
+    monkeypatch.setattr(torus, "_dead_cell_certified", lambda cell: cell.certificates is not target and real(cell))
+    rep = stage(res)
+    failed = {key for key, row in rep["cells"].items() if not row["passed"]}
+    expected = {res.key(g) for g, cell in res.cells.items() if cell.certificates is target}
+    assert not rep["passed"] and expected and failed == expected
 
 
 def test_hodge_tate_fails_a_dead_cell_whose_twist_is_integral():
