@@ -678,8 +678,9 @@ def koszul_to_diagonal(ring, weights: Sequence[Any]):
     nonzero = [g for g in weights if not ring.is_zero(g)]
     if not nonzero:
         return DiagonalComplex(ring, [DiagonalSummand(k) for k in range(d + 1) for _ in range(comb(d, k))])
+    # a nonzero weight divides itself: no exact division asked
     g_min = next(
-        (g for g in nonzero if all(ring.is_zero(h) or ring.exact_div(h, g) is not None for h in weights)),
+        (g for g in nonzero if all(h is g or ring.is_zero(h) or ring.exact_div(h, g) is not None for h in weights)),
         None,
     )
     if g_min is None:

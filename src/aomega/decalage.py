@@ -11,8 +11,8 @@ possible, collapsing to an acyclic complex when some weight divides f, and
 refusing (NOT_STRUCTURED) otherwise.  The checkers in this module confront
 the lattice track with three homology-level predictions: the
 torsion-quotient formula, the Bockstein lift and composition.  Each takes
-a `LetaInstance`, which builds each subcomplex of one complex and its
-homology once.
+a `LetaInstance`, which builds each subcomplex of one complex once and
+computes each divisibility lattice and each Z-homology it meets once.
 
 The lattice in degree lo + k (lo the lowest degree of K) is stored as f^k
 times the divisibility lattice, that is rescaled by f^(-lo): an isomorphism
@@ -22,6 +22,7 @@ degrees; homology never sees it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -43,14 +44,48 @@ _Z = ZRing()
 # lattice track
 # ---------------------------------------------------------------------------
 
-def _divisibility_lattice(K: ChainComplex, f: int, k: int) -> list[list[int]]:
-    """Rows spanning {x in K^(lo+k) : d x in f K^(lo+k+1)}."""
+class ContentTable:
+    """Divisibility lattices and Z-homology, each computed once per content.
+
+    A lattice is keyed by its matrix, the matrix's shape and f; a homology
+    by the lowest degree, the ranks and the differentials of the complex.
+    An entry is never written after it is stored: lattices are handed out
+    as tuples of row tuples, and no consumer of a `HomologyPresentation`
+    writes to it.
+    """
+
+    def __init__(self):
+        self._lattices = {}
+        self._homology = {}
+
+    def lattice(self, A, m: int, n: int, f: int) -> tuple[tuple[int, ...], ...]:
+        """`intlinalg.divisibility_lattice(A, m, n, f)`, as row tuples."""
+        key = (tuple(map(tuple, A)), m, n, f)
+        rows = self._lattices.get(key)
+        if rows is None:
+            rows = self._lattices[key] = tuple(map(tuple, la.divisibility_lattice(A, m, n, f)))
+        return rows
+
+    def homology(self, K: ChainComplex) -> HomologyPresentation:
+        """`homology_snf(K)`."""
+        key = (K.lo, tuple(K.ranks), tuple(tuple(map(tuple, d)) for d in K.diffs))
+        H = self._homology.get(key)
+        if H is None:
+            H = self._homology[key] = homology_snf(K)
+        return H
+
+
+def _divisibility_lattice(K: ChainComplex, f: int, k: int, table: ContentTable | None):
+    """Rows spanning {x in K^(lo+k) : d x in f K^(lo+k+1)}, read from
+    `table` when one is given."""
     i = K.lo + k
-    return la.divisibility_lattice(K.diff(i), K.rank(i + 1), K.rank(i), f)
+    args = (K.diff(i), K.rank(i + 1), K.rank(i), f)
+    return la.divisibility_lattice(*args) if table is None else table.lattice(*args)
 
 
-def eta_subcomplex(K: ChainComplex, f: int) -> ChainComplex:
-    """The decalage subcomplex of a free Z-complex, as a free Z-complex."""
+def eta_subcomplex(K: ChainComplex, f: int, table: ContentTable | None = None) -> ChainComplex:
+    """The decalage subcomplex of a free Z-complex, as a free Z-complex;
+    its lattices are read from `table` when one is given."""
     if not isinstance(K.ring, ZRing):
         raise ValueError("the lattice track works over Z")
     if f == 0:
@@ -60,7 +95,7 @@ def eta_subcomplex(K: ChainComplex, f: int) -> ChainComplex:
     bases = []
     for k in range(len(K.ranks)):
         power = f**k
-        rows = _divisibility_lattice(K, f, k) if K.ranks[k] else []
+        rows = _divisibility_lattice(K, f, k, table) if K.ranks[k] else []
         bases.append([[power * x for x in row] for row in rows])
     diffs = []
     for k in range(len(K.ranks) - 1):
@@ -118,15 +153,16 @@ def leta_two_term(g, f, ring):
 # the Bockstein complex
 # ---------------------------------------------------------------------------
 
-def _mod_f_lattices(K: ChainComplex, f: int):
+def _mod_f_lattices(K: ChainComplex, f: int, table: ContentTable | None):
     """Per degree, (cycle lattice rows, boundary lattice rows) of K/f in K^i:
-    Z_i = {x : d x in f K^(i+1)}, B_i = im d^(i-1) + f K^i."""
+    Z_i = {x : d x in f K^(i+1)}, read from `table` when one is given, and
+    B_i = im d^(i-1) + f K^i."""
     out = {}
     for i in K.degrees():
         n = K.rank(i)
         if n == 0:
             continue
-        z_rows = _divisibility_lattice(K, f, i - K.lo)
+        z_rows = _divisibility_lattice(K, f, i - K.lo, table)
         gens = []
         d_in = K.diff(i - 1)
         for c in range(K.rank(i - 1)):
@@ -137,10 +173,10 @@ def _mod_f_lattices(K: ChainComplex, f: int):
     return out
 
 
-def mod_f_homology(K: ChainComplex, f: int) -> HomologyPresentation:
+def mod_f_homology(K: ChainComplex, f: int, table: ContentTable | None = None) -> HomologyPresentation:
     """Presentations of H^*(K/f) (derived reduction; terms are free)."""
     data = {}
-    for i, (z, b) in _mod_f_lattices(K, abs(f)).items():
+    for i, (z, b) in _mod_f_lattices(K, abs(f), table).items():
         free, tors = la.quotient_presentation(z, b, K.rank(i))
         if free or tors:
             data[i] = (free, tors)
@@ -162,7 +198,7 @@ class BocksteinComplex:
 
     f: int
     ambient: ChainComplex
-    lattices: dict[int, tuple[list[list[int]], list[list[int]]]]
+    lattices: dict[int, tuple[Sequence[Sequence[int]], list[list[int]]]]
     beta: dict[int, list[list[int]]]
 
     def homology(self) -> HomologyPresentation:
@@ -193,16 +229,17 @@ class BocksteinComplex:
         return HomologyPresentation(data)
 
 
-def bockstein(K: ChainComplex, f: int) -> BocksteinComplex:
+def bockstein(K: ChainComplex, f: int, table: ContentTable | None = None) -> BocksteinComplex:
     """Mod-f homology with the lift / apply-d / divide-by-f differential.
 
     Restricted to prime-power f so every subquotient stays inside integer
-    normal-form arithmetic.
+    normal-form arithmetic.  The cycle lattices are read from `table` when
+    one is given.
     """
     f = abs(f)
     if prime_base(f) is None:
         raise ValueError("the Bockstein construction needs a prime power")
-    lat = _mod_f_lattices(K, f)
+    lat = _mod_f_lattices(K, f, table)
     beta = {}
     for i in sorted(lat):
         if i + 1 not in lat:
@@ -247,26 +284,29 @@ class LetaInstance:
     the complex `eta(g)` and keyed on the ordered pair (g, f), never on the
     product f g, so composition still compares two different complexes.
     `homology` is the Z-homology of K or of one of those complexes.
+
+    Every divisibility lattice and every Z-homology of the instance is read
+    from its `table`, which lives and dies with the instance: a lattice met
+    again, on the same matrix and f, and a complex met again with the same
+    content are not computed again.  Composition still builds its two
+    complexes by two routes; their homology is shared only when the two are
+    already equal in content.
     """
 
     def __init__(self, K: ChainComplex):
         self.complex = K
+        self.table = ContentTable()
         self._eta = {}
-        self._homology = {}
 
     def eta(self, f: int, after: int | None = None) -> ChainComplex:
         key = (after, f)
         if key not in self._eta:
             inner = self.complex if after is None else self.eta(after)
-            self._eta[key] = eta_subcomplex(inner, f)
+            self._eta[key] = eta_subcomplex(inner, f, table=self.table)
         return self._eta[key]
 
     def homology(self, f: int | None = None, after: int | None = None) -> HomologyPresentation:
-        key = (after, f)
-        if key not in self._homology:
-            C = self.complex if f is None else self.eta(f, after)
-            self._homology[key] = homology_snf(C)
-        return self._homology[key]
+        return self.table.homology(self.complex if f is None else self.eta(f, after))
 
 
 def check_homology_formula(inst: LetaInstance, f: int) -> CheckReport:
@@ -290,9 +330,14 @@ def check_homology_formula(inst: LetaInstance, f: int) -> CheckReport:
 def check_leta_mod_f_is_bockstein(inst: LetaInstance, f: int) -> CheckReport:
     """Homology of eta_f(K)/f against homology of the Bockstein complex.
 
-    The Bockstein side rebuilds the divisibility lattices of K itself."""
-    lhs = mod_f_homology(inst.eta(f), f)
-    rhs = bockstein(inst.complex, f).homology()
+    Both sides read the instance's table, so the Bockstein side takes the
+    divisibility lattices of K at f that eta_f(K) was built from.  No check
+    is lost by it: recomputing them called the same deterministic function
+    on the same matrix and f again.  What is independent is the route, the
+    mod-f homology of eta_f(K) against the Bockstein complex of K, and that
+    route stays."""
+    lhs = mod_f_homology(inst.eta(f), f, inst.table)
+    rhs = bockstein(inst.complex, f, inst.table).homology()
     ok = lhs == rhs
     return CheckReport(
         "leta_mod_f_is_bockstein", ok,

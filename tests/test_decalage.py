@@ -189,15 +189,24 @@ def test_shared_instance_matches_fresh_complexes():
             assert same_complex(inst.eta(f), eta_subcomplex(K, f))
         for f, g in ((2, 2), (2, 3), (3, 4)):
             assert same_complex(inst.eta(f, after=g), eta_subcomplex(eta_subcomplex(K, g), f))
+        # both sides of the Bockstein check, read from the instance's
+        # table, against fresh calls with no table
+        for f in (2, 3, 4):
+            assert mod_f_homology(inst.eta(f), f, inst.table) == mod_f_homology(eta_subcomplex(K, f), f)
+            shared = bockstein(K, f, inst.table)
+            fresh = bockstein(K, f)
+            assert shared.lattices == {i: (tuple(map(tuple, z)), b) for i, (z, b) in fresh.lattices.items()}
+            assert shared.beta == fresh.beta and shared.homology() == fresh.homology()
 
 
 def test_instance_builds_each_eta_once(monkeypatch):
     calls = []
     real = decalage.eta_subcomplex
 
-    def spy(K, f):
+    def spy(K, f, **kwargs):
         calls.append((K, f))
-        return real(K, f)
+        assert kwargs == {"table": inst.table}
+        return real(K, f, **kwargs)
 
     monkeypatch.setattr(decalage, "eta_subcomplex", spy)
     rng = random.Random(25)
@@ -212,25 +221,73 @@ def test_instance_builds_each_eta_once(monkeypatch):
             assert got_K is want_K and got_f == want_f
 
 
-# Hermite forms made by `leta verify --suite s5-leta --instances 100 --seed
-# 0`; the count is deterministic.  Lattices travel in echelon form and
-# homology reads the Smith divisors of each differential, so no query
-# builds a Hermite form of its own (21,039 when each did).
-S5_LETA_HERMITE_FORMS = 14_307
-
-
-def test_s5_leta_hermite_forms_stay_under_their_ceiling(monkeypatch):
+def test_instances_of_one_complex_share_no_lattice(monkeypatch):
+    # the table lives in its instance: a second instance of the same K
+    # computes every lattice again, as many as the first
     calls = []
-    real = intlinalg.column_echelon
+    real = intlinalg.divisibility_lattice
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(intlinalg, "divisibility_lattice", counted)
+    rng = random.Random(29)
+    for _ in range(5):
+        K = random_z_complex(rng)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run_property_set(LetaInstance(K))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+def test_table_tells_complexes_apart_by_lo_and_ranks():
+    # equal differentials, different lowest degree or ranks: H^1 = Z/2
+    # against H^2 = Z/2, and H^0 = Z against Z^2 (no rows in d^0 either way)
+    pairs = [
+        (ChainComplex(Z, 0, [1, 1], [[[2]]]), ChainComplex(Z, 1, [1, 1], [[[2]]])),
+        (ChainComplex(Z, 0, [1, 0], [[]]), ChainComplex(Z, 0, [2, 0], [[]])),
+    ]
+    for pair in pairs:
+        table = decalage.ContentTable()
+        assert [table.homology(C) for C in pair] == [homology_snf(C) for C in pair]
+        assert homology_snf(pair[0]) != homology_snf(pair[1])
+
+
+# Hermite and Smith computations made by `leta verify --suite s5-leta
+# --instances 100 --seed 0`; the counts are deterministic.  Lattices travel
+# in echelon form, homology reads the Smith divisors of each differential,
+# and each instance computes each divisibility lattice and each homology
+# once (21,039 Hermite forms when every query built its own; 14,307
+# Hermite forms and 4,339 Smith computations when every check rebuilt the
+# lattices and homology it shared with another).
+S5_LETA_HERMITE_FORMS = 9_236
+S5_LETA_SMITH_FORMS = 2_837
+
+
+def s5_leta_calls(monkeypatch, name):
+    """Calls of `intlinalg.<name>` made by the s5-leta run above."""
+    calls = []
+    real = getattr(intlinalg, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(intlinalg, "column_echelon", counted)
+    monkeypatch.setattr(intlinalg, name, counted)
     with redirect_stdout(io.StringIO()):
         assert main(["leta", "verify", "--suite", "s5-leta", "--instances", "100", "--seed", "0"]) == 0
-    assert len(calls) <= S5_LETA_HERMITE_FORMS
+    return len(calls)
+
+
+def test_s5_leta_hermite_forms_stay_under_their_ceiling(monkeypatch):
+    assert s5_leta_calls(monkeypatch, "column_echelon") <= S5_LETA_HERMITE_FORMS
+
+
+def test_s5_leta_smith_forms_stay_under_their_ceiling(monkeypatch):
+    assert s5_leta_calls(monkeypatch, "snf_divisors") <= S5_LETA_SMITH_FORMS
 
 
 def two_call_bockstein_homology(B):

@@ -14,13 +14,13 @@ Further rows plant one wrong quotient in the memo of exact divisions that
 the fractional outcomes share (`torus._carrier`), and the oracle that
 compares every outcome with the unmemoized route must name it.
 
-The last rows mutate the lattice routines of `aomega.intlinalg` and
-`homology_snf` in their source text, one replaced expression each, and
-recompile the function in its module's namespace.  In the same way they
-break the rank track of the etale and semicont stages: a sign in the proof
-of the contraction identity, the constant terms the special-fibre rule
-reads, and the elimination that re-checks the rule; each is an internal
-error (exit 3).
+The last rows mutate the lattice routines of `aomega.intlinalg`,
+`homology_snf` and the keys of the table of `decalage.LetaInstance` in
+their source text, one replaced expression each, and recompile the
+function in its module's namespace.  In the same way they break the rank
+track of the etale and semicont stages: a sign in the proof of the
+contraction identity, the constant terms the special-fibre rule reads, and
+the elimination that re-checks the rule; each is an internal error (exit 3).
 """
 
 import dataclasses
@@ -32,6 +32,7 @@ import textwrap
 from contextlib import redirect_stdout
 
 import pytest
+import test_decalage
 import test_intlinalg
 
 from aomega import cli, complexes, decalage, suites, torus
@@ -180,14 +181,16 @@ def test_a_memo_with_one_wrong_division_fails_the_oracle(memo_disagreements, pai
     assert memo_disagreements([(3, 1, 1, 2)])[1] == []
 
 
-def mutant(module, name, *edits):
-    """`module.name` recompiled from its source with, for each (old, new)
-    pair of `edits`, the one occurrence of old replaced by new, its globals a
-    copy of the module's."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def mutant(owner, name, *edits):
+    """`owner.name`, a function of a module or a method of a class,
+    recompiled from its source with, for each (old, new) pair of `edits`,
+    the one occurrence of old replaced by new, its globals a copy of its
+    module's."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     for old, new in edits:
         assert source.count(old) == 1, (name, old)
         source = source.replace(old, new)
+    module = inspect.getmodule(owner)
     namespace = dict(vars(module))
     code = compile("from __future__ import annotations\n" + source, module.__file__, "exec")
     exec(code, namespace)
@@ -225,6 +228,37 @@ def test_torsion_read_from_the_outgoing_differential_fails(monkeypatch):
     assert run_cli(S5_LETA) == (1, ["square-torsion-model"])
     assert run_cli(["suite", "run", "--suite", "s4-torus-decomp"]) == (1, ["diagonal-vs-oracle",
                                                                           "koszul-to-diagonal-vs-oracle"])
+
+
+LATTICE_KEY = "key = (tuple(map(tuple, A)), m, n, f)"
+HOMOLOGY_KEY = "key = (K.lo, tuple(K.ranks), tuple(tuple(map(tuple, d)) for d in K.diffs))"
+
+
+@pytest.mark.parametrize("key", ["key = (tuple(map(tuple, A)), m, n)", "key = (tuple(map(tuple, A)), f)"],
+                         ids=["without-f", "without-shape"])
+def test_a_lattice_key_missing_a_component_is_refused(monkeypatch, capsys, key):
+    # the instance's table hands one lattice out for another: without f,
+    # eta_3(K) is built on the lattices of K at f = 2; without the shape,
+    # the zero-row matrices of two degrees of different rank share one
+    monkeypatch.setattr(decalage.ContentTable, "lattice", mutant(decalage.ContentTable, "lattice", (LATTICE_KEY, key)))
+    with pytest.raises(SystemExit) as exc:
+        main(S5_LETA)
+    assert exc.value.code == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("key", [
+    "key = (tuple(K.ranks), tuple(tuple(map(tuple, d)) for d in K.diffs))",
+    "key = (K.lo, tuple(tuple(map(tuple, d)) for d in K.diffs))",
+], ids=["without-lo", "without-ranks"])
+def test_a_homology_key_missing_a_component_fails_the_table_test(monkeypatch, key):
+    # every complex of one instance has the lowest degree and the ranks of
+    # K, so the s5-leta suite cannot tell these keys from the full one; the
+    # table's own test asks it for complexes that differ only there
+    monkeypatch.setattr(decalage.ContentTable, "homology",
+                        mutant(decalage.ContentTable, "homology", (HOMOLOGY_KEY, key)))
+    with pytest.raises(AssertionError):
+        test_decalage.test_table_tells_complexes_apart_by_lo_and_ranks()
 
 
 def test_unnormalised_transform_signs_fail_the_transform_tests(monkeypatch):

@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -253,6 +255,28 @@ def test_residual_presentation_multiplicities():
     one_dim = ainf_omega_torus(model, GradingBox(1, 1, 1)).cells[(2,)]
     assert one_dim.presentation(ring).torsion(1) == [divisor]
     assert not one_dim.presentation(ring).torsion(2)
+
+
+# sha256 of the sorted-key JSON of the ainf result at (5,2) in dimension 1,
+# bound 2, as recorded when every cell's presentation divided its weight by
+# itself
+AINF_5_2_1_2_DIGEST = "015334b7a66fb83d687399da65a5b4d1058041c4f9c75542da8ea475669f7ccd"
+
+
+def test_residual_presentations_divide_no_divisor_by_itself(monkeypatch):
+    res = ainf_omega_torus(AinfModel(5, 2), GradingBox(1, 2, 2))
+    assert sum(cell.status == "residual" for cell in res.cells.values()) == 92
+    pairs = []
+    real = complexes.laurent_exact_div
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(complexes, "laurent_exact_div", spy)
+    text = json.dumps(res.to_json(), sort_keys=True)
+    assert not any(a == b for a, b in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == AINF_5_2_1_2_DIGEST
 
 
 def test_ainf_unstructured_cell_certificate():
