@@ -35,7 +35,8 @@ from .arith import (
 )
 from .poly import euclid, exact_div, mul, reduce_monic, trim
 
-DEFAULT_MAX_DEPTH = 16
+# the deepest model `phi_inverse` and `deeper` reach
+MAX_DEPTH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,6 @@ class AinfModel:
 
     p: int
     depth: int
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
         if self.depth < 1:
@@ -279,14 +279,14 @@ class AinfModel:
         """
         if x.depth != self.depth:
             raise ValueError("element depth does not match the model")
-        if self.depth + 1 > self.max_depth:
-            raise ValueError(f"depth budget exceeded (max_depth={self.max_depth})")
+        if self.depth + 1 > MAX_DEPTH:
+            raise ValueError(f"depth budget exceeded (max_depth={MAX_DEPTH})")
         return x.with_depth(self.depth + 1)
 
     def deeper(self) -> "AinfModel":
-        if self.depth + 1 > self.max_depth:
-            raise ValueError(f"depth budget exceeded (max_depth={self.max_depth})")
-        return AinfModel(self.p, self.depth + 1, self.max_depth)
+        if self.depth + 1 > MAX_DEPTH:
+            raise ValueError(f"depth budget exceeded (max_depth={MAX_DEPTH})")
+        return AinfModel(self.p, self.depth + 1)
 
     def raise_depth(self, x: LaurentElement, depth: int) -> LaurentElement:
         """Canonical embedding into a deeper model: exponents scale by p^(delta)."""
@@ -421,7 +421,7 @@ def check_notation_identities(model: AinfModel, samples: int = 50, seed: int = 0
     # factor phi^-i(xi) lives at depth n+i; everything embeds into depth 2n
     # where the product can be compared against mu directly.
     top = 2 * n
-    if top <= model.max_depth:
+    if top <= MAX_DEPTH:
         cur = model
         factor = model.xi
         deep_prod = LaurentElement.one(top)

@@ -28,7 +28,7 @@ from .ainf import AinfModel, check_notation_identities
 from .complexes import ChainComplex, homology_snf, matrices_to_json
 from .decalage import eta_subcomplex
 from .qderham import compare_with_torus_pipeline, q_de_rham_complex, q_to_one
-from .suites import SUITE_ALIASES, SUITES, SessionConfig, _jsonable, run_suite
+from .suites import LIMITS, SUITE_ALIASES, SUITES, SessionConfig, _jsonable, run_suite
 from .torus import (
     GradingBox,
     ainf_omega_torus,
@@ -46,6 +46,9 @@ EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 # the suites `leta verify` runs: those whose size --instances sets, and their aliases
 LETA_SUITES = ["s5-leta", "s8-semicontinuity", "s5", "s8"]
+# the help text of each `SessionConfig` field's flag
+CONFIG_FLAGS = {"p": "prime", "depth": "model depth n", "dim": "torus dimension d", "bound": "grading box bound B",
+                "precision": "Witt length m", "seed": "seed echoed in the report"}
 
 
 def _out_path(out: str | None) -> str | None:
@@ -112,33 +115,23 @@ def _check_witt_json(obj) -> None:
 
 
 def _config_from_args(args) -> SessionConfig:
-    return SessionConfig(
-        p=args.p,
-        depth=args.depth,
-        dim=getattr(args, "dim", 1),
-        bound=getattr(args, "bound", 2),
-        precision=getattr(args, "precision", 2),
-        seed=getattr(args, "seed", 0),
-    )
+    """The config of the flags given; an omitted flag keeps `SessionConfig`'s default."""
+    return SessionConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS if hasattr(args, name)})
 
 
-def _add_common(parser, dim=True, bound=True, precision=False):
-    parser.add_argument("--p", type=int, default=3, help="prime (<= 13)")
-    parser.add_argument("--depth", type=int, default=1, help="model depth n (<= 3)")
-    if dim:
-        parser.add_argument("--dim", type=int, default=1, help="torus dimension d (<= 4)")
-    if bound:
-        parser.add_argument("--bound", type=int, default=2, help="grading box bound B (<= 8)")
-    if precision:
-        parser.add_argument("--precision", type=int, default=2, help="Witt length m (<= 4)")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed in the report")
+def _add_common(parser, flags=("dim", "bound")):
+    """--p, --depth, the other config flags named in `flags`, --seed and --out."""
+    for name in ("p", "depth", *flags):
+        parser.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS,
+                            help=f"{CONFIG_FLAGS[name]} (<= {LIMITS[name]})")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=CONFIG_FLAGS["seed"])
     parser.add_argument("--out", default=None, help="output path (default stdout; relative paths join $AOMEGA_OUT)")
 
 
 def cmd_ainf_verify(args) -> int:
     config = _config_from_args(args)
     model = AinfModel(config.p, config.depth)
-    results = check_notation_identities(model, samples=50, seed=config.seed)
+    results = check_notation_identities(model, seed=config.seed)
     payload = {
         "command": "ainf verify",
         "p": config.p,
@@ -217,11 +210,9 @@ def cmd_torus_run(args) -> int:
         passed = payload["passed"]
     elif stage == "etale":
         payload = _jsonable(etale_rank_torus(ainf_omega_torus(model, box)))
-    elif stage == "semicont":
+    else:  # semicont; argparse refuses any other stage
         payload = _jsonable(torus_semicontinuity(ainf_omega_torus(model, box)))
         passed = payload["inequality_holds"]
-    else:
-        raise SystemExit(f"unknown stage {stage!r}")
     _emit(payload, args.out)
     return 0 if passed else 1
 
@@ -289,7 +280,7 @@ def cmd_suite_run(args) -> int:
 
 
 def _args_witt_digits(p):
-    _add_common(p, dim=False, bound=False, precision=True)
+    _add_common(p, ("precision",))
     p.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
 
 
@@ -302,7 +293,7 @@ def _args_leta_apply(p):
 def _args_leta_verify(p):
     p.add_argument("--suite", default="s5-leta", choices=LETA_SUITES)
     p.add_argument("--instances", type=int, default=200)
-    _add_common(p, dim=False, bound=False)
+    _add_common(p, ())
 
 
 def _args_torus_run(p):
@@ -312,13 +303,13 @@ def _args_torus_run(p):
 
 def _args_suite_run(p):
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + sorted(SUITE_ALIASES))
-    _add_common(p, precision=True)
+    _add_common(p, ("dim", "bound", "precision"))
 
 
 # command -> (help, {subcommand: (help, adds its arguments, runs it)})
 COMMANDS = {
     "ainf": ("cyclotomic model checks", {
-        "verify": ("verify the distinguished-element identities", lambda p: _add_common(p, dim=False, bound=False),
+        "verify": ("verify the distinguished-element identities", lambda p: _add_common(p, ()),
                    cmd_ainf_verify),
     }),
     "witt": ("truncated Witt vectors", {

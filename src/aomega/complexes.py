@@ -7,8 +7,8 @@ u = 0 of the semicontinuity family), `LaurentRing` (the cyclotomic carrier
 of the torus pipeline and the q-de Rham blocks), `OCRing` (the residue ring
 Z[zeta_{p^n}]; no command builds a complex over it, the d o d tests do) and
 `FpPolyRing` (the semicontinuity family).  `dot_is_zero(pairs)` is the sum
-of products the d o d check asks for, once per entry: Laurent and F_p[u] sum
-into one accumulator, Z in plain ints, the other rings fold `mul` and `add`.
+of products the d o d check asks for, once per entry: every ring folds `mul`
+and `add`, except the Laurent carrier, which sums into one accumulator.
 Over the non-principal rings, homology is only offered for
 divisibility-structured complexes through the diagonal decomposition; that
 is all the graded pipelines need.
@@ -121,9 +121,6 @@ class ZRing(Ring):
     def is_unit(self, x):
         return x in (1, -1)
 
-    def dot_is_zero(self, pairs):
-        return sum(a * b for a, b in pairs) == 0
-
     def normalize_quotient(self, g):
         return abs(g)
 
@@ -187,7 +184,10 @@ class LaurentRing(Ring):
         return laurent_exact_div(a, b)
 
     def dot_is_zero(self, pairs):
-        """The products summed into one exponent dict; mixed depths raise ValueError."""
+        """The products summed into one exponent dict; mixed depths raise
+        ValueError.  `qderham table --p 3 --depth 1 --dim 4 --bound 3` checks
+        2,401 Laurent complexes, and the protocol's fold of `mul` and `add`
+        took about 10% more CPU there."""
         acc = {}
         for a, b in pairs:
             if not a.depth == b.depth == pairs[0][0].depth:
@@ -255,17 +255,6 @@ class FpPolyRing(Ring):
         quo = poly.exact_div(self.reduce(a), self.reduce(b), self.p)
         return None if quo is None else tuple(quo)
 
-    def dot_is_zero(self, pairs):
-        """The products summed over Z into one list, nonzero terms only, read mod p."""
-        acc = [0] * max((len(a) + len(b) for a, b in pairs), default=0)
-        for a, b in pairs:
-            terms = [(j, y) for j, y in enumerate(b) if y]
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in terms:
-                        acc[i + j] += x * y
-        return not any(c % self.p for c in acc)
-
     def evaluate(self, f, x: int) -> int:
         acc = 0
         for c in reversed(self.reduce(f)):
@@ -299,18 +288,16 @@ class ChainComplex:
 
     def _check_dd(self):
         """d_(k+1) d_k = 0 in every degree, one `dot_is_zero` per entry over
-        its nonzero terms only: a term with a zero factor is zero in any ring."""
+        the pairs with two nonzero factors: a term with a zero factor is zero
+        in any ring."""
         R = self.ring
         for k in range(len(self.diffs) - 1):
-            A, B = self.diffs[k + 1], self.diffs[k]
-            cols = [
-                {t: row[j] for t, row in enumerate(B) if not R.is_zero(row[j])}
-                for j in range(self.ranks[k])
-            ]
-            for row in A:
-                terms = [(t, a) for t, a in enumerate(row) if not R.is_zero(a)]
-                for col in cols:
-                    if not R.dot_is_zero([(a, col[t]) for t, a in terms if t in col]):
+            B = self.diffs[k]
+            for row in self.diffs[k + 1]:
+                # each nonzero entry a = row[t], with row t of d_k
+                terms = [(a, B[t]) for t, a in enumerate(row) if not R.is_zero(a)]
+                for j in range(self.ranks[k]):
+                    if not R.dot_is_zero([(a, b[j]) for a, b in terms if not R.is_zero(b[j])]):
                         raise AssertionError(f"d o d != 0 at degree {self.lo + k}")
 
     @property

@@ -41,6 +41,7 @@ from .decalage import (
 from .qderham import QLaurentFunction, compare_with_torus_pipeline, nabla_q, q_de_rham_complex, q_to_one
 from .torus import (
     GradingBox,
+    _mix_basis,
     ainf_omega_torus,
     random_fp_complex,
     semicontinuity_demo,
@@ -176,20 +177,8 @@ def random_z_complex(rng: random.Random, max_deg: int = 4, max_rank: int = 4, bo
                 diffs[s][pos[s + 1]][pos[s]] = c
                 pos[s] += 1
                 pos[s + 1] += 1
-        # unimodular mixing: new e_(r2) = e_(r2) + c e_(r1) at a random degree
         for _ in range(rng.randint(0, 4)):
-            d = rng.randrange(degs)
-            n = ranks[d]
-            if n < 2:
-                continue
-            r1, r2 = rng.sample(range(n), 2)
-            c = rng.choice((-1, 1))
-            if d < degs - 1:
-                for row in range(ranks[d + 1]):
-                    diffs[d][row][r2] += c * diffs[d][row][r1]
-            if d > 0:
-                for col in range(ranks[d - 1]):
-                    diffs[d - 1][r1][col] -= c * diffs[d - 1][r2][col]
+            _mix_basis(_Z, ranks, diffs, rng, lambda: rng.choice((-1, 1)))
         if any(abs(x) > bound for mat in diffs for row in mat for x in row):
             continue
         return ChainComplex(_Z, 0, ranks, diffs)
@@ -199,13 +188,13 @@ def random_z_complex(rng: random.Random, max_deg: int = 4, max_rank: int = 4, bo
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_notation(config: SessionConfig, samples: int = 50) -> VerificationReport:
+def suite_notation(config: SessionConfig) -> VerificationReport:
     """Distinguished-element identities for every (p, depth) up to the limits."""
     report = VerificationReport("s2-notation", config)
     for p in SMALL_PRIMES:
         for depth in (1, 2, 3):
             model = AinfModel(p, depth)
-            for item in check_notation_identities(model, samples=samples, seed=config.seed):
+            for item in check_notation_identities(model, seed=config.seed):
                 report.add(f"p={p},n={depth}:{item.name}", item.passed, item.detail if not item.passed else {})
                 report.instances += 1
     return report

@@ -865,24 +865,25 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
     }
 
 
-def random_fp_complex(rng: random.Random, p: int, max_deg: int = 3, max_rank: int = 4) -> ChainComplex:
-    """Seeded random bounded free complex over F_p[u], built from elementary
-    blocks and mixed by unimodular row/column operations."""
+def random_fp_complex(rng: random.Random, p: int) -> ChainComplex:
+    """Seeded random bounded free complex over F_p[u] in 2 to 4 degrees of
+    rank at most 4, built from elementary blocks and mixed by unimodular
+    row/column operations."""
     ring = FpPolyRing(p)
-    degs = rng.randint(2, max_deg + 1)
+    degs = rng.randint(2, 4)
     ranks = [0] * degs
     blocks = []
     for _ in range(rng.randint(1, 2 * degs)):
         if rng.random() < 0.7 and degs >= 2:
             s = rng.randint(0, degs - 2)
-            if ranks[s] < max_rank and ranks[s + 1] < max_rank:
+            if ranks[s] < 4 and ranks[s + 1] < 4:
                 poly = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3)))
                 blocks.append((s, poly))
                 ranks[s] += 1
                 ranks[s + 1] += 1
         else:
             s = rng.randint(0, degs - 1)
-            if ranks[s] < max_rank:
+            if ranks[s] < 4:
                 blocks.append((s, None))
                 ranks[s] += 1
     if sum(ranks) == 0:
@@ -898,28 +899,24 @@ def random_fp_complex(rng: random.Random, p: int, max_deg: int = 3, max_rank: in
             diffs[s][j][i] = ring.reduce(poly)
             pos[s] += 1
             pos[s + 1] += 1
-    K = ChainComplex(ring, 0, ranks, diffs)
     for _ in range(rng.randint(0, 3)):
-        K = _mix_basis(K, rng)
-    return K
+        _mix_basis(ring, ranks, diffs, rng, lambda: (rng.randrange(1, p),))
+    return ChainComplex(ring, 0, ranks, diffs)
 
 
-def _mix_basis(K: ChainComplex, rng: random.Random) -> ChainComplex:
-    """One random elementary change of basis at a random degree."""
-    ring = K.ring
-    d = rng.randrange(len(K.ranks))
-    n = K.ranks[d]
-    if n < 2:
-        return K
-    r1, r2 = rng.sample(range(n), 2)
-    c = (rng.randrange(1, ring.p),) if isinstance(ring, FpPolyRing) else 1
-    diffs = [[[x for x in row] for row in mat] for mat in K.diffs]
-    # new e_(r2) = e_(r2) + c e_(r1): columns of the outgoing map add,
-    # rows of the incoming map subtract
-    if d < len(K.ranks) - 1:
-        for row in range(K.ranks[d + 1]):
-            diffs[d][row][r2] = ring.add(diffs[d][row][r2], ring.mul(c, diffs[d][row][r1]))
+def _mix_basis(ring, ranks: list, diffs: list, rng: random.Random, draw) -> None:
+    """One random elementary change of basis at a random degree, in place on
+    the differentials: new e_(r2) = e_(r2) + c e_(r1), c = draw().  Columns of
+    the outgoing map add, rows of the incoming map subtract."""
+    d = rng.randrange(len(ranks))
+    if ranks[d] < 2:
+        return
+    r1, r2 = rng.sample(range(ranks[d]), 2)
+    c = draw()
+    if d < len(ranks) - 1:
+        for row in diffs[d]:
+            row[r2] = ring.add(row[r2], ring.mul(c, row[r1]))
     if d > 0:
-        for col in range(K.ranks[d - 1]):
-            diffs[d - 1][r1][col] = ring.add(diffs[d - 1][r1][col], ring.neg(ring.mul(c, diffs[d - 1][r2][col])))
-    return ChainComplex(ring, K.lo, K.ranks, diffs)
+        src, dst = diffs[d - 1][r2], diffs[d - 1][r1]
+        for col in range(ranks[d - 1]):
+            dst[col] = ring.add(dst[col], ring.neg(ring.mul(c, src[col])))

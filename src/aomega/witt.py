@@ -221,11 +221,11 @@ class GF:
     `mul` and `exact_div` are the ring protocol `intlinalg.rank` needs.
     """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
         self.q = p**m
-        self.modulus = modulus if modulus is not None else self._find_irreducible(p, m)
+        self.modulus = self._find_irreducible(p, m)
 
     @staticmethod
     def _find_irreducible(p: int, m: int) -> tuple[int, ...]:

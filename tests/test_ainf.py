@@ -47,11 +47,14 @@ def test_phi_inverse_round_trip():
     assert model.phi_inverse(LaurentElement.one(1)) == LaurentElement.one(2)
 
 
-def test_phi_inverse_depth_budget():
-    model = AinfModel(2, 1, max_depth=2)
+def test_phi_inverse_depth_budget(monkeypatch):
+    monkeypatch.setattr(ainf, "MAX_DEPTH", 2)
+    model = AinfModel(2, 1)
     once = model.phi_inverse(model.mu)
     with pytest.raises(ValueError):
-        AinfModel(2, 2, max_depth=2).phi_inverse(once)
+        model.deeper().phi_inverse(once)
+    with pytest.raises(ValueError):
+        model.deeper().deeper()
 
 
 def test_inverse_frobenius_product_formula_depth2():

@@ -251,6 +251,20 @@ def test_main_entry_point_directly():
     assert main(["ainf", "verify", "--p", "2", "--depth", "1", "--out", "-"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["ainf", "verify"], ["torus", "all"], ["qderham", "table"], ["qderham", "compare"],
+    ["leta", "verify", "--instances", "0"], ["suite", "run", "--suite", "s8"],
+], ids=" ".join)
+def test_omitted_flags_echo_the_default_config(argv, capsys):
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    default = SessionConfig().to_json()
+    if argv[0] == "ainf":  # it echoes p, depth and seed only
+        default = {k: default[k] for k in ("p", "depth", "seed")}
+        payload["config"] = {k: payload[k] for k in default}
+    assert payload["config"] == default
+
+
 def test_session_config_limits():
     with pytest.raises(ValueError):
         SessionConfig(p=15)

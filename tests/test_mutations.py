@@ -14,6 +14,10 @@ Further rows plant one wrong quotient in the memo of exact divisions that
 the fractional outcomes share (`torus._carrier`), and the oracle that
 compares every outcome with the unmemoized route must name it.
 
+Two rows make the d o d check of `ChainComplex` skip entries: the
+dense-oracle test of `test_complexes` must see it, and `leta apply` must
+stop refusing a non-complex whose one nonzero entry of d o d was skipped.
+
 The last rows mutate the lattice routines of `aomega.intlinalg`,
 `homology_snf` and the keys of the table of `decalage.LetaInstance` in
 their source text, one replaced expression each, and recompile the
@@ -32,6 +36,7 @@ import textwrap
 from contextlib import redirect_stdout
 
 import pytest
+import test_complexes
 import test_decalage
 import test_intlinalg
 
@@ -338,3 +343,30 @@ def test_a_strict_order_comparison_fails_ht_and_dr(monkeypatch, cold_fractional_
     monkeypatch.setattr(torus, "_root_power_divides", mutant(
         torus, "_root_power_divides", ("order_div >= order_num", "order_div > order_num")))
     assert fails_ht_and_dr((13, 2, 1, 1))
+
+
+# d_1 d_0 of this input is nonzero at row 1, column 1 only: past column 0,
+# in the last row
+OFF_CORNER = {"ring": "Z", "lo": 0, "ranks": [2, 1, 2], "diffs": [["0", "1"], ["0", "1"]]}
+
+
+def leta_apply_exit(tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(OFF_CORNER))
+    try:
+        return main(["leta", "apply", "--f", "2", "--in", str(path), "--out", os.devnull])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("edit", [
+    ("for j in range(self.ranks[k]):", "for j in range(min(1, self.ranks[k])):"),
+    ("for row in self.diffs[k + 1]:", "for row in self.diffs[k + 1][:-1]:"),
+], ids=["column-0-only", "last-row-skipped"])
+def test_a_dd_check_that_skips_entries_fails_the_dense_oracle(monkeypatch, capsys, tmp_path, edit):
+    assert leta_apply_exit(tmp_path) == 2 and "d o d != 0" in capsys.readouterr().err
+    monkeypatch.setattr(complexes.ChainComplex, "_check_dd", mutant(complexes.ChainComplex, "_check_dd", edit))
+    with pytest.raises(AssertionError):
+        test_complexes.test_dd_check_matches_dense_oracle_on_random_complexes()
+    # the non-complex is let in, and decalage breaks on it further on
+    assert leta_apply_exit(tmp_path) == EXIT_INTERNAL
