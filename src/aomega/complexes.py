@@ -594,14 +594,15 @@ def homology_snf(K: ChainComplex) -> HomologyPresentation:
     """
     if not isinstance(K.ring, ZRing):
         raise ValueError("the normal-form oracle works over Z")
-    divisors = {i: la.snf_divisors(K.diff(i), K.rank(i + 1), K.rank(i)) for i in K.degrees()}
+    # d is zero past the top degree; that empty entry also serves, as
+    # divisors[-1], for the map into the lowest degree
+    divisors = [la.snf_divisors(d, K.ranks[k + 1], K.ranks[k]) for k, d in enumerate(K.diffs)] + [[]]
     data = {}
-    for i in K.degrees():
-        n = K.rank(i)
+    for k, n in enumerate(K.ranks):
         if n == 0:
             continue
-        incoming = divisors.get(i - 1, [])
-        data[i] = (n - len(divisors[i]) - len(incoming), [d for d in incoming if d > 1])
+        incoming = divisors[k - 1]
+        data[K.lo + k] = (n - len(divisors[k]) - len(incoming), [d for d in incoming if d > 1])
     return HomologyPresentation(data)
 
 

@@ -78,8 +78,9 @@ class ContentTable:
 def _divisibility_lattice(K: ChainComplex, f: int, k: int, table: ContentTable | None):
     """Rows spanning {x in K^(lo+k) : d x in f K^(lo+k+1)}, read from
     `table` when one is given."""
-    i = K.lo + k
-    args = (K.diff(i), K.rank(i + 1), K.rank(i), f)
+    # past the top degree d maps to the zero module
+    A, m = (K.diffs[k], K.ranks[k + 1]) if k < len(K.diffs) else ([], 0)
+    args = (A, m, K.ranks[k], f)
     return la.divisibility_lattice(*args) if table is None else table.lattice(*args)
 
 
@@ -158,18 +159,12 @@ def _mod_f_lattices(K: ChainComplex, f: int, table: ContentTable | None):
     Z_i = {x : d x in f K^(i+1)}, read from `table` when one is given, and
     B_i = im d^(i-1) + f K^i."""
     out = {}
-    for i in K.degrees():
-        n = K.rank(i)
+    for k, n in enumerate(K.ranks):
         if n == 0:
             continue
-        z_rows = _divisibility_lattice(K, f, i - K.lo, table)
-        gens = []
-        d_in = K.diff(i - 1)
-        for c in range(K.rank(i - 1)):
-            gens.append([d_in[r][c] for r in range(n)])
-        for j in range(n):
-            gens.append([f if r == j else 0 for r in range(n)])
-        out[i] = (z_rows, la.lattice_basis(gens, n))
+        gens = la.transpose(K.diffs[k - 1], n, K.ranks[k - 1]) if k else []
+        gens += la.scale(la.identity(n), f)
+        out[K.lo + k] = (_divisibility_lattice(K, f, k, table), la.lattice_basis(gens, n))
     return out
 
 
@@ -246,8 +241,9 @@ def bockstein(K: ChainComplex, f: int, table: ContentTable | None = None) -> Boc
             continue
         z_rows, _ = lat[i]
         z1_rows, _ = lat[i + 1]
-        n, n1 = K.rank(i), K.rank(i + 1)
-        images = [la.mat_vec(K.diff(i), v, n1, n) for v in z_rows]
+        k = i - K.lo
+        n, n1 = K.ranks[k], K.ranks[k + 1]
+        images = [la.mat_vec(K.diffs[k], v, n1, n) for v in z_rows]
         if any(x % f for dv in images for x in dv):
             raise AssertionError("cycle image not divisible by f")
         cols = la.in_lattice(z1_rows, [[x // f for x in dv] for dv in images], n1)

@@ -7,7 +7,12 @@ A lattice travels as the echelon basis its Hermite form gives
 (`lattice_basis`): `in_lattice` solves against such a basis by
 back-substitution, with no further Hermite form, and the one Hermite
 routine, `column_echelon`, works on a list of generator columns and builds
-its unimodular transform only when asked for it.  `rank` works over any
+its unimodular transform only when asked for it.  Two invariants keep it
+short: at row r every column from the current pivot column on is zero
+above r, so a column operation changes rows r and below only; and a column
+operation treats every coordinate of the transform alike, so a caller that
+reads the first k coordinates of its columns (`preimage_lattice`) gets them
+from a transform carried on those k alone.  `rank` works over any
 integral domain given as a ring of the `aomega.complexes` protocol,
 entries being that ring's elements.  The complexes met by this package
 have ranks in the tens, so everything here favours clarity over
@@ -28,7 +33,7 @@ def mat_vec(A, v, m: int, n: int) -> list[int]:
 
 
 def transpose(A, m: int, n: int) -> list[list[int]]:
-    return [[A[i][j] for i in range(m)] for j in range(n)]
+    return [list(c) for c in zip(*A)] if m else [[] for _ in range(n)]
 
 
 def scale(A, c: int) -> list[list[int]]:
@@ -48,7 +53,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def column_echelon(cols, m: int, n: int, transform: bool = False):
+def column_echelon(cols, m: int, n: int, transform: bool = False, width: int | None = None):
     """Hermite form of the lattice spanned by n column vectors in Z^m.
 
     Returns (H, U, rank), H and U lists of columns.  H comes from the
@@ -56,45 +61,51 @@ def column_echelon(cols, m: int, n: int, transform: bool = False):
     pivot columns 0..rank-1, pivot rows strictly increasing, each pivot
     entry positive and zero above it; columns rank..n-1 are zero.  U, the
     transform with H[j] = sum_i U[j][i] cols[i], is built only when asked
-    for, and is None otherwise.
+    for, and is None otherwise; given `width`, each column of U keeps only
+    its first `width` coordinates.
     """
-    H = [c[:] for c in cols]
-    U = identity(n) if transform else None
+    H = [list(c) for c in cols]
+    U = [[int(i == j) for i in range(n if width is None else width)] for j in range(n)] if transform else None
     col = 0
     for row in range(m):
-        piv = next((j for j in range(col, n) if H[j][row]), None)
-        if piv is None:
+        for piv in range(col, n):
+            if H[piv][row]:
+                break
+        else:
             continue
         if piv != col:
             H[col], H[piv] = H[piv], H[col]
             if transform:
                 U[col], U[piv] = U[piv], U[col]
+        hc = H[col]
         for j in range(col + 1, n):
-            b = H[j][row]
+            hj = H[j]
+            b = hj[row]
             if not b:
                 continue
             # one extended-gcd step clears the entry: -(b/g) a + (a/g) b = 0
-            a = H[col][row]
+            a = hc[row]
             g, x, y = _xgcd(a, b)
             aa, bb = a // g, b // g
-            for M in (H, U) if transform else (H,):
-                mc, mj = M[col], M[j]
-                M[col] = [x * s + y * t for s, t in zip(mc, mj)]
-                M[j] = [aa * t - bb * s for s, t in zip(mc, mj)]
-        if H[col][row] < 0:
-            H[col] = [-x for x in H[col]]
+            # columns col.. are zero above row: only rows row.. change
+            for i in range(row, m):
+                s, t = hc[i], hj[i]
+                hc[i] = x * s + y * t
+                hj[i] = aa * t - bb * s
+            if transform:
+                uc, uj = U[col], U[j]
+                for i in range(len(uc)):
+                    s, t = uc[i], uj[i]
+                    uc[i] = x * s + y * t
+                    uj[i] = aa * t - bb * s
+        if hc[row] < 0:
+            hc[row:] = [-x for x in hc[row:]]
             if transform:
                 U[col] = [-x for x in U[col]]
         col += 1
         if col == n:
             break
     return H, U, col
-
-
-def kernel_basis(A, m: int, n: int) -> list[list[int]]:
-    """Basis of the saturated integer kernel {v : A v = 0}."""
-    _, U, rank = column_echelon(transpose(A, m, n), m, n, transform=True)
-    return U[rank:]
 
 
 def solve_int(A, b, m: int, n: int) -> list[int] | None:
@@ -124,12 +135,13 @@ def in_lattice(basis: list[list[int]], vectors: list[list[int]], n: int) -> list
     division at each pivot, then a zero residual.  A basis that is not
     echelon, or has a zero row, raises AssertionError.
     """
-    pivots = [next((i for i, x in enumerate(v) if x), n) for v in basis]
-    if n in pivots or any(p >= q for p, q in zip(pivots, pivots[1:])):
+    # the first nonzero entry of a row sits at its first occurrence
+    pivots = [v.index(x) if (x := next(filter(None, v), 0)) else n for v in basis]
+    if n in pivots or pivots != sorted(set(pivots)):
         raise AssertionError("lattice basis is not in echelon form")
     out = []
     for v in vectors:
-        res = v[:]
+        res = list(v)
         coords = []
         for w, p in zip(basis, pivots):
             q, r = divmod(res[p], w[p])
@@ -137,7 +149,9 @@ def in_lattice(basis: list[list[int]], vectors: list[list[int]], n: int) -> list
                 return None
             coords.append(q)
             if q:
-                res = [s - q * t for s, t in zip(res, w)]
+                # w is zero before its pivot
+                for i in range(p, n):
+                    res[i] -= q * w[i]
         if any(res):
             return None
         out.append(coords)
@@ -147,15 +161,14 @@ def in_lattice(basis: list[list[int]], vectors: list[list[int]], n: int) -> list
 def preimage_lattice(A, m: int, n: int, target_basis: list[list[int]]) -> list[list[int]]:
     """Basis of {x in Z^n : A x lies in the lattice spanned by target_basis}.
 
-    The target basis lives in Z^m.  Result is full rank whenever the
-    target lattice has finite index in the saturation of the image.
+    The target basis lives in Z^m, and the lattice is the first n
+    coordinates of the kernel of [A | -T], T with the target basis as
+    columns.  Result is full rank whenever the target lattice has finite
+    index in the saturation of the image.
     """
-    t = len(target_basis)
-    B = [[A[i][j] for j in range(n)] + [-target_basis[s][i] for s in range(t)]
-         for i in range(m)]
-    ker = kernel_basis(B, m, n + t)
-    gens = [v[:n] for v in ker]
-    return lattice_basis(gens, n)
+    cols = transpose(A, m, n) + [[-x for x in w] for w in target_basis]
+    _, U, rank = column_echelon(cols, m, len(cols), transform=True, width=n)
+    return lattice_basis(U[rank:], n)
 
 
 def divisibility_lattice(A, m: int, n: int, f: int) -> list[list[int]]:
@@ -187,7 +200,11 @@ def snf_divisors(A, m: int, n: int) -> list[int]:
     round either splits a pivot off, shrinking the rank left, or (by the
     gcd step) makes the leading pivot a proper divisor of the failed one,
     so the loop ends.  The pivots split off are then put in chain order.
+    One row or one column has one divisor, the gcd of its entries.
     """
+    if m == 1 or n == 1:
+        g = gcd(*A[0]) if m == 1 else gcd(*(row[0] for row in A))
+        return [g] if g else []
     split = []
     # the rows of A span the columns of its transpose, which has the same
     # divisors
@@ -196,7 +213,7 @@ def snf_divisors(A, m: int, n: int) -> list[int]:
         H, _, r = column_echelon(cols, m, n)
         for j in range(r):
             col = H[j]
-            top = next(i for i, x in enumerate(col) if x)
+            top = col.index(next(filter(None, col)))
             if any(x % col[top] for x in col[top + 1:]):
                 break
             split.append(col[top])
@@ -262,12 +279,10 @@ def quotient_presentation(z_basis: list[list[int]], b_gens: list[list[int]], n: 
     caller (AssertionError).
     """
     k = len(z_basis)
-    if k == 0:
-        return 0, []
     coords = in_lattice(z_basis, b_gens, n)
     if coords is None:
         raise AssertionError("generator not contained in the ambient lattice")
-    if not coords:
+    if k == 0 or not coords:
         return k, []
     divisors = snf_divisors(coords, len(coords), k)
     torsion = [d for d in divisors if d > 1]

@@ -118,7 +118,7 @@ def quotient_route_homology(K):
         n = K.rank(i)
         if n == 0:
             continue
-        cycles = la.lattice_basis(la.kernel_basis(K.diff(i), K.rank(i + 1), n), n)
+        cycles = la.preimage_lattice(K.diff(i), K.rank(i + 1), n, [])
         boundaries = la.transpose(K.diff(i - 1), n, K.rank(i - 1))
         data[i] = la.quotient_presentation(cycles, boundaries, n)
     return HomologyPresentation(data)

@@ -1,8 +1,11 @@
 """Exact linear algebra against symbolic normal forms, sympy ranks and exhaustive search."""
 
+import copy
 import functools
+import io
 import itertools
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from aomega import intlinalg as la
+from aomega.cli import main
 from aomega.complexes import ZModRing, ZRing
 from aomega.witt import GF
 
@@ -45,12 +49,13 @@ def test_column_echelon_transform_is_unimodular():
         assert la.column_echelon(cols, m, n) == (H, None, rank)
 
 
-def test_kernel_basis_spans_and_saturates():
+def test_kernel_spans_and_saturates():
     rng = random.Random(51)
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         A = random_matrix(rng, m, n)
-        kernel = la.kernel_basis(A, m, n)
+        # the kernel is the preimage of the zero lattice
+        kernel = la.preimage_lattice(A, m, n, [])
         for v in kernel:
             assert all(sum(A[i][j] * v[j] for j in range(n)) == 0 for i in range(m))
         assert len(kernel) == n - sympy.Matrix(A).rank()
@@ -76,10 +81,11 @@ def test_solve_int_round_trip_and_unsolvable():
     assert la.solve_int([[2]], [1], 1, 1) is None
 
 
-def oracle_solve_int(A, b, m, n):
-    """A fresh Hermite form of A, with its transform, for every call, then
-    back-substitution against its pivot columns."""
-    H, U, rank = la.column_echelon(la.transpose(A, m, n), m, n, transform=True)
+def oracle_solve_int(A, b, m, n, echelon=None):
+    """A fresh Hermite form of A (by `echelon`, `intlinalg.column_echelon`
+    by default), with its transform, for every call, then back-substitution
+    against its pivot columns."""
+    H, U, rank = (echelon or la.column_echelon)(la.transpose(A, m, n), m, n, transform=True)
     res = list(b)
     y = [0] * rank
     for j in range(rank):
@@ -95,9 +101,9 @@ def oracle_solve_int(A, b, m, n):
     return [sum(y[j] * U[j][i] for j in range(rank)) for i in range(n)]
 
 
-def oracle_in_lattice(basis, vectors, n):
+def oracle_in_lattice(basis, vectors, n, echelon=None):
     """`in_lattice` one vector at a time through `oracle_solve_int`."""
-    one_by_one = [oracle_solve_int(la.transpose(basis, len(basis), n), v, n, len(basis))
+    one_by_one = [oracle_solve_int(la.transpose(basis, len(basis), n), v, n, len(basis), echelon)
                   if basis else ([] if not any(v) else None) for v in vectors]
     return None if None in one_by_one else one_by_one
 
@@ -322,8 +328,8 @@ def test_snf_divisors_against_elimination_oracle():
 
 def test_zero_size_maps_need_no_special_case():
     # a map into the zero module: everything is a cycle
-    assert la.kernel_basis([], 0, 3) == la.identity(3)
-    assert la.kernel_basis([[], []], 2, 0) == []
+    assert la.preimage_lattice([], 0, 3, []) == la.identity(3)
+    assert la.preimage_lattice([[], []], 2, 0, []) == []
     # the columns of an n x 0 map: no boundary generators
     assert la.transpose([[], [], []], 3, 0) == []
     assert la.rank([], ZRing()) == 0
@@ -362,6 +368,13 @@ def test_quotient_presentation_examples():
     # full lattice: trivial quotient
     free, tors = la.quotient_presentation(la.identity(2), [[1, 0], [0, 1]], 2)
     assert free == 0 and tors == []
+
+
+def test_quotient_presentation_checks_containment_also_in_the_zero_lattice():
+    assert la.quotient_presentation([], [[0, 0]], 2) == (0, [])
+    for basis in ([], [[2, 0]]):
+        with pytest.raises(AssertionError, match="not contained"):
+            la.quotient_presentation(basis, [[1, 0]], 2)
 
 
 def test_lattice_membership_and_sum():
@@ -423,3 +436,129 @@ def test_rank_over_gf4_and_gf9_against_exhaustive_search():
                 mat[2] = [F.add(times[s, x], times[t, y]) for x, y in zip(mat[0], mat[1])]
             kernel = sum(all(kills(row, v) for row in mat) for v in vectors)
             assert F.q ** (3 - la.rank(mat, F)) == kernel, (F.q, mat)
+
+
+# The Hermite form and the lattice preimage as they were before the Hermite
+# steps skipped the rows above the pivot and the preimage carried its
+# transform on the n coordinates it reads, kept word for word (the
+# transpose and the kernel inlined) as references for list-for-list
+# equality: `leta apply` prints the induced differentials in the bases
+# these return, which are not canonical.
+def reference_column_echelon(cols, m: int, n: int, transform: bool = False):
+    H = [c[:] for c in cols]
+    U = la.identity(n) if transform else None
+    col = 0
+    for row in range(m):
+        piv = next((j for j in range(col, n) if H[j][row]), None)
+        if piv is None:
+            continue
+        if piv != col:
+            H[col], H[piv] = H[piv], H[col]
+            if transform:
+                U[col], U[piv] = U[piv], U[col]
+        for j in range(col + 1, n):
+            b = H[j][row]
+            if not b:
+                continue
+            # one extended-gcd step clears the entry: -(b/g) a + (a/g) b = 0
+            a = H[col][row]
+            g, x, y = la._xgcd(a, b)
+            aa, bb = a // g, b // g
+            for M in (H, U) if transform else (H,):
+                mc, mj = M[col], M[j]
+                M[col] = [x * s + y * t for s, t in zip(mc, mj)]
+                M[j] = [aa * t - bb * s for s, t in zip(mc, mj)]
+        if H[col][row] < 0:
+            H[col] = [-x for x in H[col]]
+            if transform:
+                U[col] = [-x for x in U[col]]
+        col += 1
+        if col == n:
+            break
+    return H, U, col
+
+
+def reference_lattice_basis(gens, n):
+    H, _, rank = reference_column_echelon(gens, n, len(gens))
+    return H[:rank]
+
+
+def reference_preimage_lattice(A, m: int, n: int, target_basis):
+    t = len(target_basis)
+    B = [[A[i][j] for j in range(n)] + [-target_basis[s][i] for s in range(t)]
+         for i in range(m)]
+    _, U, rank = reference_column_echelon([[B[i][j] for i in range(m)] for j in range(n + t)], m, n + t,
+                                          transform=True)
+    gens = [v[:n] for v in U[rank:]]
+    return reference_lattice_basis(gens, n)
+
+
+def reference_result(name, args, kwargs):
+    """What `intlinalg.<name>` must return on these arguments."""
+    if name == "column_echelon":
+        width = kwargs.pop("width", None)
+        H, U, rank = reference_column_echelon(*args, **kwargs)
+        return H, None if U is None else [u[:width] for u in U], rank
+    if name == "divisibility_lattice":
+        A, m, n, f = args
+        return reference_preimage_lattice(A, m, n, la.scale(la.identity(m), f))
+    return {
+        "preimage_lattice": reference_preimage_lattice,
+        "lattice_basis": reference_lattice_basis,
+        # the Smith divisors and the coordinates in a basis are canonical
+        "snf_divisors": elimination_snf_divisors,
+        "in_lattice": functools.partial(oracle_in_lattice, echelon=reference_column_echelon),
+    }[name](*args, **kwargs)
+
+
+def assert_reference_lists(name, args, kwargs=None):
+    kwargs = kwargs or {}
+    got = getattr(la, name)(*copy.deepcopy(args), **kwargs)
+    assert got == reference_result(name, copy.deepcopy(args), dict(kwargs)), (name, args, kwargs)
+
+
+def test_kernels_return_the_reference_lists_on_every_shape():
+    rng = random.Random(60)
+    for m, n in itertools.product(range(7), repeat=2):
+        for trial in range(6):
+            bound = (1, 3, 9)[trial % 3]
+            A = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+            if m and trial % 2:
+                A[rng.randrange(m)] = [0] * n
+            if n and trial % 3 == 2:
+                c = rng.randrange(n)
+                for row in A:
+                    row[c] = 0
+            cols = la.transpose(A, m, n)
+            for transform, width in ((False, None), (True, None), (True, rng.randint(0, n))):
+                assert_reference_lists("column_echelon", (cols, m, n), {"transform": transform, "width": width})
+            assert_reference_lists("divisibility_lattice", (A, m, n, rng.randint(1, 30)))
+            target = random_matrix(rng, rng.randint(0, m + 1), m, bound=4)
+            assert_reference_lists("preimage_lattice", (A, m, n, target))
+            assert_reference_lists("lattice_basis", (A, n))
+            assert_reference_lists("snf_divisors", (A, m, n))
+            basis = reference_lattice_basis(A, n)
+            members = [[sum(c * w[j] for c, w in zip(coords, basis)) for j in range(n)]
+                       for coords in random_matrix(rng, 2, len(basis), bound=3)]
+            assert_reference_lists("in_lattice", (basis, members, n))
+            assert_reference_lists("in_lattice", (basis, members + random_matrix(rng, 1, n), n))
+
+
+REFERENCE_KERNELS = ["column_echelon", "divisibility_lattice", "preimage_lattice", "lattice_basis",
+                     "snf_divisors", "in_lattice"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernels_return_the_reference_lists_on_the_s5_leta_calls(monkeypatch, seed):
+    calls = []
+    for name in REFERENCE_KERNELS:
+        def recorded(*args, _name=name, _real=getattr(la, name), **kwargs):
+            calls.append((_name, copy.deepcopy(args), dict(kwargs)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(la, name, recorded)
+    with redirect_stdout(io.StringIO()):
+        assert main(["leta", "verify", "--suite", "s5-leta", "--instances", "30", "--seed", str(seed)]) == 0
+    monkeypatch.undo()
+    assert {name for name, _, _ in calls} == set(REFERENCE_KERNELS)
+    for name, args, kwargs in calls:
+        assert_reference_lists(name, args, kwargs)

@@ -28,6 +28,7 @@ the elimination that re-checks the rule; each is an internal error (exit 3).
 """
 
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -38,6 +39,7 @@ from contextlib import redirect_stdout
 import pytest
 import test_complexes
 import test_decalage
+import test_golden
 import test_intlinalg
 
 from aomega import cli, complexes, decalage, suites, torus
@@ -227,7 +229,7 @@ def test_back_substitution_off_by_one_is_refused(monkeypatch, capsys):
 
 def test_torsion_read_from_the_outgoing_differential_fails(monkeypatch):
     wrong = mutant(complexes, "homology_snf",
-                   ("[d for d in incoming if d > 1]", "[d for d in divisors[i] if d > 1]"))
+                   ("[d for d in incoming if d > 1]", "[d for d in divisors[k] if d > 1]"))
     for module in (complexes, decalage, suites):
         monkeypatch.setattr(module, "homology_snf", wrong)
     assert run_cli(S5_LETA) == (1, ["square-torsion-model"])
@@ -270,12 +272,42 @@ def test_unnormalised_transform_signs_fail_the_transform_tests(monkeypatch):
     # the pivot column of H negated without its column of U: A U = H breaks
     # at that column, and solve_int reads a wrong sign from it.  The kernel
     # columns lie past the rank, where no sign is normalised, so
-    # kernel_basis, and its test, do not see this mutation.
+    # preimage_lattice, and its test, do not see this mutation.
     monkeypatch.setattr(la, "column_echelon", mutant(la, "column_echelon", ("U[col] = [-x for x in U[col]]", "pass")))
     for test in (test_intlinalg.test_column_echelon_transform_is_unimodular,
                  test_intlinalg.test_solve_int_round_trip_and_unsolvable):
         with pytest.raises(AssertionError):
             test()
+
+
+def leta_apply_digest(tmp_path, complex_json, f):
+    """sha256 of the `leta apply` report, run in process, or the exit code
+    of a run that prints none."""
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(complex_json))
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            main(["leta", "apply", "--f", str(f), "--in", str(path)])
+    except SystemExit as exc:
+        return exc.code
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_a_hermite_update_one_row_late_fails_the_reference_lists_and_a_pinned_digest(monkeypatch, tmp_path):
+    pinned = test_golden.LETA_APPLY
+    assert [leta_apply_digest(tmp_path, c, f) for c, f, _ in pinned] == [d for _, _, d in pinned]
+    monkeypatch.setattr(la, "column_echelon", mutant(la, "column_echelon", ("for i in range(row, m):",
+                                                                             "for i in range(row + 1, m):")))
+    assert any(leta_apply_digest(tmp_path, c, f) != d for c, f, d in pinned)
+    with pytest.raises(AssertionError):
+        test_intlinalg.test_kernels_return_the_reference_lists_on_every_shape()
+
+
+def test_a_closed_form_smith_divisor_that_skips_an_entry_fails_the_elimination_oracle(monkeypatch):
+    monkeypatch.setattr(la, "snf_divisors", mutant(la, "snf_divisors", ("gcd(*A[0])", "gcd(*A[0][1:])")))
+    with pytest.raises(AssertionError):
+        test_intlinalg.test_snf_divisors_against_elimination_oracle()
 
 
 SMALL_BOX = ["--p", "3", "--depth", "2", "--dim", "2", "--bound", "2", "--out", "-"]
