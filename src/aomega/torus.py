@@ -206,7 +206,9 @@ class TorusCell:
 
 @dataclass
 class ClassRow:
-    """Aggregated outcome for all gradings sharing a valuation pattern."""
+    """One valuation pattern of an aggregated box: `cell` (so the row's status
+    and certificates) is the representative grading's, `count` the number of
+    gradings with the pattern.  No stage yet proves each member."""
 
     pattern: tuple
     count: int

@@ -9,6 +9,10 @@ below breaks the placement, the tensor product's sign rule or one weight,
 and both stages must refuse it: a placement that no longer squares to zero
 raises AssertionError (exit 3 from the CLI), a placement that differs from
 the tensor product or a wrong weight fails the stage's check (exit 1).
+`complexes.koszul` builds its blocks with no d o d check exactly while the
+certificate holds: one row makes the check raise on every call, another
+realizes the placement without its negations, so that the certificate
+fails and the checked constructor refuses the blocks.
 
 Further rows plant one wrong quotient in the memo of exact divisions that
 the fractional outcomes share (`torus._carrier`), and the oracle that
@@ -33,6 +37,7 @@ import inspect
 import io
 import json
 import os
+import random
 import textwrap
 from contextlib import redirect_stdout
 
@@ -42,7 +47,7 @@ import test_decalage
 import test_golden
 import test_intlinalg
 
-from aomega import cli, complexes, decalage, suites, torus
+from aomega import cli, complexes, decalage, qderham, suites, torus
 from aomega import intlinalg as la
 from aomega.ainf import AinfModel, OCModelElement
 from aomega.arith import LaurentElement
@@ -138,6 +143,50 @@ def test_a_disagreement_exits_1_and_a_broken_square_exits_3(monkeypatch, capsys,
         main(argv)
     assert exc.value.code == EXIT_INTERNAL
     assert "d o d != 0 in the Koszul placement table" in capsys.readouterr().err
+
+
+def refuse_dd_check(self):
+    raise AssertionError("d o d checked")
+
+
+def test_koszul_skips_the_dd_check_exactly_while_the_certificate_holds(monkeypatch, fresh_tables):
+    rng = random.Random(77)
+    blocks = [(ring, [test_complexes.RANDOM_ENTRY[ring.tag](rng) for _ in range(d)])
+              for ring in test_complexes.RINGS for d in range(5)]
+    assert all(complexes.check_koszul_placement(d) for d in range(5))
+    with monkeypatch.context() as mp:
+        mp.setattr(complexes.ChainComplex, "_check_dd", refuse_dd_check)
+        for ring, weights in blocks:
+            assert complexes.koszul(ring, weights).diffs == complexes.koszul_matrices(ring, weights)
+    # the certificate decided afresh, with the checked constructor, on a
+    # tensor product that no longer equals the placement from two weights on
+    right_factor_sign_rule(monkeypatch)
+    complexes.check_koszul_placement.cache_clear()
+    assert [complexes.check_koszul_placement(d) for d in range(5)] == [True, True, False, False, False]
+    monkeypatch.setattr(complexes.ChainComplex, "_check_dd", refuse_dd_check)
+    for ring, weights in blocks:
+        if len(weights) >= 2:
+            with pytest.raises(AssertionError, match="d o d checked"):
+                complexes.koszul(ring, weights)
+
+
+def test_a_koszul_realization_without_the_negation_is_refused(monkeypatch, capsys, fresh_tables):
+    # g_j placed where the placement's sign is -1: the certificate fails,
+    # and the checked constructor refuses every block of two weights or more
+    unsigned = mutant(complexes, "koszul_matrices", ("-1: [ring.neg(g) for g in weights]", "-1: weights"))
+    for module in (complexes, qderham, torus):
+        monkeypatch.setattr(module, "koszul_matrices", unsigned)
+    with pytest.raises(SystemExit) as exc:
+        main(["qderham", "table", "--p", "3", "--dim", "2", "--bound", "2", "--out", os.devnull])
+    assert exc.value.code == EXIT_INTERNAL and "d o d != 0 at degree" in capsys.readouterr().err
+    assert not complexes.check_koszul_placement(2)
+    assert main(torus_argv(["all"], 2, 1, 2, 2)) == 1
+    res = ainf_omega_torus(MODEL, GradingBox(2, 1, 2))
+    for rep in (specialize_de_rham(res), compare_with_torus_pipeline(MODEL, 2, 2, res)):
+        assert not rep["passed"] and rep["note"] == torus.TABLES_DISAGREE
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "run", "--suite", "s4-torus-decomp"])
+    assert exc.value.code == EXIT_INTERNAL and "d o d != 0 at degree" in capsys.readouterr().err
 
 
 def swapped_weight(res, grading):
