@@ -372,6 +372,8 @@ def main(argv=None) -> int:
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         # refuse before any work: the report could not be written
         parser.exit(2, f"error: output directory of {path!r} does not exist\n")
+    if path is not None and os.path.isdir(path):
+        parser.exit(2, f"error: output file {path!r} is a directory\n")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intlinalg as la
-from .arith import laurent_gcd, prime_base
+from .arith import prime_base
 from .complexes import (
     NOT_STRUCTURED,
     ZERO_COMPLEX,
@@ -136,18 +136,6 @@ def leta_koszul(ring, weights, f):
         if not ring.is_zero(g) and ring.exact_div(f, g) is not None:
             return ZERO_COMPLEX
     return NOT_STRUCTURED
-
-
-def leta_two_term(g, f, ring):
-    """Decalage of a two-term multiplication complex R --g--> R over the
-    Laurent carrier: the divided weight g / gcd(g, f)."""
-    if ring.is_zero(g):
-        raise ValueError("two-term piece needs a nonzero element")
-    d = laurent_gcd(g, f)
-    q = ring.exact_div(g, d)
-    if q is None:
-        raise AssertionError("gcd failed to divide")
-    return q
 
 
 # ---------------------------------------------------------------------------

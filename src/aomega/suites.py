@@ -41,6 +41,7 @@ from .decalage import (
 from .qderham import QLaurentFunction, compare_with_torus_pipeline, nabla_q, q_de_rham_complex, q_to_one
 from .torus import (
     GradingBox,
+    _block_diffs,
     _mix_basis,
     ainf_omega_torus,
     random_fp_complex,
@@ -168,15 +169,7 @@ def random_z_complex(rng: random.Random, max_deg: int = 4, max_rank: int = 4, bo
                     ranks[s] += 1
         if sum(ranks) == 0:
             continue
-        diffs = [[[0] * ranks[k] for _ in range(ranks[k + 1])] for k in range(degs - 1)]
-        pos = [0] * degs
-        for s, c in blocks:
-            if c is None:
-                pos[s] += 1
-            else:
-                diffs[s][pos[s + 1]][pos[s]] = c
-                pos[s] += 1
-                pos[s + 1] += 1
+        diffs = _block_diffs(0, ranks, blocks)
         for _ in range(rng.randint(0, 4)):
             _mix_basis(_Z, ranks, diffs, rng, lambda: rng.choice((-1, 1)))
         if any(abs(x) > bound for mat in diffs for row in mat for x in row):
@@ -305,23 +298,15 @@ def suite_torus_decomposition(config: SessionConfig) -> VerificationReport:
 
 def _realize_diagonal(D: DiagonalComplex) -> ChainComplex:
     lo = min(s.shift for s in D.summands)
-    hi = max(s.shift + (0 if s.element is None else 1) for s in D.summands)
-    ranks = [0] * (hi - lo + 2)
-    entries = []
-    for s in D.summands:
-        if s.element is None:
-            ranks[s.shift - lo] += 1
-        else:
-            i, j = ranks[s.shift - lo], ranks[s.shift - lo + 1]
-            ranks[s.shift - lo] += 1
-            ranks[s.shift - lo + 1] += 1
-            entries.append((s.shift - lo, i, j, s.element))
-    while ranks and ranks[-1] == 0:
+    blocks = [(s.shift - lo, s.element) for s in D.summands]
+    ranks = [0] * (max(k for k, _ in blocks) + 2)
+    for k, g in blocks:
+        ranks[k] += 1
+        if g is not None:
+            ranks[k + 1] += 1
+    while ranks[-1] == 0:
         ranks.pop()
-    diffs = [[[0] * ranks[k] for _ in range(ranks[k + 1] if k + 1 < len(ranks) else 0)] for k in range(len(ranks) - 1)]
-    for k, i, j, g in entries:
-        diffs[k][j][i] = g
-    return ChainComplex(_Z, lo, ranks, diffs)
+    return ChainComplex(_Z, lo, ranks, _block_diffs(0, ranks, blocks))
 
 
 def suite_tilde_omega(config: SessionConfig) -> VerificationReport:
@@ -481,7 +466,7 @@ def suite_witt(config: SessionConfig) -> VerificationReport:
     for _ in range(100):
         p = rng.choice((2, 3))
         m = rng.randint(1, 4)
-        a = _random_perfection(rng, p)
+        a = _random_witt(rng, p, 1)
         if teichmuller_lift(a, m).frobenius() != teichmuller_lift(a.frobenius(), m):
             frob_fail.append({"p": p, "m": m})
         report.instances += 1
@@ -508,14 +493,6 @@ def _random_witt(rng: random.Random, p: int, m: int) -> TruncatedWittElement:
         e = Fraction(rng.randint(0, 6), p ** rng.randint(0, 2))
         terms[e] = rng.randint(1, p**m - 1)
     return TruncatedWittElement(p, m, terms)
-
-
-def _random_perfection(rng: random.Random, p: int) -> TruncatedWittElement:
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        e = Fraction(rng.randint(0, 6), p ** rng.randint(0, 2))
-        terms[e] = rng.randint(1, p - 1)
-    return TruncatedWittElement(p, 1, terms)
 
 
 def _random_invertible(rng: random.Random, F: GF, r: int):

@@ -16,7 +16,9 @@ module forms a Fraction.
 Nonintegral gradings die.  The carrier realizes the divisibility kill
 literally when some component has numerator +-1; the remaining cells are
 certified dead in every specialization by residue-ring computations: the
-divided-weight residue is a unit under both reduction maps, or (for cells
+divided-weight residue (the geometric series sum_{k < g/d} u^(kd), taken in
+closed form under Euclid's gcd and the product check of `_residual_outcome`)
+is a unit under both reduction maps, or (for cells
 without a divisibility-minimal weight) some weight divides the image of
 q - 1 one residue level deeper, so the reduced complex collapses there,
 while the mod-(q-1) homology is a free module, the hypothesis under which
@@ -50,6 +52,7 @@ from .ainf import AinfModel, OCModel
 from .arith import (
     LaurentElement,
     laurent_exact_div,
+    laurent_gcd,
     normalize_associate,
     q_analog,
 )
@@ -65,7 +68,7 @@ from .complexes import (
     koszul_matrices,
     koszul_to_diagonal,
 )
-from .decalage import ZERO_COMPLEX, leta_koszul, leta_two_term
+from .decalage import ZERO_COMPLEX, leta_koszul
 from .intlinalg import rank
 
 EXPLICIT_CELL_LIMIT = 20000
@@ -518,15 +521,19 @@ def _decide_fractional(model: AinfModel, ring, exps: tuple[int, ...]):
 @lru_cache(maxsize=None)
 def _residual_outcome(p: int, n: int, g_min_exp: int):
     """The two-term divisor of the divisibility-minimal weight u^g - 1, its
-    quotient by the gcd u^d - 1 with q - 1 (checked, p^n not dividing g), and
-    whether both residue maps send it to a unit.  At each level j = n, n + 1
-    its `_residue_route` asks Euclid for the inverse of its image, or whether
-    zeta^g - 1 and the nonzero zeta^d - 1 divide each other (are associates)."""
+    quotient by the gcd u^d - 1 with q - 1, d = gcd(g, p^n), and whether both
+    residue maps send it to a unit.  The quotient is the geometric series
+    sum_{k < g/d} u^(kd), checked: p^n does not divide g, Euclid's gcd
+    of u^g - 1 and q - 1 is u^d - 1, and the series times u^d - 1 is u^g - 1.
+    At each level j = n, n + 1 its `_residue_route` asks Euclid for the
+    inverse of its image, or whether zeta^g - 1 and the nonzero zeta^d - 1
+    divide each other (are associates)."""
     model, _ = _carrier(p, n)
     g_min = LaurentElement({g_min_exp: 1, 0: -1}, n)
-    residual = normalize_associate(leta_two_term(g_min, model.mu, LaurentRing(p, n)))
     d = gcd(g_min_exp, p**n)
-    if d == p**n or residual * LaurentElement({d: 1, 0: -1}, n) != g_min:
+    divisor = LaurentElement({d: 1, 0: -1}, n)
+    residual = LaurentElement({k * d: 1 for k in range(g_min_exp // d)}, n)
+    if d == p**n or laurent_gcd(g_min, model.mu) != divisor or residual * divisor != g_min:
         raise AssertionError(f"residual of u^{g_min_exp} - 1 is not a quotient by a nonzero u^{d} - 1")
     units = [
         OCModel(p, j).reduce(residual.with_depth(j)).is_unit() if _residue_route(p, j) == "division"
@@ -879,8 +886,7 @@ def random_fp_complex(rng: random.Random, p: int) -> ChainComplex:
         if rng.random() < 0.7 and degs >= 2:
             s = rng.randint(0, degs - 2)
             if ranks[s] < 4 and ranks[s + 1] < 4:
-                poly = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3)))
-                blocks.append((s, poly))
+                blocks.append((s, ring.reduce(tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))))))
                 ranks[s] += 1
                 ranks[s + 1] += 1
         else:
@@ -891,19 +897,24 @@ def random_fp_complex(rng: random.Random, p: int) -> ChainComplex:
     if sum(ranks) == 0:
         ranks[0] = 1
         blocks.append((0, None))
-    diffs = [[[ring.zero()] * ranks[k] for _ in range(ranks[k + 1])] for k in range(degs - 1)]
-    pos = [0] * degs
-    for s, poly in blocks:
-        if poly is None:
-            pos[s] += 1
-        else:
-            i, j = pos[s], pos[s + 1]
-            diffs[s][j][i] = ring.reduce(poly)
-            pos[s] += 1
-            pos[s + 1] += 1
+    diffs = _block_diffs(ring.zero(), ranks, blocks)
     for _ in range(rng.randint(0, 3)):
         _mix_basis(ring, ranks, diffs, rng, lambda: (rng.randrange(1, p),))
     return ChainComplex(ring, 0, ranks, diffs)
+
+
+def _block_diffs(zero, ranks: list, blocks: list) -> list:
+    """The differentials of a block-diagonal complex with degree ranks
+    `ranks`: each block (s, g) takes the next basis vector of degree s, and
+    unless g is None also the next one of degree s + 1, joined by g."""
+    diffs = [[[zero] * ranks[k] for _ in range(ranks[k + 1])] for k in range(len(ranks) - 1)]
+    pos = [0] * len(ranks)
+    for s, g in blocks:
+        if g is not None:
+            diffs[s][pos[s + 1]][pos[s]] = g
+            pos[s + 1] += 1
+        pos[s] += 1
+    return diffs
 
 
 def _mix_basis(ring, ranks: list, diffs: list, rng: random.Random, draw) -> None:

@@ -7,11 +7,9 @@ import pytest
 import sympy
 from sympy.abc import x
 
-from aomega import ainf, poly
+from aomega import ainf, poly, torus
 from aomega.ainf import AinfModel, OCModel, OCModelElement, check_notation_identities
-from aomega.arith import LaurentElement, laurent_exact_div, normalize_associate
-from aomega.complexes import LaurentRing
-from aomega.decalage import leta_two_term
+from aomega.arith import LaurentElement, laurent_exact_div
 
 
 def test_xi_is_the_cyclotomic_polynomial():
@@ -263,11 +261,9 @@ def test_residue_division_matches_oracle_on_pipeline_residuals(p, monkeypatch):
     # reduced one level deeper as theta_tilde does (degree 1210 or 2028);
     # every Euclid step divides by a +-1 lead
     monkeypatch.setattr(poly, "Fraction", CountingFraction)
-    model = AinfModel(p, 2)
     oc = OCModel(p, 3)
     for s in (2, 2 * p):
-        g = LaurentElement({s: 1, 0: -1}, 2)
-        residual = normalize_associate(leta_two_term(g, model.mu, LaurentRing(p, 2)))
+        residual, _ = torus._residual_outcome(p, 2, s)
         x = oc.reduce(residual.with_depth(3))
         CountingFraction.made = 0
         check_against_oracle(x, dividends=(oc.zeta_power_minus_one(1), oc.constant(p)))

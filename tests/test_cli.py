@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from aomega.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, build_parser, main
 from aomega.complexes import NOT_STRUCTURED
 from aomega.suites import SessionConfig, run_suite
 
+# the children import the package under test, installed or not
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(args, stdin_text=None, env=None):
     proc = subprocess.run(
@@ -19,7 +23,7 @@ def run_cli(args, stdin_text=None, env=None):
         input=stdin_text,
         capture_output=True,
         text=True,
-        env={**os.environ, **(env or {})},
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
     )
     return proc
 
@@ -168,6 +172,7 @@ def test_closed_stdout_exits_quietly():
          "--p", "3", "--depth", "1", "--dim", "2", "--bound", "4"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -240,6 +245,15 @@ def test_out_into_missing_directory_is_usage_error(tmp_path):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not target.parent.exists()
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path):
+    # refused before any work, not after the command ran and open() failed
+    proc = run_cli(["ainf", "verify", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not any(tmp_path.iterdir())
 
 
 def test_suite_exit_code_zero_on_pass():

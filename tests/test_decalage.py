@@ -30,7 +30,6 @@ from aomega.decalage import (
     check_leta_mod_f_is_bockstein,
     eta_subcomplex,
     leta_koszul,
-    leta_two_term,
     mod_f_homology,
 )
 from aomega.complexes import NOT_STRUCTURED
@@ -403,15 +402,6 @@ def test_leta_koszul_agrees_with_lattice():
         gs = tuple(f * rng.randint(1, 4) for _ in range(d))
         sym = leta_koszul(Z, gs, f)
         assert homology_snf(koszul(Z, sym)) == homology_snf(eta_subcomplex(koszul(Z, list(gs)), f))
-
-
-def test_leta_two_term_divided_weight():
-    model = AinfModel(5, 1)
-    ring = LaurentRing(5, 1)
-    g = LaurentElement({3: 1, 0: -1}, 1)  # q^(3/5) - 1
-    res = leta_two_term(g, model.mu, ring)
-    # gcd(u^3 - 1, u^5 - 1) = u - 1, so the leftover is 1 + u + u^2
-    assert res == LaurentElement({0: 1, 1: 1, 2: 1}, 1)
 
 
 def test_two_term_rule_matches_lattice_over_z():

@@ -29,6 +29,9 @@ function in its module's namespace.  In the same way they break the rank
 track of the etale and semicont stages: a sign in the proof of the
 contraction identity, the constant terms the special-fibre rule reads, and
 the elimination that re-checks the rule; each is an internal error (exit 3).
+Two rows break the residual divisor of `torus._residual_outcome`, its
+closed form one term short or Euclid's gcd not u^d - 1, on both routes of
+the unit verdict; each is an internal error too.
 """
 
 import dataclasses
@@ -398,14 +401,30 @@ def torus_argv(command, p, depth, dim, bound):
             "--out", os.devnull]
 
 
-@pytest.mark.parametrize("box", [(3, 1, 1, 2), (13, 2, 1, 1)], ids=["division-route", "order-route"])
-def test_a_residual_left_undivided_is_an_internal_error(monkeypatch, capsys, cold_fractional_caches, box):
-    # the two-term decalage returns u^g - 1 itself: the divisor no longer
-    # times u^d - 1 gives u^g - 1, on either route of the unit verdict
-    monkeypatch.setattr(torus, "leta_two_term", mutant(decalage, "leta_two_term", ("return q", "return g")))
+# boxes with residual cells on either route of the unit verdict
+RESIDUAL_BOXES = pytest.mark.parametrize("box", [(3, 1, 1, 2), (13, 2, 1, 1)], ids=["division-route", "order-route"])
+
+
+def exits_not_a_quotient(capsys, box):
     with pytest.raises(SystemExit) as exc:
         main(torus_argv(["all"], *box))
     assert exc.value.code == EXIT_INTERNAL and "is not a quotient" in capsys.readouterr().err
+
+
+@RESIDUAL_BOXES
+def test_a_closed_form_one_term_short_is_an_internal_error(monkeypatch, capsys, cold_fractional_caches, box):
+    # the series stops before u^(g - d): times u^d - 1 it is no longer u^g - 1
+    monkeypatch.setattr(torus, "_residual_outcome", mutant(
+        torus, "_residual_outcome", ("range(g_min_exp // d)", "range(g_min_exp // d - 1)")))
+    exits_not_a_quotient(capsys, box)
+
+
+@RESIDUAL_BOXES
+def test_a_gcd_that_is_not_the_divisor_is_an_internal_error(monkeypatch, capsys, cold_fractional_caches, box):
+    # Euclid's gcd of u^g - 1 and q - 1 read as u^g - 1 itself: the series
+    # still times u^d - 1 gives u^g - 1, but the gcd is not u^d - 1
+    monkeypatch.setattr(torus, "laurent_gcd", lambda g, f: g)
+    exits_not_a_quotient(capsys, box)
 
 
 def fails_ht_and_dr(box):

@@ -14,8 +14,9 @@ import pytest
 
 from aomega import complexes, torus
 from aomega.ainf import AinfModel, OCModel, OCModelElement
-from aomega.arith import LaurentElement
+from aomega.arith import LaurentElement, laurent_gcd, normalize_associate
 from aomega.complexes import ChainComplex, FpPolyRing, LaurentRing, ZRing, homology_snf, koszul
+from aomega.decalage import ZERO_COMPLEX, leta_koszul
 from aomega.torus import (
     ClassRow,
     GradingBox,
@@ -384,6 +385,57 @@ def test_an_integral_residual_exponent_is_refused(cold_fractional_caches):
     # would not follow from the orders
     with pytest.raises(AssertionError, match="nonzero u\\^9 - 1"):
         torus._residual_outcome(3, 2, 18)
+
+
+def leta_two_term(g, f, ring):
+    """Decalage of a two-term multiplication complex R --g--> R over the
+    Laurent carrier: the divided weight g / gcd(g, f)."""
+    if ring.is_zero(g):
+        raise ValueError("two-term piece needs a nonzero element")
+    d = laurent_gcd(g, f)
+    q = ring.exact_div(g, d)
+    if q is None:
+        raise AssertionError("gcd failed to divide")
+    return q
+
+
+def test_residual_closed_form_is_the_divided_weight():
+    # `_residual_outcome` takes the geometric series sum_{k < g/d} u^(kd);
+    # the route it replaced, kept above word for word, divides u^g - 1 by
+    # Euclid's gcd with q - 1, for every g up to 3 p^(n+1) prime to p^n
+    checked = 0
+    for p, n in ((3, 1), (3, 2), (5, 2), (13, 1), (2, 3)):
+        model, ring = AinfModel(p, n), LaurentRing(p, n)
+        for g in range(1, 3 * p ** (n + 1) + 1):
+            if g % p**n:
+                reference = normalize_associate(leta_two_term(LaurentElement({g: 1, 0: -1}, n), model.mu, ring))
+                assert torus._residual_outcome(p, n, g)[0] == reference, (p, n, g)
+                checked += 1
+    assert checked == 960
+    # gcd(u^3 - 1, u^5 - 1) = u - 1, so the leftover of q^(3/5) - 1 is 1 + u + u^2
+    assert torus._residual_outcome(5, 1, 3)[0] == LaurentElement({0: 1, 1: 1, 2: 1}, 1)
+
+
+def test_two_step_kills_are_subsumed_by_the_one_step_kill():
+    # `_decide_fractional` tries the kill by q - 1 = mu first.  A weight that
+    # divides phi^-1(mu) divides mu, and a divided weight w / gcd(w, phi^-1(mu))
+    # that divides xi gives w | xi phi^-1(mu) = mu; either way the one-step
+    # kill has already fired, so its two-step routes are never reached.
+    # Every multiset of one or two exponents in [0, 2 p^n], and of three
+    # while p^n <= 9, that is not all integral
+    two_step = 0
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)):
+        model, ring, step = AinfModel(p, n), LaurentRing(p, n), p**n
+        for d in (1, 2, 3) if step <= 9 else (1, 2):
+            for exps in itertools.combinations_with_replacement(range(2 * step + 1), d):
+                if all(s % step == 0 for s in exps):
+                    continue
+                weights = tuple(LaurentElement({s: 1, 0: -1}, n) if s else LaurentElement.zero(n) for s in exps)
+                step1 = leta_koszul(ring, weights, model.phi_inv_mu)
+                if step1 is ZERO_COMPLEX or (isinstance(step1, tuple) and leta_koszul(ring, step1, model.xi) is ZERO_COMPLEX):
+                    two_step += 1
+                    assert leta_koszul(ring, weights, model.mu) is ZERO_COMPLEX, (p, n, exps)
+    assert two_step
 
 
 def test_no_residue_inversion_above_the_honest_limit(monkeypatch, cold_fractional_caches):
