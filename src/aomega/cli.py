@@ -28,7 +28,7 @@ from .ainf import AinfModel, check_notation_identities
 from .complexes import ChainComplex, homology_snf, matrices_to_json
 from .decalage import eta_subcomplex
 from .qderham import compare_with_torus_pipeline, q_de_rham_complex, q_to_one
-from .suites import LIMITS, SUITE_ALIASES, SUITES, SessionConfig, _jsonable, run_suite
+from .suites import LIMITS, SUITE_ALIASES, SUITES, SessionConfig, jsonable, run_suite
 from .torus import (
     GradingBox,
     ainf_omega_torus,
@@ -209,9 +209,9 @@ def cmd_torus_run(args) -> int:
         payload = specialize_hodge_tate(ainf_omega_torus(model, box))
         passed = payload["passed"]
     elif stage == "etale":
-        payload = _jsonable(etale_rank_torus(ainf_omega_torus(model, box)))
+        payload = jsonable(etale_rank_torus(ainf_omega_torus(model, box)))
     else:  # semicont; argparse refuses any other stage
-        payload = _jsonable(torus_semicontinuity(ainf_omega_torus(model, box)))
+        payload = jsonable(torus_semicontinuity(ainf_omega_torus(model, box)))
         passed = payload["inequality_holds"]
     _emit(payload, args.out)
     return 0 if passed else 1
@@ -236,7 +236,7 @@ def cmd_torus_all(args) -> int:
         "hodge_tate_passed": ht["passed"],
         "de_rham_passed": dr["passed"],
         "etale_rank_table": {str(i): r for i, r in et["rank_table"].items()},
-        "semicontinuity": _jsonable(sc),
+        "semicontinuity": jsonable(sc),
         "q_de_rham_passed": qc["passed"],
         "passed": passed,
     }

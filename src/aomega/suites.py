@@ -41,10 +41,7 @@ from .decalage import (
 from .qderham import QLaurentFunction, compare_with_torus_pipeline, nabla_q, q_de_rham_complex, q_to_one
 from .torus import (
     GradingBox,
-    _block_diffs,
-    _mix_basis,
     ainf_omega_torus,
-    random_fp_complex,
     semicontinuity_demo,
     specialize_de_rham,
     specialize_hodge_tate,
@@ -126,18 +123,19 @@ class VerificationReport:
             "instances": self.instances,
             "passed": self.passed,
             "checks": [
-                {"name": name, "passed": ok, "detail": _jsonable(detail)}
+                {"name": name, "passed": ok, "detail": jsonable(detail)}
                 for name, ok, detail in self.checks
             ],
-            "counterexamples": _jsonable(self.counterexamples()),
+            "counterexamples": jsonable(self.counterexamples()),
         }
 
 
-def _jsonable(x):
+def jsonable(x):
+    """`x` with string keys, lists for tuples and the repr of any other leaf."""
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [jsonable(v) for v in x]
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
     return repr(x)
@@ -147,34 +145,99 @@ def _jsonable(x):
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def random_z_complex(rng: random.Random, max_deg: int = 4, max_rank: int = 4, bound: int = 9) -> ChainComplex:
-    """Seeded random bounded complex of free Z-modules: elementary blocks
-    glued block-diagonally, then mixed by unimodular basis changes; entries
-    stay within the stated bound (instances violating it are redrawn)."""
+MAX_RANK = 4  # per degree, in both random complexes
+Z_ENTRY_BOUND = 9  # on every entry of a random complex over Z
+
+
+def random_z_complex(rng: random.Random, max_deg: int = 4) -> ChainComplex:
+    """Seeded random bounded complex of free Z-modules in 2 to `max_deg`
+    degrees of rank at most MAX_RANK: `_random_blocks` glued by
+    `_block_diffs`, then mixed by unimodular `_mix_basis` steps; entries
+    stay within Z_ENTRY_BOUND (instances violating it are redrawn)."""
     while True:
         degs = rng.randint(2, max_deg)
-        ranks = [0] * degs
-        blocks = []
-        for _ in range(rng.randint(1, 6)):
-            if rng.random() < 0.75 and degs >= 2:
-                s = rng.randint(0, degs - 2)
-                if ranks[s] < max_rank and ranks[s + 1] < max_rank:
-                    blocks.append((s, rng.randint(-bound, bound)))
-                    ranks[s] += 1
-                    ranks[s + 1] += 1
-            else:
-                s = rng.randint(0, degs - 1)
-                if ranks[s] < max_rank:
-                    blocks.append((s, None))
-                    ranks[s] += 1
+        ranks, blocks = _random_blocks(rng, degs, rng.randint(1, 6), 0.75, lambda: rng.randint(-Z_ENTRY_BOUND, Z_ENTRY_BOUND))
         if sum(ranks) == 0:
             continue
         diffs = _block_diffs(0, ranks, blocks)
         for _ in range(rng.randint(0, 4)):
             _mix_basis(_Z, ranks, diffs, rng, lambda: rng.choice((-1, 1)))
-        if any(abs(x) > bound for mat in diffs for row in mat for x in row):
+        if any(abs(x) > Z_ENTRY_BOUND for mat in diffs for row in mat for x in row):
             continue
         return ChainComplex(_Z, 0, ranks, diffs)
+
+
+def random_fp_complex(rng: random.Random, p: int) -> ChainComplex:
+    """Seeded random bounded free complex over F_p[u] in 2 to 4 degrees of
+    rank at most MAX_RANK: `_random_blocks` (a lone generator in degree 0
+    if none lands) glued by `_block_diffs`, then mixed by `_mix_basis` steps
+    with unit coefficients."""
+    ring = FpPolyRing(p)
+    degs = rng.randint(2, 4)
+    ranks, blocks = _random_blocks(
+        rng, degs, rng.randint(1, 2 * degs), 0.7, lambda: ring.reduce(tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))))
+    )
+    if sum(ranks) == 0:
+        ranks[0] = 1
+        blocks.append((0, None))
+    diffs = _block_diffs(ring.zero(), ranks, blocks)
+    for _ in range(rng.randint(0, 3)):
+        _mix_basis(ring, ranks, diffs, rng, lambda: (rng.randrange(1, p),))
+    return ChainComplex(ring, 0, ranks, diffs)
+
+
+def _random_blocks(rng: random.Random, degs: int, tries: int, joined: float, draw):
+    """(ranks, blocks) of `tries` attempts at an elementary block in `degs`
+    degrees: with probability `joined` a pair (s, draw()) joining degrees s
+    and s + 1, else a lone generator (s, None); an attempt that would push a
+    degree past MAX_RANK adds nothing."""
+    ranks = [0] * degs
+    blocks = []
+    for _ in range(tries):
+        if rng.random() < joined:
+            s = rng.randint(0, degs - 2)
+            if ranks[s] < MAX_RANK and ranks[s + 1] < MAX_RANK:
+                blocks.append((s, draw()))
+                ranks[s] += 1
+                ranks[s + 1] += 1
+        else:
+            s = rng.randint(0, degs - 1)
+            if ranks[s] < MAX_RANK:
+                blocks.append((s, None))
+                ranks[s] += 1
+    return ranks, blocks
+
+
+def _block_diffs(zero, ranks: list, blocks: list) -> list:
+    """The differentials of a block-diagonal complex with degree ranks
+    `ranks`: each block (s, g) takes the next basis vector of degree s, and
+    unless g is None also the next one of degree s + 1, joined by g."""
+    diffs = [[[zero] * ranks[k] for _ in range(ranks[k + 1])] for k in range(len(ranks) - 1)]
+    pos = [0] * len(ranks)
+    for s, g in blocks:
+        if g is not None:
+            diffs[s][pos[s + 1]][pos[s]] = g
+            pos[s + 1] += 1
+        pos[s] += 1
+    return diffs
+
+
+def _mix_basis(ring, ranks: list, diffs: list, rng: random.Random, draw) -> None:
+    """One random elementary change of basis at a random degree, in place on
+    the differentials: new e_(r2) = e_(r2) + c e_(r1), c = draw().  Columns of
+    the outgoing map add, rows of the incoming map subtract."""
+    d = rng.randrange(len(ranks))
+    if ranks[d] < 2:
+        return
+    r1, r2 = rng.sample(range(ranks[d]), 2)
+    c = draw()
+    if d < len(ranks) - 1:
+        for row in diffs[d]:
+            row[r2] = ring.add(row[r2], ring.mul(c, row[r1]))
+    if d > 0:
+        src, dst = diffs[d - 1][r2], diffs[d - 1][r1]
+        for col in range(ranks[d - 1]):
+            dst[col] = ring.add(dst[col], ring.neg(ring.mul(c, src[col])))
 
 
 # ---------------------------------------------------------------------------

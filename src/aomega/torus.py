@@ -41,7 +41,6 @@ representative and counted combinatorially; small boxes enumerate cells.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -150,6 +149,17 @@ def _class_representative(cls, p: int, depth: int) -> int:
     # numerator 1, or the smallest nonunit numerator coprime to p
     m = 1 if unit else 2 if p != 2 else 3
     return m * p ** (depth - k)
+
+
+def _classes(p: int, box: GradingBox):
+    """(pattern, count, representative) per valuation pattern of the box: the
+    sorted per-axis classes, the number of gradings whose sorted classes are
+    the pattern (never 0), and the carrier exponents of one of them."""
+    for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
+        counts = [_axis_class_count(c, p, box.bound) for c in pattern]
+        if all(counts):
+            orderings = factorial(box.dim) // prod(factorial(pattern.count(c)) for c in set(pattern))
+            yield pattern, prod(counts) * orderings, tuple(_class_representative(c, p, box.depth) for c in pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +387,7 @@ def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResul
         for grading in box.iter_gradings(p):
             cells[grading] = _oc_cell_outcome(model, grading)
     else:
-        for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
-            count = _pattern_count(pattern, p, box)
-            if count == 0:
-                continue
-            rep = tuple(_class_representative(c, p, box.depth) for c in pattern)
+        for pattern, count, rep in _classes(p, box):
             cell = _oc_cell_outcome(model, rep)
             # negation stays inside the box and the class
             rep2 = tuple(-s for s in rep)
@@ -391,18 +397,6 @@ def tilde_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResul
                     raise AssertionError(f"class {pattern} not homogeneous")
             classes.append(ClassRow(pattern, count, cell))
     return TorusCohomologyResult("tilde", model, box, cells, classes, aggregated)
-
-
-def _pattern_count(pattern, p: int, box: GradingBox) -> int:
-    """Number of gradings whose sorted component-class tuple equals `pattern`."""
-    counts = [_axis_class_count(c, p, box.bound) for c in pattern]
-    if any(c <= 0 for c in counts):
-        return 0
-    return prod(counts) * _multiset_permutations(pattern)
-
-
-def _multiset_permutations(pattern: tuple) -> int:
-    return factorial(len(pattern)) // prod(factorial(pattern.count(cls)) for cls in set(pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +574,9 @@ def ainf_omega_torus(model: AinfModel, box: GradingBox) -> TorusCohomologyResult
             if grading not in cells:  # the integral cells are in already
                 cells[grading] = _fractional_cell(model, grading)
     else:
-        for pattern in itertools.combinations_with_replacement(_axis_classes(box.depth), box.dim):
-            if all(c in INTEGRAL_CLASSES for c in pattern):
-                continue  # integral cells are explicit
-            count = _pattern_count(pattern, p, box)
-            if count == 0:
-                continue
-            rep = tuple(_class_representative(c, p, box.depth) for c in pattern)
-            cell = _fractional_cell(model, rep)
-            classes.append(ClassRow(pattern, count, cell))
+        for pattern, count, rep in _classes(p, box):
+            if not all(c in INTEGRAL_CLASSES for c in pattern):  # the integral cells are in already
+                classes.append(ClassRow(pattern, count, _fractional_cell(model, rep)))
     return TorusCohomologyResult("ainf", model, box, cells, classes, aggregated)
 
 
@@ -873,63 +861,3 @@ def torus_semicontinuity(result: TorusCohomologyResult) -> dict:
         "equality_with_binomials": generic == special == expected,
     }
 
-
-def random_fp_complex(rng: random.Random, p: int) -> ChainComplex:
-    """Seeded random bounded free complex over F_p[u] in 2 to 4 degrees of
-    rank at most 4, built from elementary blocks and mixed by unimodular
-    row/column operations."""
-    ring = FpPolyRing(p)
-    degs = rng.randint(2, 4)
-    ranks = [0] * degs
-    blocks = []
-    for _ in range(rng.randint(1, 2 * degs)):
-        if rng.random() < 0.7 and degs >= 2:
-            s = rng.randint(0, degs - 2)
-            if ranks[s] < 4 and ranks[s + 1] < 4:
-                blocks.append((s, ring.reduce(tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))))))
-                ranks[s] += 1
-                ranks[s + 1] += 1
-        else:
-            s = rng.randint(0, degs - 1)
-            if ranks[s] < 4:
-                blocks.append((s, None))
-                ranks[s] += 1
-    if sum(ranks) == 0:
-        ranks[0] = 1
-        blocks.append((0, None))
-    diffs = _block_diffs(ring.zero(), ranks, blocks)
-    for _ in range(rng.randint(0, 3)):
-        _mix_basis(ring, ranks, diffs, rng, lambda: (rng.randrange(1, p),))
-    return ChainComplex(ring, 0, ranks, diffs)
-
-
-def _block_diffs(zero, ranks: list, blocks: list) -> list:
-    """The differentials of a block-diagonal complex with degree ranks
-    `ranks`: each block (s, g) takes the next basis vector of degree s, and
-    unless g is None also the next one of degree s + 1, joined by g."""
-    diffs = [[[zero] * ranks[k] for _ in range(ranks[k + 1])] for k in range(len(ranks) - 1)]
-    pos = [0] * len(ranks)
-    for s, g in blocks:
-        if g is not None:
-            diffs[s][pos[s + 1]][pos[s]] = g
-            pos[s + 1] += 1
-        pos[s] += 1
-    return diffs
-
-
-def _mix_basis(ring, ranks: list, diffs: list, rng: random.Random, draw) -> None:
-    """One random elementary change of basis at a random degree, in place on
-    the differentials: new e_(r2) = e_(r2) + c e_(r1), c = draw().  Columns of
-    the outgoing map add, rows of the incoming map subtract."""
-    d = rng.randrange(len(ranks))
-    if ranks[d] < 2:
-        return
-    r1, r2 = rng.sample(range(ranks[d]), 2)
-    c = draw()
-    if d < len(ranks) - 1:
-        for row in diffs[d]:
-            row[r2] = ring.add(row[r2], ring.mul(c, row[r1]))
-    if d > 0:
-        src, dst = diffs[d - 1][r2], diffs[d - 1][r1]
-        for col in range(ranks[d - 1]):
-            dst[col] = ring.add(dst[col], ring.neg(ring.mul(c, src[col])))

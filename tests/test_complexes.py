@@ -35,8 +35,7 @@ from aomega.complexes import (
     tensor_product,
 )
 from aomega.decalage import eta_subcomplex
-from aomega.suites import random_z_complex
-from aomega.torus import random_fp_complex
+from aomega.suites import random_fp_complex, random_z_complex
 
 Z = ZRing()
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from aomega.suites import random_z_complex
-from aomega.torus import random_fp_complex
+from aomega.suites import random_fp_complex, random_z_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())

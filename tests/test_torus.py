@@ -1,5 +1,6 @@
 """Graded pipelines: ranks, kills, certificates, specializations, fibres."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -17,6 +18,7 @@ from aomega.ainf import AinfModel, OCModel, OCModelElement
 from aomega.arith import LaurentElement, laurent_gcd, normalize_associate
 from aomega.complexes import ChainComplex, FpPolyRing, LaurentRing, ZRing, homology_snf, koszul
 from aomega.decalage import ZERO_COMPLEX, leta_koszul
+from aomega.suites import random_fp_complex
 from aomega.torus import (
     ClassRow,
     GradingBox,
@@ -29,7 +31,6 @@ from aomega.torus import (
     etale_rank_torus,
     generic_fibre_ranks,
     grading_key,
-    random_fp_complex,
     semicontinuity_demo,
     specialize_de_rham,
     specialize_hodge_tate,
@@ -195,6 +196,40 @@ def test_tilde_aggregated_equals_explicit():
     assert total == box.cell_count(3)
 
 
+def fraction_class(a, p):
+    """The valuation class of one grading component, read off its Fraction."""
+    if a.denominator == 1:
+        return "Z0" if a == 0 else "I1" if abs(a) == 1 else "I+"
+    k = 1
+    while p**k < a.denominator:
+        k += 1
+    return ("F", k, abs(a.numerator) == 1)
+
+
+def fraction_pattern(grading, p, n):
+    order = torus._axis_classes(n)
+    return tuple(sorted((fraction_class(Fraction(s, p**n), p) for s in grading), key=order.index))
+
+
+@pytest.mark.parametrize("p,n,d,B", SMALL_BOXES)
+def test_classes_count_the_patterns_of_every_grading(p, n, d, B):
+    box = GradingBox(d, n, B)
+    classes = list(torus._classes(p, box))
+    want = collections.Counter(fraction_pattern(g, p, n) for g in box.iter_gradings(p))
+    assert {pattern: count for pattern, count, _ in classes} == want
+    assert len(classes) == len(want)
+    top = B * p**n
+    for pattern, _, rep in classes:
+        assert fraction_pattern(rep, p, n) == pattern and all(abs(s) <= top for s in rep)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_class_counts_add_up_to_the_box(p):
+    for n, d, B in itertools.product((1, 2, 3), (0, 1, 2, 3, 4), (1, 2, 8)):
+        box = GradingBox(d, n, B)
+        assert sum(count for _, count, _ in torus._classes(p, box)) == box.cell_count(p), (n, d, B)
+
+
 @pytest.mark.parametrize("p,n,d,bound", [(3, 2, 2, 4), (2, 2, 2, 3), (5, 1, 2, 3), (3, 1, 3, 2)])
 def test_ainf_aggregated_equals_explicit(monkeypatch, p, n, d, bound):
     # every stage that reads the ainf result says the same of the box on
@@ -216,6 +251,7 @@ def test_ainf_aggregated_equals_explicit(monkeypatch, p, n, d, bound):
     monkeypatch.setattr(torus, "EXPLICIT_CELL_LIMIT", 1)
     aggregated = ainf_omega_torus(model, box)
     assert not explicit.aggregated and aggregated.aggregated
+    assert sum(row.count for row in aggregated.classes) + len(aggregated.cells) == box.cell_count(p)
     assert verdicts(aggregated) == verdicts(explicit)
 
 
